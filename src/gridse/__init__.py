@@ -56,7 +56,6 @@ from .estimator import (
     SingularGain,
     estimate,
     gain_matrix,
-    gn_step,
     objective_j,
     solve_normal_equations,
 )

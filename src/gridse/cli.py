@@ -34,7 +34,7 @@ from .measurements import (
     full_measurement_plan,
     generate_measurements,
 )
-from .network import NetworkError, build_ybus
+from .network import NetworkError
 from .powerflow import SingularJacobian, solve_power_flow
 from .scenario import (
     CaseFileError,
@@ -94,7 +94,7 @@ def cmd_estimate(args) -> int:
         return 1
     plan = full_measurement_plan(network, args.sigma_v, args.sigma_inj, args.sigma_flow)
     mset = generate_measurements(
-        pf.state, plan, args.seed, network, build_ybus(network), noise=not args.noise_off
+        pf.state, plan, args.seed, network, network.ybus, noise=not args.noise_off
     )
     result = estimate(network, mset, EstimatorConfig())
     payload = {

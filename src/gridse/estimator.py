@@ -3,9 +3,12 @@
 Minimizes J(x) = sum_i (z_i - h_i(x))^2 / sigma_i^2 by repeatedly solving the
 normal equations G dx = H^T R^-1 (z - h(x)) with gain matrix G = H^T R^-1 H,
 factorized as symmetric positive definite rather than inverted. Iteration
-stops when max|dx| drops below the configured tolerance. A gain matrix whose
-condition estimate exceeds the configured limit signals an unobservable
-measurement set and raises SingularGain.
+stops when max|dx| drops below the configured tolerance. h(x) is evaluated
+once per iterate: its residual gives both that iterate's objective and the
+right-hand side of the next step. A gain matrix whose condition estimate
+exceeds the configured limit signals an unobservable measurement set and
+raises SingularGain; a step that leaves a non-finite entry or a magnitude
+<= 0 stops the iteration with converged=False at the last physical iterate.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .measurements import (
     validate_kinds,
     vector_to_state,
 )
-from .network import Network, build_ybus
+from .network import Network
 from .powerflow import StateVector, flat_start
 
 
@@ -70,10 +73,13 @@ class EstimationResult:
         object.__setattr__(self, "objective_history", tuple(self.objective_history))
 
 
+def _weighted_sse(residuals: np.ndarray, sigmas: np.ndarray) -> float:
+    return float(np.sum((residuals / sigmas) ** 2))
+
+
 def objective_j(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> float:
     """Weighted sum of squared residuals, [z - h]^T R^-1 [z - h] with R_ii = sigma_i^2."""
-    r = mset.values - evaluate_h(mset, state, network, ybus)
-    return float(np.sum((r / mset.sigmas) ** 2))
+    return _weighted_sse(mset.values - evaluate_h(mset, state, network, ybus), mset.sigmas)
 
 
 def gain_matrix(h_matrix: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -107,18 +113,6 @@ def solve_normal_equations(
     return dx, gain, condition
 
 
-def gn_step(state: StateVector, mset: MeasurementSet, network: Network, ybus: np.ndarray,
-            condition_limit: float = 1e12):
-    """One Gauss-Newton step from `state`; returns (dx, gain matrix).
-
-    dx is ordered as [theta at non-slack buses, all magnitudes].
-    """
-    r = mset.values - evaluate_h(mset, state, network, ybus)
-    h_matrix = jacobian_h(mset, state, network, ybus)
-    dx, gain, _ = solve_normal_equations(h_matrix, mset.sigmas, r, condition_limit)
-    return dx, gain
-
-
 def estimate(network: Network, mset: MeasurementSet, config: EstimatorConfig | None = None) -> EstimationResult:
     """Iterated Gauss-Newton WLS estimate of the network state."""
     config = config or EstimatorConfig()
@@ -129,36 +123,38 @@ def estimate(network: Network, mset: MeasurementSet, config: EstimatorConfig | N
         )
     validate_kinds(mset.kinds, network)
 
-    ybus = build_ybus(network)
+    ybus = network.ybus
     start = config.start if config.start is not None else flat_start(network)
     x = state_to_vector(start, network)
-    z = mset.values
-    sigmas = mset.sigmas
+    z, sigmas = mset.values, mset.sigmas
 
-    history = [objective_j(mset, vector_to_state(x, network), network, ybus)]
+    state = vector_to_state(x, network)
+    r = z - evaluate_h(mset, state, network, ybus)
+    history = [_weighted_sse(r, sigmas)]
     converged = False
     condition = float("nan")
     iterations = 0
     for _ in range(config.max_iter):
         iterations += 1
-        state = vector_to_state(x, network)
-        r = z - evaluate_h(mset, state, network, ybus)
         h_matrix = jacobian_h(mset, state, network, ybus)
         dx, _, condition = solve_normal_equations(h_matrix, sigmas, r, config.condition_limit)
-        x = x + config.damping * dx
-        history.append(objective_j(mset, vector_to_state(x, network), network, ybus))
+        new_x = x + config.damping * dx
+        if not (np.all(np.isfinite(new_x)) and np.all(new_x[network.n_buses - 1 :] > 0)):
+            break  # diverged; keep the last physical iterate
+        x = new_x
+        state = vector_to_state(x, network)
+        r = z - evaluate_h(mset, state, network, ybus)
+        history.append(_weighted_sse(r, sigmas))
         if float(np.max(np.abs(dx))) < config.tol:
             converged = True
             break
 
-    final_state = vector_to_state(x, network)
-    residuals = z - evaluate_h(mset, final_state, network, ybus)
     return EstimationResult(
-        state=final_state,
+        state=state,
         iterations=iterations,
         objective=history[-1],
         objective_history=tuple(history),
-        residuals=residuals,
+        residuals=r,
         converged=converged,
         gain_condition=condition,
     )

@@ -1,9 +1,13 @@
 """Measurement functions, their analytic Jacobian, and synthetic metering.
 
 A measurement set holds values z and standard deviations sigma; h(x) covers
-voltage magnitude, bus injection and branch flow quantities. State
-coordinates are ordered as all non-slack angles followed by all magnitudes,
-so the Jacobian has shape (m, 2*n_buses - 1).
+voltage magnitude, bus injection and branch flow quantities. Each set is
+compiled once into read-only index columns (quantity code, bus index, branch
+index, measured end), so h(x) and H(x) are array expressions over all rows:
+gathers from the bus injections and their derivatives for bus quantities,
+and pi-model flow terms over the network's per-branch arrays for flows.
+State coordinates are ordered as all non-slack angles followed by all
+magnitudes, so the Jacobian has shape (m, 2*n_buses - 1).
 
 Synthetic measurements are drawn from independent per-measurement PCG64
 streams keyed by (seed, measurement index), so generation is a pure function
@@ -11,8 +15,8 @@ of its inputs and adding a measurement never perturbs the draws of others.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +38,9 @@ DEFAULT_SIGMA_FLOW = 0.008
 
 _BUS_QUANTITIES = (V_MAG, P_INJ, Q_INJ)
 _FLOW_QUANTITIES = (P_FLOW, Q_FLOW)
+# quantity codes of the compiled columns: index into QUANTITIES
+QUANTITIES = _BUS_QUANTITIES + _FLOW_QUANTITIES
+_V, _P, _Q, _PF, _QF = range(len(QUANTITIES))
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,43 @@ class Measurement:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
 
+class MeasurementColumns(NamedTuple):
+    """Read-only index columns of a measurement list, one entry per row."""
+
+    quantity: np.ndarray  # code into QUANTITIES
+    bus: np.ndarray       # 0-based bus index of bus quantities, -1 for flows
+    branch: np.ndarray    # 0-based branch index of flows, -1 for bus quantities
+    to_end: np.ndarray    # 1 for flows measured at the branch's to end, else 0
+
+
+def _compile_columns(kinds: Sequence[MeasurementKind]) -> MeasurementColumns:
+    table = np.array(
+        [(QUANTITIES.index(k.quantity), -1 if k.bus is None else k.bus - 1,
+          -1 if k.branch is None else k.branch, k.end == TO) for k in kinds],
+        dtype=np.intp,
+    ).reshape(-1, 4)
+    table.setflags(write=False)
+    return MeasurementColumns(*table.T)
+
+
 @dataclass(frozen=True)
 class MeasurementSet:
+    """Measurements plus arrays compiled once at construction: `values`,
+    `sigmas` and the index `columns`, all read-only."""
+
     measurements: tuple
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: MeasurementColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "measurements", tuple(self.measurements))
+        ms = tuple(self.measurements)
+        numbers = np.array([(m.value, m.sigma) for m in ms], dtype=float).reshape(-1, 2)
+        numbers.setflags(write=False)
+        object.__setattr__(self, "measurements", ms)
+        object.__setattr__(self, "values", numbers[:, 0])
+        object.__setattr__(self, "sigmas", numbers[:, 1])
+        object.__setattr__(self, "columns", _compile_columns([m.kind for m in ms]))
 
     def __len__(self) -> int:
         return len(self.measurements)
@@ -101,14 +139,6 @@ class MeasurementSet:
     @property
     def kinds(self) -> list:
         return [m.kind for m in self.measurements]
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([m.value for m in self.measurements])
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([m.sigma for m in self.measurements])
 
 
 def validate_kinds(kinds: Sequence[MeasurementKind], network: Network) -> None:
@@ -128,114 +158,84 @@ def state_size(network: Network) -> int:
 
 def state_to_vector(state: StateVector, network: Network) -> np.ndarray:
     """Flatten a state into [theta at non-slack buses, all magnitudes]."""
-    slack = network.slack_index
-    non_slack = [i for i in range(network.n_buses) if i != slack]
-    return np.concatenate([state.angles[non_slack], state.magnitudes])
+    return np.concatenate([np.delete(state.angles, network.slack_index), state.magnitudes])
 
 
 def vector_to_state(x: np.ndarray, network: Network) -> StateVector:
     """Inverse of state_to_vector; the slack angle is pinned to 0."""
     n = network.n_buses
-    slack = network.slack_index
-    angles = np.zeros(n)
-    non_slack = [i for i in range(n) if i != slack]
-    angles[non_slack] = x[: n - 1]
-    return StateVector(angles=angles, magnitudes=np.array(x[n - 1 :]))
+    return StateVector(angles=np.insert(x[: n - 1], network.slack_index, 0.0), magnitudes=x[n - 1 :])
 
 
-def _branch_constants(network: Network, branch_idx: int):
-    br = network.branches[branch_idx]
-    ys = br.series_admittance()
-    return br.from_bus - 1, br.to_bus - 1, ys.real, ys.imag, br.half_charging
+def _flow_terms(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, network: Network):
+    """Per flow row: measured-end bus i, far-end bus j, V_i, V_j, cos and sin
+    of theta_i - theta_j, and the branch's g, b and b_sh."""
+    br = network.branch_arrays
+    k = cols.branch[rows]
+    to_end = cols.to_end[rows]
+    i = np.where(to_end, br.to_idx[k], br.from_idx[k])
+    j = np.where(to_end, br.from_idx[k], br.to_idx[k])
+    vm, th = state.magnitudes, state.angles
+    thij = th[i] - th[j]
+    return i, j, vm[i], vm[j], np.cos(thij), np.sin(thij), br.g[k], br.b[k], br.b_sh[k]
 
 
-def _flow_value(kind, state, network):
-    f, t, g, b, bsh = _branch_constants(network, kind.branch)
-    i, j = (f, t) if kind.end == FROM else (t, f)
-    vi = state.magnitudes[i]
-    vj = state.magnitudes[j]
-    thij = state.angles[i] - state.angles[j]
-    c, s = np.cos(thij), np.sin(thij)
-    if kind.quantity == P_FLOW:
-        return vi * vi * g - vi * vj * (g * c + b * s)
-    return -vi * vi * (b + bsh) - vi * vj * (g * s - b * c)
-
-
-def evaluate_kinds(kinds: Sequence[MeasurementKind], state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
-    """h(x) for a list of measurement kinds, in order."""
-    p_inj = q_inj = None
-    if any(k.quantity in (P_INJ, Q_INJ) for k in kinds):
+def _evaluate(cols: MeasurementColumns, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
+    """h(x) for compiled columns, in row order."""
+    q = cols.quantity
+    h = np.empty(q.shape[0])
+    rows = np.flatnonzero(q == _V)
+    h[rows] = state.magnitudes[cols.bus[rows]]
+    rows = np.flatnonzero((q == _P) | (q == _Q))
+    if rows.size:
         p_inj, q_inj = calc_injections(state, ybus)
-    out = np.empty(len(kinds))
-    for i, kind in enumerate(kinds):
-        if kind.quantity == V_MAG:
-            out[i] = state.magnitudes[kind.bus - 1]
-        elif kind.quantity == P_INJ:
-            out[i] = p_inj[kind.bus - 1]
-        elif kind.quantity == Q_INJ:
-            out[i] = q_inj[kind.bus - 1]
-        else:
-            out[i] = _flow_value(kind, state, network)
-    return out
+        bus = cols.bus[rows]
+        h[rows] = np.where(q[rows] == _P, p_inj[bus], q_inj[bus])
+    rows = np.flatnonzero(q >= _PF)
+    if rows.size:
+        _, _, vi, vj, c, s, g, b, bsh = _flow_terms(cols, rows, state, network)
+        h[rows] = np.where(q[rows] == _PF, vi * vi * g - vi * vj * (g * c + b * s),
+                           -vi * vi * (b + bsh) - vi * vj * (g * s - b * c))
+    return h
 
 
 def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
-    return evaluate_kinds(mset.kinds, state, network, ybus)
+    return _evaluate(mset.columns, state, network, ybus)
 
 
 def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of h w.r.t. [theta at non-slack buses, all magnitudes]."""
-    kinds = mset.kinds if isinstance(mset, MeasurementSet) else list(mset)
+    cols = mset.columns
+    q = cols.quantity
     n = network.n_buses
     slack = network.slack_index
-    # column of the angle of bus i (0-based), or -1 for the slack reference
-    ang_col = np.full(n, -1, dtype=int)
-    col = 0
-    for i in range(n):
-        if i != slack:
-            ang_col[i] = col
-            col += 1
-    v_col0 = n - 1
+    # column of each bus angle; the slack's is a spare last column, cut off on return
+    ang_col = np.arange(n) - (np.arange(n) > slack)
+    ang_col[slack] = 2 * n - 1
+    h_mat = np.zeros((q.shape[0], 2 * n))
 
-    need_inj = any(k.quantity in (P_INJ, Q_INJ) for k in kinds)
-    if need_inj:
+    rows = np.flatnonzero(q == _V)
+    h_mat[rows, n - 1 + cols.bus[rows]] = 1.0
+
+    if np.any((q == _P) | (q == _Q)):
         dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(state, ybus)
-    h_mat = np.zeros((len(kinds), 2 * n - 1))
-    vm = state.magnitudes
-    th = state.angles
+        for code, dth, dv in ((_P, dp_dth, dp_dv), (_Q, dq_dth, dq_dv)):
+            rows = np.flatnonzero(q == code)
+            bus = cols.bus[rows]
+            h_mat[np.ix_(rows, ang_col)] = dth[bus]
+            h_mat[rows, n - 1 : 2 * n - 1] = dv[bus]
 
-    for row, kind in enumerate(kinds):
-        if kind.quantity == V_MAG:
-            h_mat[row, v_col0 + kind.bus - 1] = 1.0
-        elif kind.quantity in (P_INJ, Q_INJ):
-            i = kind.bus - 1
-            dth = dp_dth[i] if kind.quantity == P_INJ else dq_dth[i]
-            dv = dp_dv[i] if kind.quantity == P_INJ else dq_dv[i]
-            for j in range(n):
-                if j != slack:
-                    h_mat[row, ang_col[j]] = dth[j]
-                h_mat[row, v_col0 + j] = dv[j]
-        else:
-            f, t, g, b, bsh = _branch_constants(network, kind.branch)
-            i, j = (f, t) if kind.end == FROM else (t, f)
-            vi, vj = vm[i], vm[j]
-            thij = th[i] - th[j]
-            c, s = np.cos(thij), np.sin(thij)
-            if kind.quantity == P_FLOW:
-                dth_i = vi * vj * (g * s - b * c)
-                dv_i = 2 * vi * g - vj * (g * c + b * s)
-                dv_j = -vi * (g * c + b * s)
-            else:
-                dth_i = -vi * vj * (g * c + b * s)
-                dv_i = -2 * vi * (b + bsh) - vj * (g * s - b * c)
-                dv_j = -vi * (g * s - b * c)
-            if i != slack:
-                h_mat[row, ang_col[i]] = dth_i
-            if j != slack:
-                h_mat[row, ang_col[j]] = -dth_i
-            h_mat[row, v_col0 + i] = dv_i
-            h_mat[row, v_col0 + j] = dv_j
-    return h_mat
+    rows = np.flatnonzero(q >= _PF)
+    if rows.size:
+        i, j, vi, vj, c, s, g, b, bsh = _flow_terms(cols, rows, state, network)
+        is_p = q[rows] == _PF
+        dth_i = np.where(is_p, vi * vj * (g * s - b * c), -vi * vj * (g * c + b * s))
+        h_mat[rows, ang_col[i]] = dth_i
+        h_mat[rows, ang_col[j]] = -dth_i
+        h_mat[rows, n - 1 + i] = np.where(is_p, 2 * vi * g - vj * (g * c + b * s),
+                                          -2 * vi * (b + bsh) - vj * (g * s - b * c))
+        h_mat[rows, n - 1 + j] = np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c))
+    return h_mat[:, : 2 * n - 1]
 
 
 def generate_measurements(
@@ -259,7 +259,7 @@ def generate_measurements(
     if not np.all(sigmas > 0):
         raise ValueError("all plan sigmas must be > 0")
     validate_kinds(kinds, network)
-    h_true = evaluate_kinds(kinds, truth, network, ybus)
+    h_true = _evaluate(_compile_columns(kinds), truth, network, ybus)
     values = h_true.copy()
     if noise:
         for i, sigma in enumerate(sigmas):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,16 @@ class MultipleSlackBuses(NetworkError):
 
 class ZeroImpedanceBranch(NetworkError):
     pass
+
+
+class BranchArrays(NamedTuple):
+    """Per-branch columns in branch-list order; bus indices are 0-based."""
+
+    from_idx: np.ndarray
+    to_idx: np.ndarray
+    g: np.ndarray     # series conductance, pu
+    b: np.ndarray     # series susceptance, pu
+    b_sh: np.ndarray  # half charging susceptance, pu
 
 
 class BusKind(Enum):
@@ -121,6 +132,22 @@ class Network:
     @property
     def pq_indices(self) -> tuple:
         return tuple(i for i, b in enumerate(self.buses) if b.kind is BusKind.PQ)
+
+    @cached_property
+    def ybus(self) -> np.ndarray:
+        """Read-only admittance matrix, built once per network object."""
+        return build_ybus(self)
+
+    @cached_property
+    def branch_arrays(self) -> BranchArrays:
+        """Read-only per-branch columns, built once per network object."""
+        ends = np.array([(br.from_bus - 1, br.to_bus - 1) for br in self.branches], dtype=np.intp)
+        ys = np.array([br.series_admittance() for br in self.branches], dtype=complex)
+        b_sh = np.array([br.half_charging for br in self.branches], dtype=float)
+        arrays = BranchArrays(ends[:, 0], ends[:, 1], ys.real, ys.imag, b_sh)
+        for column in arrays:
+            column.setflags(write=False)
+        return arrays
 
 
 class BusRow(NamedTuple):
@@ -246,8 +273,6 @@ def build_ybus(network: Network) -> np.ndarray:
         key=lambda b: (b.from_bus, b.to_bus, b.resistance, b.reactance, b.half_charging),
     )
     for br in order:
-        if br.resistance == 0 and br.reactance == 0:
-            raise ZeroImpedanceBranch(f"branch {br.from_bus}-{br.to_bus}: r and x are both zero")
         ys = br.series_admittance()
         f = br.from_bus - 1
         t = br.to_bus - 1

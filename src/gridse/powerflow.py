@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BusKind, Network, build_ybus, net_injection_pu
+from .network import BusKind, Network, net_injection_pu
 
 
 class SingularJacobian(RuntimeError):
@@ -57,12 +57,8 @@ class PowerFlowResult:
 
 def flat_start(network: Network) -> StateVector:
     """Zero angles; setpoint magnitudes at slack and PV buses, 1.0 at PQ."""
-    n = network.n_buses
-    mag = np.ones(n)
-    for i, bus in enumerate(network.buses):
-        if bus.kind is not BusKind.PQ:
-            mag[i] = bus.v_setpoint
-    return StateVector(angles=np.zeros(n), magnitudes=mag)
+    mag = [1.0 if bus.kind is BusKind.PQ else bus.v_setpoint for bus in network.buses]
+    return StateVector(angles=np.zeros(network.n_buses), magnitudes=mag)
 
 
 def calc_injections(state: StateVector, ybus: np.ndarray):
@@ -79,24 +75,24 @@ def calc_injections(state: StateVector, ybus: np.ndarray):
 def injection_jacobian(state: StateVector, ybus: np.ndarray):
     """Partial derivatives of all bus injections w.r.t. all angles and magnitudes.
 
+    The complex form dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)) and
+    dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|), with
+    I = Y V, is evaluated by broadcasting instead of diagonal-matrix products.
     Returns (dp_dth, dp_dv, dq_dth, dq_dv), each n x n.
     """
-    v = state.magnitudes * np.exp(1j * state.angles)
+    vn = np.exp(1j * state.angles)
+    v = state.magnitudes * vn
     i_bus = ybus @ v
-    diag_v = np.diag(v)
-    diag_i = np.diag(i_bus)
-    diag_vn = np.diag(np.exp(1j * state.angles))
-    ds_dth = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-    ds_dv = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    diag = np.diag_indices(v.shape[0])
+    ds_dth = -1j * v[:, None] * np.conj(ybus * v[None, :])
+    ds_dth[diag] += 1j * v * np.conj(i_bus)
+    ds_dv = v[:, None] * np.conj(ybus * vn[None, :])
+    ds_dv[diag] += np.conj(i_bus) * vn
     return ds_dth.real, ds_dv.real, ds_dth.imag, ds_dv.imag
 
 
 def _specified_injections(network: Network):
-    p = np.empty(network.n_buses)
-    q = np.empty(network.n_buses)
-    for i, bus in enumerate(network.buses):
-        p[i], q[i] = net_injection_pu(bus, network.base_mva)
-    return p, q
+    return np.array([net_injection_pu(bus, network.base_mva) for bus in network.buses]).T
 
 
 def solve_power_flow(
@@ -117,24 +113,19 @@ def solve_power_flow(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    ybus = build_ybus(network)
+    ybus = network.ybus
     slack = network.slack_index
     pq = list(network.pq_indices)
     non_slack = [i for i in range(network.n_buses) if i != slack]
     p_spec, q_spec = _specified_injections(network)
 
-    if initial is None:
-        start = flat_start(network)
-        ang = np.array(start.angles)
-        mag = np.array(start.magnitudes)
-    else:
-        ang = np.array(initial.angles, dtype=float)
-        mag = np.array(initial.magnitudes, dtype=float)
-        # pin the knowns regardless of the warm start
-        ang[slack] = 0.0
-        for i, bus in enumerate(network.buses):
-            if bus.kind is not BusKind.PQ:
-                mag[i] = bus.v_setpoint
+    start = flat_start(network)
+    ang = np.array(start.angles)
+    mag = np.array(start.magnitudes)
+    if initial is not None:
+        # warm start the unknowns only: the knowns keep their flat-start values
+        ang[non_slack] = initial.angles[non_slack]
+        mag[pq] = initial.magnitudes[pq]
 
     n_ang = len(non_slack)
     iterations = 0

@@ -5,7 +5,7 @@ plus an optional case.json with the MVA base, a format version tag and
 optional per-bus load weights. Snapshot runs scale the loads, solve a truth
 power flow, synthesize measurements from a per-snapshot derived seed and
 estimate with one-snapshot memory (each snapshot warm-starts from the
-previous estimate).
+latest converged estimate).
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ from .network import (
     Network,
     NetworkError,
     build_network,
-    build_ybus,
     buses_from_rows,
     with_scaled_loads,
 )
@@ -249,22 +248,16 @@ def save_case(network: Network, dir_path, version: str = "1") -> None:
     (directory / CASE_FILE).write_text(json.dumps(meta, indent=4) + "\n")
 
 
+def _kind_cells(k: MeasurementKind) -> list:
+    return [k.quantity] + ["" if v is None else v for v in (k.bus, k.branch, k.end)]
+
+
 def write_measurements_csv(mset: MeasurementSet, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(MEASUREMENT_COLUMNS)
         for m in mset:
-            k = m.kind
-            w.writerow(
-                [
-                    k.quantity,
-                    k.bus if k.bus is not None else "",
-                    k.branch if k.branch is not None else "",
-                    k.end if k.end is not None else "",
-                    repr(m.value),
-                    repr(m.sigma),
-                ]
-            )
+            w.writerow(_kind_cells(m.kind) + [repr(m.value), repr(m.sigma)])
 
 
 def _kind_from_record(rec: dict, path, line_no: int) -> MeasurementKind:
@@ -302,16 +295,7 @@ def write_plan_csv(plan, path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(MEASUREMENT_COLUMNS)
         for kind, sigma in plan:
-            w.writerow(
-                [
-                    kind.quantity,
-                    kind.bus if kind.bus is not None else "",
-                    kind.branch if kind.branch is not None else "",
-                    kind.end if kind.end is not None else "",
-                    "",
-                    repr(sigma),
-                ]
-            )
+            w.writerow(_kind_cells(kind) + ["", repr(sigma)])
 
 
 def read_plan_csv(path) -> list:
@@ -390,8 +374,9 @@ def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
     Snapshot k scales all loads by plan.load_scale[k] (times any per-bus
     weight from case.json), solves the truth power flow, generates the full
     measurement plan with the seed derived from (plan.seed, k), and estimates
-    warm-started from snapshot k-1's estimate (flat start at k=0). A snapshot
-    whose solver fails is recorded with an error and the run continues.
+    warm-started from the latest converged estimate (flat start before the
+    first). A snapshot whose solver fails is recorded with an error, one whose
+    estimate does not converge with converged=False, and the run continues.
     """
     records = []
     previous: Optional[StateVector] = None
@@ -406,7 +391,7 @@ def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
                 )
             mplan = full_measurement_plan(net_k, plan.sigma_v, plan.sigma_inj, plan.sigma_flow)
             mset = generate_measurements(
-                pf.state, mplan, derive_snapshot_seed(plan.seed, k), net_k, build_ybus(net_k),
+                pf.state, mplan, derive_snapshot_seed(plan.seed, k), net_k, net_k.ybus,
                 noise=plan.noise,
             )
             config = EstimatorConfig(tol=plan.tol, max_iter=plan.max_iter, start=previous)
@@ -419,7 +404,8 @@ def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
                 )
             )
             continue
-        previous = est.state
+        if est.converged:
+            previous = est.state
         records.append(
             SnapshotRecord(
                 index=k,
@@ -513,6 +499,8 @@ def load_switched_system(path):
         raise CaseFileError(path, 0, "-", f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CaseFileError(path, exc.lineno, "-", exc.msg) from exc
+    if not isinstance(raw, dict):
+        raise CaseFileError(path, 1, "-", "config must be a JSON object")
 
     try:
         if "continuous" in raw:

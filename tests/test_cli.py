@@ -141,6 +141,15 @@ def test_controller_solve_unstable_config(capsys, tmp_path):
     assert code == 2
 
 
+def test_controller_config_json_list_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1,2]")
+    code, out, err = run(capsys, ["controller", "solve", "--config", str(cfg)])
+    assert code == 2
+    assert "list.json" in err
+    assert "config must be a JSON object" in err
+
+
 def test_controller_simulate(capsys, tmp_path):
     traj = tmp_path / "traj.csv"
     code, out, err = run(capsys, [

@@ -7,7 +7,6 @@ from gridse.estimator import (
     SingularGain,
     estimate,
     gain_matrix,
-    gn_step,
     objective_j,
     solve_normal_equations,
 )
@@ -18,6 +17,7 @@ from gridse.measurements import (
     evaluate_h,
     full_measurement_plan,
     generate_measurements,
+    jacobian_h,
     state_to_vector,
 )
 from gridse.powerflow import StateVector
@@ -64,8 +64,6 @@ def test_gain_identity():
 
 
 def test_gain_symmetric(ieee14, ieee14_truth, ieee14_ybus):
-    from gridse.measurements import jacobian_h
-
     mset = _noise_free_set(ieee14, ieee14_truth, ieee14_ybus)
     h = jacobian_h(mset, ieee14_truth, ieee14, ieee14_ybus)
     g = gain_matrix(h, mset.sigmas)
@@ -102,23 +100,29 @@ def test_scalar_toy_second_step():
     assert x1 + dx[0] == pytest.approx(2.05, abs=1e-12)
 
 
+def _gn_step(state, mset, network, ybus):
+    """One Gauss-Newton step from `state`, as estimate() takes it."""
+    r = mset.values - evaluate_h(mset, state, network, ybus)
+    h = jacobian_h(mset, state, network, ybus)
+    dx, gain, _ = solve_normal_equations(h, mset.sigmas, r)
+    return dx, gain
+
+
 def test_gn_step_zero_residual_gives_zero_step(ieee14, ieee14_truth, ieee14_ybus):
     mset = _noise_free_set(ieee14, ieee14_truth, ieee14_ybus)
-    dx, gain = gn_step(ieee14_truth, mset, ieee14, ieee14_ybus)
+    dx, gain = _gn_step(ieee14_truth, mset, ieee14, ieee14_ybus)
     assert np.max(np.abs(dx)) < 1e-14
     assert gain.shape == (27, 27)
 
 
 def test_gn_step_cross_checked_against_dense_least_squares(ieee14, ieee14_truth, ieee14_ybus):
-    from gridse.measurements import jacobian_h
-
     plan = full_measurement_plan(ieee14)
     mset = generate_measurements(ieee14_truth, plan, 21, ieee14, ieee14_ybus)
     start = StateVector(
         angles=np.where(np.arange(14) == 0, 0.0, ieee14_truth.angles * 0.9),
         magnitudes=ieee14_truth.magnitudes * 1.01,
     )
-    dx, _ = gn_step(start, mset, ieee14, ieee14_ybus)
+    dx, _ = _gn_step(start, mset, ieee14, ieee14_ybus)
     # independent route: weighted least squares via lstsq on R^(-1/2) H
     h = jacobian_h(mset, start, ieee14, ieee14_ybus)
     r = mset.values - evaluate_h(mset, start, ieee14, ieee14_ybus)
@@ -159,6 +163,33 @@ def test_too_few_measurements_rejected(ieee14, ieee14_truth, ieee14_ybus):
     mset = generate_measurements(ieee14_truth, plan, 3, ieee14, ieee14_ybus)
     with pytest.raises(ValueError):
         estimate(ieee14, mset)
+
+
+def test_divergent_step_returns_last_physical_iterate(ieee14, ieee14_truth, ieee14_ybus):
+    # from magnitudes of 0.2 pu a Gauss-Newton step drives some magnitude <= 0
+    mset = generate_measurements(ieee14_truth, full_measurement_plan(ieee14), 7, ieee14, ieee14_ybus)
+    start = StateVector(angles=np.zeros(14), magnitudes=np.full(14, 0.2))
+    result = estimate(ieee14, mset, EstimatorConfig(start=start))
+    assert not result.converged
+    assert result.iterations < EstimatorConfig().max_iter
+    assert np.all(result.state.magnitudes > 0)
+    assert np.all(np.isfinite(result.state.angles))
+    # the reported objective and residuals belong to the returned state
+    assert len(result.objective_history) == result.iterations
+    assert result.objective == objective_j(mset, result.state, ieee14, ieee14_ybus)
+    assert np.array_equal(result.residuals, mset.values - evaluate_h(mset, result.state, ieee14, ieee14_ybus))
+
+
+def test_estimate_evaluates_h_once_per_iterate(ieee14, ieee14_truth, ieee14_ybus, monkeypatch):
+    import gridse.estimator
+
+    calls = []
+    monkeypatch.setattr(gridse.estimator, "evaluate_h", lambda *a: calls.append(1) or evaluate_h(*a))
+    mset = generate_measurements(ieee14_truth, full_measurement_plan(ieee14), 7, ieee14, ieee14_ybus)
+    result = estimate(ieee14, mset)
+    assert result.converged
+    assert len(calls) == result.iterations + 1 == len(result.objective_history)
+    assert result.objective == objective_j(mset, result.state, ieee14, ieee14_ybus)
 
 
 def test_objective_history_monotone_tail(ieee14, ieee14_truth, ieee14_ybus):

@@ -3,6 +3,10 @@
 The snapshots CSV must match byte for byte. In the JSON outputs ints, bools
 and strings must match exactly and floats within relative 1e-9, since
 vectorised and looped arithmetic may round differently in the last bits.
+The one exception is the converged power-flow mismatch: at ~1e-14 pu it is
+rounding residue, which a last-bit change in the Newton steps moves by tens
+of percent, so it is held to an absolute 1e-12 pu, far below the 1e-8 pu
+convergence tolerance.
 """
 import json
 import math
@@ -14,6 +18,8 @@ from gridse.cli import cli_dispatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FLOAT_RTOL = 1e-9
+RESIDUE_KEYS = {"max_mismatch_pu"}
+RESIDUE_ATOL = 1e-12
 
 
 def run_stdout(capsys, argv):
@@ -23,22 +29,23 @@ def run_stdout(capsys, argv):
     return out
 
 
-def max_float_deviation(got, want, where="$"):
-    """Largest relative float deviation between two JSON trees; raises
-    AssertionError on any structural, int, bool or string difference."""
+def assert_json_close(got, want, where="$"):
+    """Compare two parsed JSON trees under the rules in the module docstring."""
     assert type(got) is type(want), f"{where}: {type(got).__name__} != {type(want).__name__}"
     if isinstance(want, dict):
         assert list(got) == list(want), f"{where}: keys differ"
-        return max((max_float_deviation(got[k], want[k], f"{where}.{k}") for k in want), default=0.0)
-    if isinstance(want, list):
+        for key in want:
+            assert_json_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
         assert len(got) == len(want), f"{where}: length differs"
-        return max((max_float_deviation(g, w, f"{where}[{i}]") for i, (g, w) in enumerate(zip(got, want))),
-                   default=0.0)
-    if isinstance(want, float):
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_json_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and where.rsplit(".", 1)[-1] in RESIDUE_KEYS:
+        assert abs(got - want) <= RESIDUE_ATOL, f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, float):
         assert math.isclose(got, want, rel_tol=FLOAT_RTOL, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
-        return abs(got - want) / abs(want) if want != 0.0 else 0.0
-    assert got == want, f"{where}: {got!r} != {want!r}"
-    return 0.0
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
 
 
 @pytest.mark.parametrize(
@@ -51,7 +58,7 @@ def max_float_deviation(got, want, where="$"):
 def test_json_output_matches_golden(capsys, golden, argv):
     got = json.loads(run_stdout(capsys, argv))
     want = json.loads((GOLDEN / golden).read_text())
-    max_float_deviation(got, want)
+    assert_json_close(got, want)
 
 
 def test_snapshots_csv_matches_golden_bytes(capsys):

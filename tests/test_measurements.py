@@ -4,6 +4,7 @@ import pytest
 
 from gridse.measurements import (
     FROM,
+    QUANTITIES,
     TO,
     Measurement,
     MeasurementKind,
@@ -159,6 +160,27 @@ def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14):
     h_mat = jacobian_h(mset, state, net, ybus)
     dp_dv = h_mat[:, 13:]
     assert np.max(np.abs(dp_dv - ybus.real)) < 1e-12
+
+
+def test_measurement_set_arrays_are_stored_read_only(ieee14, ieee14_truth, ieee14_ybus):
+    mset = generate_measurements(ieee14_truth, full_measurement_plan(ieee14), 7, ieee14, ieee14_ybus)
+    assert mset.values is mset.values and mset.sigmas is mset.sigmas
+    assert np.array_equal(mset.values, [m.value for m in mset])
+    assert np.array_equal(mset.sigmas, [m.sigma for m in mset])
+    cols = mset.columns
+    for column in (mset.values, mset.sigmas, *cols):
+        assert not column.flags.writeable
+    kinds = mset.kinds
+    assert [QUANTITIES[c] for c in cols.quantity] == [k.quantity for k in kinds]
+    assert list(cols.to_end) == [k.end == TO for k in kinds]
+    assert list(cols.bus) == [-1 if k.bus is None else k.bus - 1 for k in kinds]
+    assert list(cols.branch) == [-1 if k.branch is None else k.branch for k in kinds]
+
+
+def test_empty_measurement_set_has_empty_columns():
+    mset = MeasurementSet(())
+    assert mset.values.shape == (0,)
+    assert all(column.shape == (0,) for column in mset.columns)
 
 
 def test_state_vector_round_trip(ieee14, ieee14_truth):

@@ -202,6 +202,30 @@ def test_ybus_branch_permutation_invariant(ieee14):
         assert np.array_equal(build_ybus(net), y_ref)
 
 
+def test_network_ybus_built_once_per_network_object(ieee14, monkeypatch):
+    import gridse.network
+
+    calls = []
+    monkeypatch.setattr(gridse.network, "build_ybus", lambda net: calls.append(net) or build_ybus(net))
+    net = with_scaled_loads(ieee14, 1.0)
+    y = net.ybus
+    assert net.ybus is y
+    assert len(calls) == 1
+    assert np.array_equal(y, build_ybus(ieee14))
+    assert not y.flags.writeable
+    with_scaled_loads(net, 0.9).ybus
+    assert len(calls) == 2
+
+
+def test_branch_arrays_follow_branch_order(ieee14):
+    arrays = ieee14.branch_arrays
+    for k, br in enumerate(ieee14.branches):
+        ys = br.series_admittance()
+        assert (arrays.from_idx[k], arrays.to_idx[k]) == (br.from_bus - 1, br.to_bus - 1)
+        assert (arrays.g[k], arrays.b[k], arrays.b_sh[k]) == (ys.real, ys.imag, br.half_charging)
+    assert all(not column.flags.writeable for column in arrays)
+
+
 # ---- load scaling -----------------------------------------------------------
 
 def test_with_scaled_loads(ieee14):

@@ -5,13 +5,16 @@ import io
 import json
 from pathlib import Path
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gridse.scenario
 from gridse.estimator import EstimatorConfig, estimate
 from gridse.measurements import full_measurement_plan, generate_measurements
 from gridse.network import NetworkError, build_ybus, with_scaled_loads
-from gridse.powerflow import solve_power_flow
+from gridse.powerflow import StateVector, solve_power_flow
 from gridse.scenario import (
     CaseFileError,
     SnapshotPlan,
@@ -185,6 +188,30 @@ def test_warm_start_not_worse_than_flat(ieee14_bundle):
     )
     flat = estimate(net1, mset, EstimatorConfig())
     assert warm_iters <= flat.iterations
+
+
+def test_divergent_estimate_recorded_and_run_continues(ieee14_bundle, monkeypatch):
+    # snapshot 0 starts from magnitudes of 0.2 pu, from which Gauss-Newton
+    # steps to a magnitude <= 0; later snapshots do not warm-start from it
+    calls = []
+
+    def estimate_bad_first(network, mset, config):
+        if not calls:
+            config = replace(config, start=StateVector(np.zeros(14), np.full(14, 0.2)))
+        calls.append(config.start)
+        return estimate(network, mset, config)
+
+    monkeypatch.setattr(gridse.scenario, "estimate", estimate_bad_first)
+    plan = SnapshotPlan(snapshot_count=3, load_scale=(1.0, 0.98, 1.02), seed=7)
+    report = run_snapshots(ieee14_bundle, plan)
+    first, *rest = report.records
+    assert not first.failed and not first.converged
+    assert first.estimate is not None and np.all(first.estimate.magnitudes > 0)
+    assert calls[1] is None  # flat start after a non-converged snapshot
+    for rec in rest:
+        assert rec.converged and not rec.failed
+    rows = json.loads(render_report_json(report))["rows"]
+    assert {r["snapshot"] for r in rows} == {0, 1, 2}
 
 
 def test_failed_snapshot_marked_and_run_continues(ieee14_bundle):
