@@ -1,9 +1,9 @@
 """Batch command line interface.
 
 Subcommands: pf, estimate, snapshots, and controller {solve, simulate,
-oracle}. Exit codes: 0 success, 1 solver non-convergence, 2 input/usage
-errors. All randomness comes from explicit seeds; identical invocations
-produce identical outputs.
+oracle}. Exit codes: 0 success, 1 solver non-convergence or failure, 2
+input/usage errors. All randomness comes from explicit seeds; identical
+invocations produce identical outputs.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from .controller import (
     MaxSweepsExceeded,
+    NonAffineResidual,
     SingularP,
     UnstableSystem,
     bellman_value_iteration,
@@ -185,17 +186,9 @@ def cmd_controller_oracle(args) -> int:
     oracle = bellman_value_iteration(system, (lower, upper), args.resolution)
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    axes = oracle.axes
     w.writerow([f"x{i + 1}" for i in range(system.n)] + ["v0", "v1"])
-    v0 = oracle.v0.reshape(-1)
-    v1 = oracle.v1.reshape(-1)
-    if system.n == 1:
-        points = axes[0][:, None]
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        points = np.column_stack([gx.reshape(-1), gy.reshape(-1)])
-    for i in range(points.shape[0]):
-        w.writerow([repr(float(c)) for c in points[i]] + [repr(float(v0[i])), repr(float(v1[i]))])
+    for point, v0, v1 in zip(oracle.points, oracle.v0.reshape(-1), oracle.v1.reshape(-1)):
+        w.writerow([repr(float(c)) for c in point] + [repr(float(v0)), repr(float(v1))])
     _write_or_print(out.getvalue(), args.out)
 
     report = {
@@ -308,7 +301,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MaxSweepsExceeded as exc:
+    except (MaxSweepsExceeded, NonAffineResidual) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

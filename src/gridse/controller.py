@@ -3,8 +3,9 @@
 The state follows x+ = A x + b u with u in {0,1}; each step pays a quadratic
 tracking cost (x - r)^T Q (x - r) plus a charge beta whenever u differs from
 the previous switch position z. The discounted cost-to-go is approximated by
-a single quadratic V(x) = (x - theta)^T P (x - theta) + v whose P solves the
-fixed point P = Q + alpha A^T P A. The induced switching function
+a single quadratic V(x) = (x - theta)^T P (x - theta) + v whose P is the
+fixed point P = Q + alpha A^T P A, found by one direct solve of that discrete
+Lyapunov equation (Bartels-Stewart, via scipy). The induced switching function
 f(x) = V(Ax + b) - V(Ax) is affine; its coefficients are recovered by direct
 interpolation, with the alternative closed-form candidates reported alongside
 for comparison. A gridded value-iteration oracle provides an independent
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 
 class UnstableSystem(ValueError):
@@ -168,13 +170,13 @@ def stage_cost(x, z: int, u: int, system: SwitchedSystem) -> float:
     return cost
 
 
-def solve_quadratic_value(system: SwitchedSystem, tol: float = 1e-14, max_iter: int = 200000) -> QuadraticValue:
+def solve_quadratic_value(system: SwitchedSystem) -> QuadraticValue:
     """Fixed point of P = Q + alpha A^T P A, then theta and the offset v.
 
-    Requires alpha * rho(A)^2 < 1. The iteration runs from P0 = Q until the
-    update falls below tol (tighter than the documented 1e-12 so the residual
-    invariant holds after the linearly-convergent tail) or stagnates in
-    floating point.
+    Requires alpha * rho(A)^2 < 1. P solves the discrete Lyapunov equation
+    (sqrt(alpha) A^T) P (sqrt(alpha) A) - P + Q = 0 directly, so its cost
+    does not grow as alpha * rho(A)^2 approaches 1; the fixed-point residual
+    is then checked against 1e-10.
     """
     rho = system.spectral_radius
     if system.alpha * rho**2 >= 1:
@@ -182,28 +184,7 @@ def solve_quadratic_value(system: SwitchedSystem, tol: float = 1e-14, max_iter: 
             f"alpha * rho(A)^2 = {system.alpha * rho ** 2:.6f} >= 1; no quadratic fixed point"
         )
     a, q, alpha = system.A, system.Q, system.alpha
-    p = q.copy()
-    eps = np.finfo(float).eps
-    best_delta = np.inf
-    stall = 0
-    for _ in range(max_iter):
-        p_next = q + alpha * a.T @ p @ a
-        delta = float(np.max(np.abs(p_next - p)))
-        p = p_next
-        if delta < tol:
-            break
-        if delta <= 8 * eps * float(np.max(np.abs(p))):
-            break  # at the floating-point floor for this P scale
-        # the update norm may oscillate while decaying (complex modes), so
-        # stagnation means no new best over many iterations, not one uptick
-        if delta < best_delta:
-            best_delta = delta
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 200:
-                break
-
+    p = solve_discrete_lyapunov(np.sqrt(alpha) * a.T, q)
     residual = float(np.max(np.abs(p - q - alpha * a.T @ p @ a)))
     if residual >= 1e-10:
         raise RuntimeError(f"fixed-point residual {residual:.3e} did not reach 1e-10")
@@ -296,17 +277,20 @@ class GridOracle:
         object.__setattr__(self, "residuals", tuple(self.residuals))
 
     @property
-    def axes(self) -> list:
-        return [
-            np.linspace(self.lower[d], self.upper[d], self.resolution)
-            for d in range(self.lower.shape[0])
-        ]
+    def points(self) -> np.ndarray:
+        """(resolution**n, n) grid points, in the row order of v0/v1 flattened."""
+        return _grid_points(self.lower, self.upper, self.resolution)
 
     def evaluate(self, x, z: int) -> float:
         table = (self.v0 if z == 0 else self.v1).reshape(-1)
         pt = np.clip(np.reshape(np.asarray(x, dtype=float), (1, -1)), self.lower, self.upper)
         idx, wts = _interp_coords(pt, self.lower, self.upper, self.resolution)
         return float(_interp_apply(table, idx, wts, self.resolution)[0])
+
+
+def _grid_points(lower: np.ndarray, upper: np.ndarray, resolution: int) -> np.ndarray:
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(lower, upper)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _interp_coords(points: np.ndarray, lower: np.ndarray, upper: np.ndarray, resolution: int):
@@ -369,13 +353,7 @@ def bellman_value_iteration(
     if lower.shape != (n,) or upper.shape != (n,) or not np.all(upper > lower):
         raise ValueError("box must provide lower < upper bounds per dimension")
 
-    axes = [np.linspace(lower[d], upper[d], resolution) for d in range(n)]
-    if n == 1:
-        points = axes[0][:, None]
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        points = np.column_stack([gx.reshape(-1), gy.reshape(-1)])
-
+    points = _grid_points(lower, upper, resolution)
     d = points - system.r
     q_vals = np.einsum("ij,jk,ik->i", d, system.Q, d)
 
@@ -431,22 +409,12 @@ class ValueComparison:
 
 
 def compare_value_functions(oracle: GridOracle, qv: QuadraticValue) -> ValueComparison:
-    axes = oracle.axes
-    n = len(axes)
     span = oracle.upper - oracle.lower
-    lo = oracle.lower + span / 3.0
-    hi = oracle.upper - span / 3.0
-    masks = [(ax >= lo[d]) & (ax <= hi[d]) for d, ax in enumerate(axes)]
-    if n == 1:
-        points = axes[0][masks[0]][:, None]
-        v0 = oracle.v0[masks[0]]
-        v1 = oracle.v1[masks[0]]
-    else:
-        sel = np.ix_(masks[0], masks[1])
-        gx, gy = np.meshgrid(axes[0][masks[0]], axes[1][masks[1]], indexing="ij")
-        points = np.column_stack([gx.reshape(-1), gy.reshape(-1)])
-        v0 = oracle.v0[sel].reshape(-1)
-        v1 = oracle.v1[sel].reshape(-1)
+    points = oracle.points
+    inner = np.all((points >= oracle.lower + span / 3.0) & (points <= oracle.upper - span / 3.0), axis=1)
+    points = points[inner]
+    v0 = oracle.v0.reshape(-1)[inner]
+    v1 = oracle.v1.reshape(-1)[inner]
     quad = np.array([qv.evaluate(p) for p in points])
     gap0 = np.abs(quad - v0)
     gap1 = np.abs(quad - v1)
@@ -467,11 +435,6 @@ class SimulationResult:
     discounted_total: float
     switch_count: int
     outputs: Optional[np.ndarray] = None  # (steps,) scalar output, if a gain was given
-
-    @property
-    def trajectory(self):
-        """Per-step (x, u, stage cost) tuples."""
-        return list(zip(self.states, self.inputs, self.stage_costs))
 
 
 def simulate(

@@ -6,7 +6,7 @@ factorized as symmetric positive definite rather than inverted. Iteration
 stops when max|dx| drops below the configured tolerance. h(x) is evaluated
 once per iterate: its residual gives both that iterate's objective and the
 right-hand side of the next step. A gain matrix whose condition estimate
-exceeds the configured limit signals an unobservable measurement set and
+exceeds CONDITION_LIMIT signals an unobservable measurement set and
 raises SingularGain; a step that leaves a non-finite entry or a magnitude
 <= 0 stops the iteration with converged=False at the last physical iterate.
 """
@@ -30,6 +30,8 @@ from .measurements import (
 from .network import Network
 from .powerflow import StateVector, flat_start
 
+CONDITION_LIMIT = 1e12  # gain condition above which the state counts as unobservable
+
 
 class SingularGain(RuntimeError):
     """Gain matrix numerically singular: the state is not observable."""
@@ -44,16 +46,12 @@ class EstimatorConfig:
     tol: float = 1e-6           # step infinity-norm threshold (pu / rad)
     max_iter: int = 50
     start: Optional[StateVector] = None  # warm start; None means flat start
-    damping: float = 1.0        # step scale, 1.0 = plain Gauss-Newton
-    condition_limit: float = 1e12
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (0 < self.damping <= 1):
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -93,16 +91,11 @@ def gain_matrix(h_matrix: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def solve_normal_equations(
-    h_matrix: np.ndarray,
-    sigmas: np.ndarray,
-    residuals: np.ndarray,
-    condition_limit: float = 1e12,
-):
+def solve_normal_equations(h_matrix: np.ndarray, sigmas: np.ndarray, residuals: np.ndarray):
     """Solve G dx = H^T R^-1 r via Cholesky; returns (dx, G, condition estimate)."""
     gain = gain_matrix(h_matrix, sigmas)
     condition = float(np.linalg.cond(gain))
-    if not np.isfinite(condition) or condition > condition_limit:
+    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularGain(condition)
     w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
     rhs = h_matrix.T @ (w * residuals)
@@ -137,8 +130,8 @@ def estimate(network: Network, mset: MeasurementSet, config: EstimatorConfig | N
     for _ in range(config.max_iter):
         iterations += 1
         h_matrix = jacobian_h(mset, state, network, ybus)
-        dx, _, condition = solve_normal_equations(h_matrix, sigmas, r, config.condition_limit)
-        new_x = x + config.damping * dx
+        dx, _, condition = solve_normal_equations(h_matrix, sigmas, r)
+        new_x = x + dx
         if not (np.all(np.isfinite(new_x)) and np.all(new_x[network.n_buses - 1 :] > 0)):
             break  # diverged; keep the last physical iterate
         x = new_x

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -102,9 +103,12 @@ def resolve_case_dir(name_or_path: str) -> Path:
 
 def _parse_float(cell: str, path, line_no: int, column: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise CaseFileError(path, line_no, column, f"cannot parse {cell!r} as a number") from None
+    if not math.isfinite(value):
+        raise CaseFileError(path, line_no, column, f"{cell!r} is not a finite number")
+    return value
 
 
 def _parse_int(cell: str, path, line_no: int, column: str) -> int:
@@ -114,13 +118,22 @@ def _parse_int(cell: str, path, line_no: int, column: str) -> int:
         raise CaseFileError(path, line_no, column, f"cannot parse {cell!r} as an integer") from None
 
 
-def _read_rows(path: Path, required_columns: list, optional: tuple = ()):
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CaseFileError(path, 0, "-", f"cannot read file: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise CaseFileError(path, line, "-", f"not UTF-8 text: {exc.reason}") from None
+
+
+def _read_rows(path: Path, required_columns: list, optional: tuple = ()):
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise CaseFileError(path, reader.line_num, "-", str(exc)) from None
     if not rows:
         raise CaseFileError(path, 1, "-", "file is empty")
     header = [c.strip() for c in rows[0]]
@@ -190,21 +203,11 @@ def load_case(dir_path) -> CaseBundle:
         except NetworkError as exc:
             raise CaseFileError(lines_path, line_no, "-", str(exc)) from exc
 
-    base_mva = 100.0
-    version = "1"
-    weights: dict = {}
     case_path = directory / CASE_FILE
     if case_path.is_file():
-        try:
-            meta = json.loads(case_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CaseFileError(case_path, exc.lineno, "-", exc.msg) from exc
-        base_mva = float(meta.get("base_mva", base_mva))
-        version = str(meta.get("version", version))
-        for key, w in dict(meta.get("bus_load_weights", {})).items():
-            weights[int(key)] = float(w)
+        base_mva, version, weights = _read_case_meta(case_path)
     else:
-        case_path = None
+        case_path, base_mva, version, weights = None, 100.0, "1", {}
 
     try:
         buses = buses_from_rows([row for _, row in bus_rows])
@@ -223,6 +226,33 @@ def load_case(dir_path) -> CaseBundle:
         version=version,
         bus_load_weights=weights,
     )
+
+
+def _read_case_meta(path: Path):
+    """(base_mva, version, bus load weights) from a case.json file."""
+    try:
+        meta = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CaseFileError(path, exc.lineno, "-", exc.msg) from exc
+    if not isinstance(meta, dict):
+        raise CaseFileError(path, 1, "-", "case.json must hold a JSON object")
+
+    def number(value, column: str, positive: bool) -> float:
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            x = math.nan
+        if isinstance(value, bool) or not math.isfinite(x) or x < 0 or (positive and x == 0):
+            sign = "positive" if positive else "non-negative"
+            raise CaseFileError(path, 0, column, f"expected a {sign} finite number, got {value!r}")
+        return x
+
+    base_mva = number(meta.get("base_mva", 100.0), "base_mva", positive=True)
+    raw = meta.get("bus_load_weights", {})
+    if not isinstance(raw, dict) or not all(key.strip().isdecimal() for key in raw):
+        raise CaseFileError(path, 0, "bus_load_weights", "expected an object of bus id -> weight")
+    weights = {int(key): number(w, "bus_load_weights", positive=False) for key, w in raw.items()}
+    return base_mva, str(meta.get("version", "1")), weights
 
 
 def save_case(network: Network, dir_path, version: str = "1") -> None:
@@ -280,13 +310,12 @@ def read_measurements_csv(path) -> MeasurementSet:
         kind = _kind_from_record(rec, path, line_no)
         if not rec["value_pu"]:
             raise CaseFileError(path, line_no, "value_pu", "measurement value missing")
-        measurements.append(
-            Measurement(
-                kind=kind,
-                value=_parse_float(rec["value_pu"], path, line_no, "value_pu"),
-                sigma=_parse_float(rec["sigma_pu"], path, line_no, "sigma_pu"),
-            )
-        )
+        value = _parse_float(rec["value_pu"], path, line_no, "value_pu")
+        sigma = _parse_float(rec["sigma_pu"], path, line_no, "sigma_pu")
+        try:
+            measurements.append(Measurement(kind=kind, value=value, sigma=sigma))
+        except ValueError as exc:  # sigma <= 0
+            raise CaseFileError(path, line_no, "sigma_pu", str(exc)) from exc
     return MeasurementSet(measurements=tuple(measurements))
 
 
@@ -315,8 +344,6 @@ class SnapshotPlan:
     sigma_v: float = DEFAULT_SIGMA_V
     sigma_inj: float = DEFAULT_SIGMA_INJ
     sigma_flow: float = DEFAULT_SIGMA_FLOW
-    tol: float = 1e-6
-    max_iter: int = 50
     noise: bool = True
 
     def __post_init__(self):
@@ -394,8 +421,7 @@ def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
                 pf.state, mplan, derive_snapshot_seed(plan.seed, k), net_k, net_k.ybus,
                 noise=plan.noise,
             )
-            config = EstimatorConfig(tol=plan.tol, max_iter=plan.max_iter, start=previous)
-            est = estimate(net_k, mset, config)
+            est = estimate(net_k, mset, EstimatorConfig(start=previous))
         except (SingularGain, SingularJacobian, NetworkError, RuntimeError, np.linalg.LinAlgError) as exc:
             records.append(
                 SnapshotRecord(
@@ -494,9 +520,7 @@ def load_switched_system(path):
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise CaseFileError(path, 0, "-", f"cannot read file: {exc}") from exc
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CaseFileError(path, exc.lineno, "-", exc.msg) from exc
     if not isinstance(raw, dict):

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
 import json
+import shutil
 
 import pytest
 
@@ -150,6 +151,19 @@ def test_controller_config_json_list_exits_2(capsys, tmp_path):
     assert "config must be a JSON object" in err
 
 
+def test_controller_non_affine_residual_exits_1(capsys, tmp_path):
+    # P ~ 3e4 here, so the affinity check's rounding residue passes its
+    # absolute 1e-9 gate: a solver failure, reported without a traceback
+    cfg = tmp_path / "near_unit_root.json"
+    cfg.write_text(json.dumps({
+        "A": [[0.99999]], "b": [0.2], "alpha": 0.99999, "beta": 0.1, "Q": [[1.0]], "r": [1.0],
+    }))
+    code, out, err = run(capsys, ["controller", "solve", "--config", str(cfg)])
+    assert code == 1
+    assert err.startswith("error: affinity check failed")
+    assert "Traceback" not in err
+
+
 def test_controller_simulate(capsys, tmp_path):
     traj = tmp_path / "traj.csv"
     code, out, err = run(capsys, [
@@ -199,3 +213,48 @@ def test_controller_oracle_bad_box(capsys):
 def test_help_exits_zero(capsys):
     code, out, err = run(capsys, ["--help"])
     assert code == 0
+
+
+# ---- malformed case files -----------------------------------------------------
+
+def _case_dir(tmp_path, name, content):
+    """A copy of ieee14 with one file replaced by content (str or bytes)."""
+    case = tmp_path / "case"
+    shutil.copytree(builtin_case_dir("ieee14"), case)
+    if isinstance(content, bytes):
+        (case / name).write_bytes(content)
+    else:
+        (case / name).write_text(content)
+    return case
+
+
+def _assert_case_error(capsys, case, file_name):
+    code, out, err = run(capsys, ["pf", "--case", str(case)])
+    assert code == 2
+    assert err.startswith("error: ") and file_name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("meta", ["[1, 2]", '"text"', "null"])
+def test_case_json_not_an_object_exits_2(capsys, tmp_path, meta):
+    _assert_case_error(capsys, _case_dir(tmp_path, "case.json", meta), "case.json")
+
+
+@pytest.mark.parametrize("base_mva", ['"abc"', "NaN", "Infinity", "-5.0", "0", "null", "true", "[100]", "1e999"])
+def test_case_json_bad_base_mva_exits_2(capsys, tmp_path, base_mva):
+    case = _case_dir(tmp_path, "case.json", f'{{"base_mva": {base_mva}}}')
+    _assert_case_error(capsys, case, "case.json")
+
+
+@pytest.mark.parametrize("weights", ['{"3": -1.0}', "[1, 2]", '"3"', '{"x": 1.0}', '{"3.5": 1.0}',
+                                     '{"3": NaN}', '{"3": Infinity}', '{"3": "heavy"}', '{"99": 1.0}'])
+def test_case_json_bad_load_weights_exits_2(capsys, tmp_path, weights):
+    case = _case_dir(tmp_path, "case.json", f'{{"bus_load_weights": {weights}}}')
+    _assert_case_error(capsys, case, "case.json")
+
+
+@pytest.mark.parametrize("name", ["buses.csv", "lines.csv", "case.json"])
+def test_non_utf8_case_file_exits_2(capsys, tmp_path, name):
+    original = (builtin_case_dir("ieee14") / name).read_bytes()
+    broken = original.replace(b"\n", b"\n\xff\xfe", 1)
+    _assert_case_error(capsys, _case_dir(tmp_path, name, broken), f"{name}:2:")

@@ -114,6 +114,15 @@ def test_fixed_point_residual_and_spd():
         assert np.min(np.linalg.eigvalsh(qv.P)) > 0  # Q was positive definite
 
 
+def test_near_unit_root_solves_directly():
+    # alpha * rho^2 = 0.99997: a fixed-point iteration from P0 = Q would need
+    # ~10^6 steps to reach the 1e-10 residual gate
+    a, alpha = 0.99999, 0.99999
+    system = SwitchedSystem(A=[[a]], b=[0.2], alpha=alpha, beta=0.1, Q=[[1.0]], r=[1.0])
+    qv = solve_quadratic_value(system)
+    assert qv.P[0, 0] == pytest.approx(1.0 / (1.0 - alpha * a * a), rel=1e-9)
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         SwitchedSystem(A=[[0.9]], b=[0.1], alpha=1.0, beta=0.1, Q=[[1.0]], r=[0.0])
@@ -230,7 +239,7 @@ def test_trapping_grid_geometric_sum():
     # pointwise; at x = 1 with q(1) = 1 that is 1 / (1 - 0.5) = 2.
     system = SwitchedSystem(A=[[1.0]], b=[0.0], alpha=0.5, beta=0.0, Q=[[1.0]], r=[0.0])
     oracle = bellman_value_iteration(system, ([0.0], [2.0]), 201, tol=1e-10)
-    xs = oracle.axes[0]
+    xs = oracle.points[:, 0]
     expected = xs**2 / (1 - 0.5)
     assert np.max(np.abs(oracle.v0 - expected)) < 1e-8
     assert np.max(np.abs(oracle.v1 - expected)) < 1e-8
@@ -282,8 +291,8 @@ def test_oracle_interpolation_2d():
     oracle = bellman_value_iteration(system, ([-1.0, -1.0], [2.0, 2.0]), 41)
     assert oracle.v0.shape == (41, 41)
     # evaluation at a grid node returns the tabulated value
-    xs, ys = oracle.axes
-    assert oracle.evaluate([xs[10], ys[20]], 0) == pytest.approx(oracle.v0[10, 20], abs=1e-12)
+    node = oracle.points.reshape(41, 41, 2)[10, 20]
+    assert oracle.evaluate(node, 0) == pytest.approx(oracle.v0[10, 20], abs=1e-12)
 
 
 # ---- simulation -------------------------------------------------------------

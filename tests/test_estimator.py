@@ -228,5 +228,3 @@ def test_config_validation():
         EstimatorConfig(tol=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(damping=0.0)

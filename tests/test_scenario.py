@@ -132,6 +132,46 @@ def test_case_json_base_and_weights(tmp_path, ieee14_bundle):
     assert bundle.bus_load_weights == {3: 1.5}
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+@pytest.mark.parametrize("file_name, column", [
+    ("buses.csv", "vsp_pu"), ("buses.csv", "pl_mw"), ("lines.csv", "r_pu"),
+    ("lines.csv", "x_pu"), ("lines.csv", "b_half_pu"),
+])
+def test_non_finite_case_cell_rejected(tmp_path, ieee14_bundle, file_name, column, cell):
+    case = tmp_path / "case"
+    case.mkdir()
+    for name in ("buses.csv", "lines.csv"):
+        text = (builtin_case_dir("ieee14") / name).read_text()
+        if name == file_name:
+            rows = [line.split(",") for line in text.splitlines()]
+            rows[2][rows[0].index(column)] = cell
+            text = "\n".join(",".join(row) for row in rows) + "\n"
+        (case / name).write_text(text)
+    with pytest.raises(CaseFileError) as exc_info:
+        load_case(case)
+    err = exc_info.value
+    assert (Path(err.file).name, err.line, err.column) == (file_name, 3, column)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-1e999"])
+@pytest.mark.parametrize("column", ["value_pu", "sigma_pu"])
+def test_non_finite_measurement_cell_rejected(tmp_path, column, cell):
+    path = tmp_path / "m.csv"
+    row = {"value_pu": "1.02", "sigma_pu": "0.004", column: cell}
+    path.write_text(f"kind,bus,branch,end,value_pu,sigma_pu\nv_mag,1,,,{row['value_pu']},{row['sigma_pu']}\n")
+    with pytest.raises(CaseFileError) as exc_info:
+        read_measurements_csv(path)
+    assert (exc_info.value.line, exc_info.value.column) == (2, column)
+
+
+def test_oversized_csv_field_rejected(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("kind,bus,branch,end,value_pu,sigma_pu\nv_mag,1,,,1.0," + "9" * 200_000 + "\n")
+    with pytest.raises(CaseFileError) as exc_info:  # past the csv module's field size limit
+        read_measurements_csv(path)
+    assert exc_info.value.line == 2
+
+
 def test_case_round_trip_is_identical(tmp_path, ieee14_bundle):
     save_case(ieee14_bundle.network, tmp_path / "copy")
     reloaded = load_case(tmp_path / "copy")
