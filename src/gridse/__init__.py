@@ -64,7 +64,6 @@ from .controller import (
     MaxSweepsExceeded,
     NonAffineResidual,
     QuadraticValue,
-    ScalarOutput,
     SimulationResult,
     SingularP,
     SwitchedSystem,

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 
@@ -56,6 +57,23 @@ def _write_or_print(text: str, out_path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_table(header: list, columns: list, out_path) -> None:
+    """CSV with one column per array; csv writes floats with repr, so values round-trip."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    _write_or_print(out.getvalue(), out_path)
+
+
+def _floats(text: str, flag: str) -> list:
+    """A comma-separated list flag of finite numbers."""
+    values = [float(s) for s in text.split(",") if s.strip()]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def _state_rows(state, truth=None):
@@ -113,7 +131,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_snapshots(args) -> int:
     bundle = load_case(resolve_case_dir(args.case))
-    scales = [float(s) for s in args.load_scale.split(",") if s.strip()]
+    scales = _floats(args.load_scale, "--load-scale")
     plan = SnapshotPlan(snapshot_count=args.count, load_scale=tuple(scales), seed=args.seed)
     report = run_snapshots(bundle, plan)
     fmt = "json" if args.out and str(args.out).endswith(".json") else "csv"
@@ -148,24 +166,18 @@ def cmd_controller_solve(args) -> int:
 
 def cmd_controller_simulate(args) -> int:
     system, output = load_switched_system(args.config)
-    x0 = [float(s) for s in args.x0.split(",") if s.strip()]
+    x0 = _floats(args.x0, "--x0")
     if len(x0) != system.n:
         raise ValueError(f"--x0 must have {system.n} entries, got {len(x0)}")
     qv = solve_quadratic_value(system)
     sf = switching_function(system, qv)
     sim = simulate(system, x0, args.z0, args.steps, sf, output=output)
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
     header = ["step"] + [f"x{i + 1}" for i in range(system.n)] + ["u", "stage_cost"]
+    columns = [np.arange(args.steps), *sim.states.T, sim.inputs, sim.stage_costs]
     if sim.outputs is not None:
         header.append("y")
-    w.writerow(header)
-    for k in range(args.steps):
-        row = [k] + [repr(float(v)) for v in sim.states[k]] + [int(sim.inputs[k]), repr(float(sim.stage_costs[k]))]
-        if sim.outputs is not None:
-            row.append(repr(float(sim.outputs[k])))
-        w.writerow(row)
-    _write_or_print(out.getvalue(), args.out)
+        columns.append(sim.outputs)
+    _write_table(header, columns, args.out)
     summary = {"discounted_total": sim.discounted_total, "switch_count": sim.switch_count}
     if args.out:
         sys.stdout.write(json.dumps(summary, indent=2) + "\n")
@@ -176,7 +188,7 @@ def cmd_controller_simulate(args) -> int:
 
 def cmd_controller_oracle(args) -> int:
     system, _ = load_switched_system(args.config)
-    bounds = [float(s) for s in args.box.split(",") if s.strip()]
+    bounds = _floats(args.box, "--box")
     if len(bounds) == 2:
         lower, upper = [bounds[0]] * system.n, [bounds[1]] * system.n
     elif len(bounds) == 2 * system.n:
@@ -184,12 +196,8 @@ def cmd_controller_oracle(args) -> int:
     else:
         raise ValueError(f"--box needs LO,HI (or one LO,HI pair per dimension), got {args.box!r}")
     oracle = bellman_value_iteration(system, (lower, upper), args.resolution)
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow([f"x{i + 1}" for i in range(system.n)] + ["v0", "v1"])
-    for point, v0, v1 in zip(oracle.points, oracle.v0.reshape(-1), oracle.v1.reshape(-1)):
-        w.writerow([repr(float(c)) for c in point] + [repr(float(v0)), repr(float(v1))])
-    _write_or_print(out.getvalue(), args.out)
+    _write_table([f"x{i + 1}" for i in range(system.n)] + ["v0", "v1"],
+                 [*oracle.points.T, oracle.v0.reshape(-1), oracle.v1.reshape(-1)], args.out)
 
     report = {
         "sweeps": oracle.sweeps,

@@ -6,14 +6,15 @@ the previous switch position z. The discounted cost-to-go is approximated by
 a single quadratic V(x) = (x - theta)^T P (x - theta) + v whose P is the
 fixed point P = Q + alpha A^T P A, found by one direct solve of that discrete
 Lyapunov equation (Bartels-Stewart, via scipy). The induced switching function
-f(x) = V(Ax + b) - V(Ax) is affine; its coefficients are recovered by direct
-interpolation, with the alternative closed-form candidates reported alongside
-for comparison. A gridded value-iteration oracle provides an independent
-reference solution for systems with at most two state dimensions.
+f(x) = V(Ax + b) - V(Ax) = 2 b^T P (A x - theta) + b^T P b is affine; its
+coefficients come from that exact expansion, with the paper's printed
+closed-form candidates reported alongside for comparison. A gridded
+value-iteration oracle provides an independent reference solution for
+systems with at most two state dimensions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -61,6 +62,8 @@ class SwitchedSystem:
         r = _readonly(np.reshape(self.r, (-1,)))
         if b.shape != (n,) or r.shape != (n,) or q.shape != (n, n):
             raise ValueError("b, r must have length n and Q must be n x n")
+        if not all(np.all(np.isfinite(v)) for v in (a, b, q, r, self.alpha, self.beta)):
+            raise ValueError("A, b, Q, r, alpha and beta must be finite")
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.beta < 0:
@@ -83,43 +86,16 @@ class SwitchedSystem:
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))
 
 
-@dataclass(frozen=True)
-class ScalarOutput:
-    """Row gain of a scalar output y = gain . x, used only in trajectory reports."""
-
-    gain: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gain", _readonly(np.reshape(self.gain, (-1,))))
-
-    def evaluate(self, x) -> float:
-        return float(self.gain @ np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class DiscretizedModel:
-    A: np.ndarray
-    b: np.ndarray
-    spectral_radius: float
-    stable: bool  # advisory: rho(A) <= 1
-
-
-def discretize(a_continuous, b_continuous, dt: float) -> DiscretizedModel:
-    """Forward-Euler discretization A = I + a*dt, b_d = b*dt.
-
-    The returned advisory flags an unstable discretization (rho(A) > 1),
-    which for a stable continuous system means dt was chosen too large.
-    """
-    if not (dt > 0):
-        raise ValueError(f"dt must be > 0, got {dt}")
+def discretize(a_continuous, b_continuous, dt: float) -> tuple:
+    """Forward-Euler discretization (A, b_d) = (I + a*dt, b*dt)."""
+    if not (0 < dt < np.inf):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     a = np.atleast_2d(np.asarray(a_continuous, dtype=float))
     b = np.reshape(np.asarray(b_continuous, dtype=float), (-1,))
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise ValueError("a must be square and b of matching length")
-    a_d = np.eye(n) + a * dt
-    rho = float(np.max(np.abs(np.linalg.eigvals(a_d))))
-    return DiscretizedModel(A=_readonly(a_d), b=_readonly(b * dt), spectral_radius=rho, stable=rho <= 1.0)
+    return np.eye(n) + a * dt, b * dt
 
 
 @dataclass(frozen=True)
@@ -141,10 +117,11 @@ class QuadraticValue:
 class SwitchingFunction:
     """Affine switching function f(x) = delta . x + zeta.
 
-    delta/zeta come from direct interpolation of V(Ax+b) - V(Ax); the
-    closed_form_* fields carry the alternative printed coefficient formulas
-    (-2 A^T P theta and theta^T P theta - 2 b^T P theta) for comparison, and
-    max_affine_gap records the verified deviation of f from affinity.
+    delta/zeta expand V(Ax+b) - V(Ax) exactly; the closed_form_* fields carry
+    the paper's printed coefficient formulas (-2 A^T P theta and
+    theta^T P theta - 2 b^T P theta) for comparison, and max_affine_gap is the
+    largest deviation of delta . x + zeta from the quadratic-form difference
+    at the check points.
     """
 
     delta: np.ndarray
@@ -207,45 +184,36 @@ def solve_quadratic_value(system: SwitchedSystem) -> QuadraticValue:
 
 
 def switching_function(system: SwitchedSystem, qv: QuadraticValue) -> SwitchingFunction:
-    """Recover the affine f(x) = V(Ax + b) - V(Ax) by interpolation.
+    """f(x) = V(Ax + b) - V(Ax) = 2 b^T P (A x - theta) + b^T P b.
 
-    f is evaluated at the origin and the unit directions to read off the
-    coefficients, then verified at n + 10 pseudo-random points; a deviation
-    of 1e-9 or more raises NonAffineResidual (the quadratic terms cancel
-    analytically, so any larger residual indicates a bug).
+    delta = 2 A^T P b and zeta = b^T P b - 2 theta^T P b (the offset v
+    cancels). The expansion is checked against the difference of the two
+    quadratic forms at n + 10 pseudo-random points; a gap above 1e-9 times
+    the size of those forms (a non-symmetric P, say) raises NonAffineResidual.
     """
-    n = system.n
-    a, b = system.A, system.b
-    p, theta = qv.P, qv.theta
+    a, b, p, theta = system.A, system.b, qv.P, qv.theta
+    pb = p @ b
+    delta = 2.0 * a.T @ pb
+    zeta = float(b @ pb - 2.0 * theta @ pb)
 
-    def f_direct(x):
-        # difference of the two quadratic forms; the shared offset v cancels
-        # exactly and is omitted so large offsets cannot poison the result
-        d1 = a @ x + b - theta
-        d0 = a @ x - theta
-        return float(d1 @ p @ d1 - d0 @ p @ d0)
-
-    zeta = f_direct(np.zeros(n))
-    delta = np.empty(n)
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        delta[k] = f_direct(e) - zeta
-
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((n + 10, n))
-    max_gap = float(max(abs(f_direct(pt) - (delta @ pt + zeta)) for pt in pts))
-    if max_gap >= 1e-9:
-        raise NonAffineResidual(f"affinity check failed: max gap {max_gap:.3e}")
-
-    closed_delta = -2.0 * a.T @ p @ theta
-    closed_zeta = float(theta @ p @ theta - 2.0 * b @ p @ theta)
+    pts = np.random.default_rng(0).standard_normal((system.n + 10, system.n))
+    d0 = pts @ a.T - theta
+    d1 = d0 + b
+    q1 = np.einsum("ij,jk,ik->i", d1, p, d1)
+    q0 = np.einsum("ij,jk,ik->i", d0, p, d0)
+    gaps = np.abs(q1 - q0 - (pts @ delta + zeta))
+    scale = np.abs(q1) + np.abs(q0)
+    if np.any(gaps > 1e-9 * scale):
+        raise NonAffineResidual(
+            f"affinity check failed: max gap {np.max(gaps):.3e} against quadratic forms "
+            f"up to {np.max(scale):.3e}"
+        )
     return SwitchingFunction(
         delta=delta,
-        zeta=float(zeta),
-        closed_form_delta=closed_delta,
-        closed_form_zeta=closed_zeta,
-        max_affine_gap=max_gap,
+        zeta=zeta,
+        closed_form_delta=-2.0 * a.T @ p @ theta,
+        closed_form_zeta=float(theta @ p @ theta - 2.0 * b @ p @ theta),
+        max_affine_gap=float(np.max(gaps)),
     )
 
 
@@ -280,12 +248,6 @@ class GridOracle:
     def points(self) -> np.ndarray:
         """(resolution**n, n) grid points, in the row order of v0/v1 flattened."""
         return _grid_points(self.lower, self.upper, self.resolution)
-
-    def evaluate(self, x, z: int) -> float:
-        table = (self.v0 if z == 0 else self.v1).reshape(-1)
-        pt = np.clip(np.reshape(np.asarray(x, dtype=float), (1, -1)), self.lower, self.upper)
-        idx, wts = _interp_coords(pt, self.lower, self.upper, self.resolution)
-        return float(_interp_apply(table, idx, wts, self.resolution)[0])
 
 
 def _grid_points(lower: np.ndarray, upper: np.ndarray, resolution: int) -> np.ndarray:
@@ -350,8 +312,8 @@ def bellman_value_iteration(
     if lower.shape == (1,) and n > 1:
         lower = np.repeat(lower, n)
         upper = np.repeat(upper, n)
-    if lower.shape != (n,) or upper.shape != (n,) or not np.all(upper > lower):
-        raise ValueError("box must provide lower < upper bounds per dimension")
+    if lower.shape != (n,) or upper.shape != (n,) or not np.all((lower < upper) & (upper - lower < np.inf)):
+        raise ValueError("box must provide finite lower < upper bounds per dimension")
 
     points = _grid_points(lower, upper, resolution)
     d = points - system.r
@@ -437,15 +399,11 @@ class SimulationResult:
     outputs: Optional[np.ndarray] = None  # (steps,) scalar output, if a gain was given
 
 
-def simulate(
-    system: SwitchedSystem,
-    x0,
-    z0: int,
-    steps: int,
-    sf: SwitchingFunction,
-    output: Optional[ScalarOutput] = None,
-) -> SimulationResult:
-    """Closed-loop rollout under the hysteresis policy."""
+def _rollout(system: SwitchedSystem, x0, z0: int, steps: int, sf: Optional[SwitchingFunction],
+             u_const: int = 0) -> SimulationResult:
+    """Rollout from (x0, z0): the hysteresis policy when sf is given, else
+    u = u_const held at every step (one switching charge at step 0 if it
+    differs from z0)."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if z0 not in (0, 1):
@@ -458,40 +416,34 @@ def simulate(
     costs = np.empty(steps)
     switch_count = 0
     for k in range(steps):
-        u = policy_decide(x, z, system, sf)
+        u = u_const if sf is None else policy_decide(x, z, system, sf)
         states[k] = x
         inputs[k] = u
         costs[k] = stage_cost(x, z, u, system)
-        if u != z:
-            switch_count += 1
+        switch_count += u != z
         x = system.A @ x + system.b * u
         z = u
-    total = float(np.sum(system.alpha ** np.arange(steps) * costs))
-    outputs = states @ output.gain if output is not None else None
     return SimulationResult(
         states=states,
         inputs=inputs,
         stage_costs=costs,
-        discounted_total=total,
+        discounted_total=float(np.sum(system.alpha ** np.arange(steps) * costs)),
         switch_count=switch_count,
-        outputs=outputs,
     )
 
 
+def simulate(system: SwitchedSystem, x0, z0: int, steps: int, sf: SwitchingFunction,
+             output=None) -> SimulationResult:
+    """Closed-loop rollout under the hysteresis policy; an output row gain adds
+    the scalar y = output . x per step."""
+    sim = _rollout(system, x0, z0, steps, sf)
+    if output is None:
+        return sim
+    return replace(sim, outputs=sim.states @ np.reshape(np.asarray(output, dtype=float), (-1,)))
+
+
 def evaluate_constant_policy(system: SwitchedSystem, u_const: int, x0, z0: int, steps: int) -> float:
-    """Discounted cost of holding u = u_const (one switching charge at step 0
-    if u_const differs from z0)."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if u_const not in (0, 1) or z0 not in (0, 1):
-        raise ValueError("u_const and z0 must be 0 or 1")
-    x = np.reshape(np.asarray(x0, dtype=float), (system.n,)).copy()
-    z = int(z0)
-    total = 0.0
-    disc = 1.0
-    for _ in range(steps):
-        total += disc * stage_cost(x, z, u_const, system)
-        x = system.A @ x + system.b * u_const
-        z = u_const
-        disc *= system.alpha
-    return total
+    """Discounted cost of holding u = u_const."""
+    if u_const not in (0, 1):
+        raise ValueError(f"u_const must be 0 or 1, got {u_const}")
+    return _rollout(system, x0, z0, steps, None, u_const).discounted_total

@@ -48,8 +48,8 @@ class EstimatorConfig:
     start: Optional[StateVector] = None  # warm start; None means flat start
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not (0 < self.tol < np.inf):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -108,8 +108,8 @@ def solve_power_flow(
     evaluations, so a start already inside tolerance reports 1. On
     non-convergence the best iterate is returned with converged=False.
     """
-    if not (tol > 0):
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (0 < tol < np.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 

@@ -19,12 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import ScalarOutput, SwitchedSystem, discretize
+from .controller import SwitchedSystem, discretize
 from .estimator import EstimatorConfig, SingularGain, estimate
 from .measurements import (
-    DEFAULT_SIGMA_FLOW,
-    DEFAULT_SIGMA_INJ,
-    DEFAULT_SIGMA_V,
     FROM,
     TO,
     Measurement,
@@ -339,11 +336,8 @@ def read_plan_csv(path) -> list:
 @dataclass(frozen=True)
 class SnapshotPlan:
     snapshot_count: int
-    load_scale: tuple          # one multiplier per snapshot, all > 0
+    load_scale: tuple          # one finite multiplier > 0 per snapshot
     seed: int
-    sigma_v: float = DEFAULT_SIGMA_V
-    sigma_inj: float = DEFAULT_SIGMA_INJ
-    sigma_flow: float = DEFAULT_SIGMA_FLOW
     noise: bool = True
 
     def __post_init__(self):
@@ -354,8 +348,8 @@ class SnapshotPlan:
             raise ValueError(
                 f"load_scale has {len(self.load_scale)} entries for {self.snapshot_count} snapshots"
             )
-        if any(s <= 0 for s in self.load_scale):
-            raise ValueError("load_scale entries must be > 0")
+        if not all(0 < s < math.inf for s in self.load_scale):
+            raise ValueError(f"load_scale entries must be finite and > 0, got {self.load_scale}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -416,10 +410,9 @@ def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
                 raise RuntimeError(
                     f"truth power flow did not converge (max mismatch {pf.max_mismatch:.3e})"
                 )
-            mplan = full_measurement_plan(net_k, plan.sigma_v, plan.sigma_inj, plan.sigma_flow)
             mset = generate_measurements(
-                pf.state, mplan, derive_snapshot_seed(plan.seed, k), net_k, net_k.ybus,
-                noise=plan.noise,
+                pf.state, full_measurement_plan(net_k), derive_snapshot_seed(plan.seed, k),
+                net_k, net_k.ybus, noise=plan.noise,
             )
             est = estimate(net_k, mset, EstimatorConfig(start=previous))
         except (SingularGain, SingularJacobian, NetworkError, RuntimeError, np.linalg.LinAlgError) as exc:
@@ -512,11 +505,13 @@ def emit_report(report: SnapshotReport, fmt: str, out_path) -> None:
 
 
 def load_switched_system(path):
-    """Read a SwitchedSystem (and optional scalar output gain) from JSON.
+    """Read a SwitchedSystem and its optional scalar output gain from JSON.
 
     The config provides either A and b directly, or a continuous-time model
     {"continuous": {"a": ..., "b": ..., "dt": ...}} that is discretized by
-    forward Euler.
+    forward Euler. An optional "output" row gain y = gain . x is returned
+    alongside the system (None without one). A non-numeric or non-finite
+    value is a CaseFileError naming the key.
     """
     path = Path(path)
     try:
@@ -526,22 +521,27 @@ def load_switched_system(path):
     if not isinstance(raw, dict):
         raise CaseFileError(path, 1, "-", "config must be a JSON object")
 
+    def finite(table: dict, key: str) -> np.ndarray:
+        value = table[key]
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            arr = np.array(math.nan)
+        if not np.all(np.isfinite(arr)):
+            raise CaseFileError(path, 0, key, f"expected finite numbers, got {value!r}")
+        return arr
+
     try:
         if "continuous" in raw:
             cont = raw["continuous"]
-            model = discretize(cont["a"], cont["b"], float(cont["dt"]))
-            a_mat, b_vec = model.A, model.b
+            a_mat, b_vec = discretize(finite(cont, "a"), finite(cont, "b"), float(finite(cont, "dt")))
         else:
-            a_mat, b_vec = raw["A"], raw["b"]
-        system = SwitchedSystem(
-            A=np.asarray(a_mat, dtype=float),
-            b=np.asarray(b_vec, dtype=float),
-            alpha=float(raw["alpha"]),
-            beta=float(raw["beta"]),
-            Q=np.asarray(raw["Q"], dtype=float),
-            r=np.asarray(raw["r"], dtype=float),
-        )
+            a_mat, b_vec = finite(raw, "A"), finite(raw, "b")
+        system = SwitchedSystem(A=a_mat, b=b_vec, alpha=float(finite(raw, "alpha")),
+                                beta=float(finite(raw, "beta")), Q=finite(raw, "Q"), r=finite(raw, "r"))
     except KeyError as exc:
         raise ValueError(f"{path}: missing config key {exc}") from exc
-    output = ScalarOutput(gain=np.asarray(raw["output"], dtype=float)) if "output" in raw else None
-    return system, output
+    except TypeError as exc:  # "continuous" not an object, a non-scalar alpha or beta
+        raise CaseFileError(path, 0, "-", str(exc)) from exc
+    gain = np.reshape(finite(raw, "output"), (-1,)) if "output" in raw else None
+    return system, gain

@@ -151,17 +151,106 @@ def test_controller_config_json_list_exits_2(capsys, tmp_path):
     assert "config must be a JSON object" in err
 
 
-def test_controller_non_affine_residual_exits_1(capsys, tmp_path):
-    # P ~ 3e4 here, so the affinity check's rounding residue passes its
-    # absolute 1e-9 gate: a solver failure, reported without a traceback
-    cfg = tmp_path / "near_unit_root.json"
+@pytest.mark.parametrize("config", [
+    # near a unit root: P ~ 3e4, theta ~ -5e3, quadratic forms ~ 8e11
+    {"A": [[0.99999]], "b": [0.2], "alpha": 0.99999, "beta": 0.1, "Q": [[1.0]], "r": [1.0]},
+    # the shipped scalar config with Q scaled by 1e6: quadratic forms ~ 4e6
+    {"A": [[0.9]], "b": [0.2], "alpha": 0.95, "beta": 0.1, "Q": [[1e6]], "r": [1.0]},
+])
+def test_controller_solve_large_quadratic_forms_exits_0(capsys, tmp_path, config):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, ["controller", "solve", "--config", str(cfg)])
+    assert code == 0, err
+    payload = json.loads(out)
+    p, theta = payload["P"][0][0], payload["theta"][0]
+    b = config["b"][0]
+    assert payload["delta"][0] == pytest.approx(2 * config["A"][0][0] * p * b, rel=1e-12)
+    assert payload["zeta"] == pytest.approx(b * p * b - 2 * theta * p * b, rel=1e-12)
+
+
+def test_controller_non_affine_residual_exits_1(capsys, tmp_path, monkeypatch):
+    # a non-symmetric P breaks the symmetric expansion of V(Ax+b) - V(Ax):
+    # a solver failure, reported without a traceback
+    import gridse.cli
+    from gridse.controller import QuadraticValue
+
+    cfg = tmp_path / "system.json"
     cfg.write_text(json.dumps({
-        "A": [[0.99999]], "b": [0.2], "alpha": 0.99999, "beta": 0.1, "Q": [[1.0]], "r": [1.0],
+        "A": [[0.5, 0.0], [0.0, 0.6]], "b": [1.0, 0.0], "alpha": 0.9, "beta": 0.1,
+        "Q": [[1.0, 0.0], [0.0, 1.0]], "r": [1.0, 1.0],
     }))
+    bad_p = QuadraticValue(P=[[2.0, 1.0], [0.0, 2.0]], theta=[0.5, 0.5], v=0.0)
+    monkeypatch.setattr(gridse.cli, "solve_quadratic_value", lambda system: bad_p)
     code, out, err = run(capsys, ["controller", "solve", "--config", str(cfg)])
     assert code == 1
     assert err.startswith("error: affinity check failed")
     assert "Traceback" not in err
+
+
+_SCALAR = {"A": [[0.9]], "b": [0.2], "alpha": 0.95, "beta": 0.1, "Q": [[1.0]], "r": [1.0]}
+_CONTINUOUS = {"continuous": {"a": [[-1.0]], "b": [2.0], "dt": 0.1},
+               "alpha": 0.95, "beta": 0.1, "Q": [[1.0]], "r": [1.0]}
+
+
+@pytest.mark.parametrize("config", [
+    {**_SCALAR, "beta": float("nan")},
+    {**_SCALAR, "alpha": float("nan")},
+    {**_SCALAR, "r": [float("nan")]},
+    {**_SCALAR, "A": [[float("inf")]]},
+    {**_SCALAR, "b": [float("-inf")]},
+    {**_SCALAR, "Q": [[float("nan")]]},
+    {**_SCALAR, "output": [float("nan")]},
+    {**_SCALAR, "beta": "0.1x"},
+    {**_CONTINUOUS, "continuous": {"a": [[float("nan")]], "b": [2.0], "dt": 0.1}},
+    {**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [float("inf")], "dt": 0.1}},
+    {**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [2.0], "dt": float("inf")}},
+])
+@pytest.mark.parametrize("command", [["solve"], ["simulate", "--steps", "5", "--x0", "0", "--z0", "0"]])
+def test_controller_non_finite_config_exits_2(capsys, tmp_path, config, command):
+    cfg = tmp_path / "nonfinite.json"
+    cfg.write_text(json.dumps(config))  # json writes NaN / Infinity literals
+    code, out, err = run(capsys, ["controller", command[0], "--config", str(cfg), *command[1:]])
+    assert code == 2
+    assert "nonfinite.json" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf", "1e999"])
+def test_controller_simulate_non_finite_x0_exits_2(capsys, x0):
+    code, out, err = run(capsys, [
+        "controller", "simulate", "--config", SCALAR_CONFIG, "--steps", "5", "--x0", x0, "--z0", "0",
+    ])
+    assert code == 2
+    assert "--x0" in err
+
+
+@pytest.mark.parametrize("box", ["0,inf", "-1e999,1", "nan,1", "0,nan"])
+def test_controller_oracle_non_finite_box_exits_2(capsys, box):
+    code, out, err = run(capsys, [
+        "controller", "oracle", "--config", SCALAR_CONFIG, "--box", box, "--resolution", "11",
+    ])
+    assert code == 2
+    assert "--box" in err
+
+
+@pytest.mark.parametrize("scales", ["nan", "inf", "1.0,nan", "-inf,1.0"])
+def test_snapshots_non_finite_load_scale_exits_2(capsys, scales):
+    count = str(len(scales.split(",")))
+    code, out, err = run(capsys, [
+        "snapshots", "--case", "ieee14", "--count", count, "--load-scale", scales, "--seed", "0",
+    ])
+    assert code == 2
+    assert "--load-scale" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_pf_bad_tol_exits_2(capsys, tol):
+    code, out, err = run(capsys, ["pf", "--case", "ieee14", "--tol", tol])
+    assert code == 2
+    assert "tol must be finite and > 0" in err
+    assert out == ""
 
 
 def test_controller_simulate(capsys, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from gridse.controller import (
     MaxSweepsExceeded,
-    ScalarOutput,
     SingularP,
     SwitchedSystem,
     UnstableSystem,
@@ -38,27 +37,32 @@ def _random_stable_system(rng, n=2, alpha=0.95):
 # ---- discretization ---------------------------------------------------------
 
 def test_discretize_zero_dynamics():
-    model = discretize([[0.0]], [1.0], 0.1)
-    assert model.A[0, 0] == 1.0
-    assert model.b[0] == pytest.approx(0.1)
+    a, b = discretize([[0.0]], [1.0], 0.1)
+    assert a[0, 0] == 1.0
+    assert b[0] == pytest.approx(0.1)
 
 
 def test_discretize_scalar_decay():
-    model = discretize([[-1.0]], [1.0], 0.1)
-    assert model.A[0, 0] == pytest.approx(0.9)
-    assert model.stable
+    a, b = discretize([[-1.0]], [1.0], 0.1)
+    assert a[0, 0] == pytest.approx(0.9)
+    assert b[0] == pytest.approx(0.1)
 
 
 def test_discretize_flags_unstable_step():
-    model = discretize([[-1.0]], [1.0], 2.5)
-    assert model.A[0, 0] == pytest.approx(-1.5)
-    assert model.spectral_radius == pytest.approx(1.5)
-    assert not model.stable
+    # too large a step turns a stable decay into rho(A) = 1.5; the system
+    # built from it is rejected by the solver, not by discretize
+    a, b = discretize([[-1.0]], [1.0], 2.5)
+    assert a[0, 0] == pytest.approx(-1.5)
+    system = SwitchedSystem(A=a, b=b, alpha=0.95, beta=0.1, Q=[[1.0]], r=[0.0])
+    assert system.spectral_radius == pytest.approx(1.5)
+    with pytest.raises(UnstableSystem):
+        solve_quadratic_value(system)
 
 
 def test_discretize_validation():
-    with pytest.raises(ValueError):
-        discretize([[0.0]], [1.0], 0.0)
+    for dt in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            discretize([[0.0]], [1.0], dt)
 
 
 # ---- stage cost -------------------------------------------------------------
@@ -133,6 +137,15 @@ def test_system_validation():
                        Q=[[1.0, 0.5], [0.0, 1.0]], r=[0.0, 0.0])  # asymmetric Q
     with pytest.raises(ValueError):
         SwitchedSystem(A=[[0.9]], b=[0.1], alpha=0.9, beta=0.1, Q=[[-1.0]], r=[0.0])
+
+
+@pytest.mark.parametrize("field", ["A", "b", "Q", "r", "alpha", "beta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_system_rejects_non_finite(field, bad):
+    fields = dict(A=[[0.9]], b=[0.1], alpha=0.9, beta=0.1, Q=[[1.0]], r=[0.0])
+    fields[field] = bad if field in ("alpha", "beta") else np.full(np.shape(fields[field]), bad)
+    with pytest.raises(ValueError):
+        SwitchedSystem(**fields)
 
 
 # ---- switching function -----------------------------------------------------
@@ -290,9 +303,19 @@ def test_oracle_interpolation_2d():
                             beta=0.05, Q=np.eye(2), r=[0.5, 0.5])
     oracle = bellman_value_iteration(system, ([-1.0, -1.0], [2.0, 2.0]), 41)
     assert oracle.v0.shape == (41, 41)
-    # evaluation at a grid node returns the tabulated value
-    node = oracle.points.reshape(41, 41, 2)[10, 20]
-    assert oracle.evaluate(node, 0) == pytest.approx(oracle.v0[10, 20], abs=1e-12)
+    # the tables satisfy the Bellman equation with successor values read by
+    # scipy's bilinear interpolation (the box holds every successor)
+    from scipy.interpolate import RegularGridInterpolator
+
+    assert not oracle.clamped
+    axes = (oracle.points[::41, 0], oracle.points[:41, 1])
+    ev0 = RegularGridInterpolator(axes, oracle.v0)(oracle.points @ system.A.T)
+    ev1 = RegularGridInterpolator(axes, oracle.v1)(oracle.points @ system.A.T + system.b)
+    d = oracle.points - system.r
+    q = np.sum(d * d, axis=1)
+    alpha, beta = system.alpha, system.beta
+    assert np.allclose(oracle.v0.reshape(-1), q + np.minimum(alpha * ev0, beta + alpha * ev1), atol=1e-7)
+    assert np.allclose(oracle.v1.reshape(-1), q + np.minimum(beta + alpha * ev0, alpha * ev1), atol=1e-7)
 
 
 # ---- simulation -------------------------------------------------------------
@@ -342,7 +365,7 @@ def test_simulate_discounted_total_recomputes():
 def test_simulate_scalar_output_reported():
     qv = solve_quadratic_value(SCALAR)
     sf = switching_function(SCALAR, qv)
-    sim = simulate(SCALAR, [0.5], 0, 10, sf, output=ScalarOutput(gain=[2.0]))
+    sim = simulate(SCALAR, [0.5], 0, 10, sf, output=np.array([2.0]))
     assert sim.outputs is not None
     assert sim.outputs[0] == pytest.approx(1.0)
 

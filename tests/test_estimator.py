@@ -224,7 +224,8 @@ def test_chi_square_sanity_band(ieee14, ieee14_truth, ieee14_ybus):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            EstimatorConfig(tol=tol)
     with pytest.raises(ValueError):
         EstimatorConfig(max_iter=0)

@@ -8,7 +8,8 @@ The one exception is the converged power-flow mismatch: at ~1e-14 pu it is
 rounding residue, which a last-bit change in the Newton steps moves by tens
 of percent, so it is held to an absolute 1e-12 pu, far below the 1e-8 pu
 convergence tolerance. The switching function's max_affine_gap, ~1e-15
-rounding residue against a 1e-9 affinity gate, is held the same way.
+rounding residue against an affinity gate of 1e-9 relative to the quadratic
+forms it compares, is held the same way.
 
 The controller commands run on the shipped scalar config and on the 2-d
 config in tests/golden/controller_2d.json, a lightly damped rotation whose

@@ -1,11 +1,17 @@
 """Measurement functions, analytic Jacobian vs finite differences, metering."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridse.measurements import (
     FROM,
+    P_FLOW,
+    P_INJ,
+    Q_FLOW,
+    Q_INJ,
     QUANTITIES,
     TO,
+    V_MAG,
     Measurement,
     MeasurementKind,
     MeasurementSet,
@@ -148,6 +154,63 @@ def test_jacobian_matches_central_differences(ieee14, ieee14_ybus):
             ) / (2 * step)
         scale = np.maximum(1.0, np.abs(h_analytic))
         assert np.max(np.abs(fd - h_analytic) / scale) < 1e-6
+
+
+@st.composite
+def meshed_cases(draw):
+    """(network, kinds, state): a random connected meshed network with random
+    r/x/b_sh, a partial plan holding at least one to-end flow pair, and a
+    perturbed state with the slack angle at zero."""
+    n = draw(st.integers(3, 9))
+    bus = st.integers(0, n - 1)
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # spanning tree
+    pairs += draw(st.lists(st.tuples(bus, bus).filter(lambda p: p[0] != p[1]), min_size=1, max_size=n))
+    branches = []
+    for f, t in pairs:
+        if draw(st.booleans()):
+            f, t = t, f
+        branches.append(Branch(f + 1, t + 1, draw(st.floats(0.0, 0.1)), draw(st.floats(0.02, 0.5)),
+                               draw(st.floats(0.0, 0.05))))
+    slack = draw(bus)
+    buses = [Bus(id=i + 1, kind=BusKind.SLACK if i == slack else BusKind.PQ, v_setpoint=1.0,
+                 p_gen=0, q_gen=0, p_load=0, q_load=0) for i in range(n)]
+    network = build_network(buses, branches)
+
+    every = [MeasurementKind(quantity=q, bus=i + 1) for q in (V_MAG, P_INJ, Q_INJ) for i in range(n)]
+    every += [MeasurementKind(quantity=q, branch=k, end=end)
+              for q in (P_FLOW, Q_FLOW) for k in range(len(branches)) for end in (FROM, TO)]
+    k_to = draw(st.integers(0, len(branches) - 1))
+    kinds = draw(st.lists(st.sampled_from(every), min_size=1, max_size=3 * n, unique=True))
+    kinds += [k for k in (MeasurementKind.active_flow(k_to, TO), MeasurementKind.reactive_flow(k_to, TO))
+              if k not in kinds]
+
+    angles = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n)))
+    angles[slack] = 0.0
+    magnitudes = np.array(draw(st.lists(st.floats(0.85, 1.15), min_size=n, max_size=n)))
+    return network, kinds, StateVector(angles=angles, magnitudes=magnitudes)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(meshed_cases())
+def test_jacobian_matches_central_differences_on_random_meshed_networks(case):
+    network, kinds, state = case
+    mset = _mset(kinds)
+    ybus = build_ybus(network)
+    h_analytic = jacobian_h(mset, state, network, ybus)
+    x = state_to_vector(state, network)
+    step = 1e-6
+    fd = np.empty_like(h_analytic)
+    for j in range(x.size):
+        hi = x.copy()
+        lo = x.copy()
+        hi[j] += step
+        lo[j] -= step
+        fd[:, j] = (
+            evaluate_h(mset, vector_to_state(hi, network), network, ybus)
+            - evaluate_h(mset, vector_to_state(lo, network), network, ybus)
+        ) / (2 * step)
+    scale = np.maximum(1.0, np.abs(h_analytic))
+    assert np.max(np.abs(fd - h_analytic) / scale) < 1e-6
 
 
 def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14):

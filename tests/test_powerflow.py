@@ -54,8 +54,9 @@ def test_single_iteration_does_not_converge_from_flat(ieee14):
 def test_max_iter_precondition(ieee14):
     with pytest.raises(ValueError):
         solve_power_flow(ieee14, max_iter=0)
-    with pytest.raises(ValueError):
-        solve_power_flow(ieee14, tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            solve_power_flow(ieee14, tol=tol)
 
 
 def test_calc_injections_flat_zero_shunt(ieee14):

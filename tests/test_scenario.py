@@ -276,6 +276,12 @@ def test_snapshot_plan_validation():
         SnapshotPlan(snapshot_count=1, load_scale=(1.0,), seed=-4)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+def test_snapshot_plan_rejects_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        SnapshotPlan(snapshot_count=2, load_scale=(1.0, scale), seed=1)
+
+
 def test_derived_seeds_differ():
     seeds = {derive_snapshot_seed(9, k) for k in range(10)}
     assert len(seeds) == 10
@@ -348,7 +354,7 @@ def test_load_switched_system(tmp_path):
     }))
     system, output = load_switched_system(cfg)
     assert system.A[0, 0] == 0.9
-    assert output.gain[0] == 2.0
+    assert output.tolist() == [2.0]
 
 
 def test_load_switched_system_continuous(tmp_path):
@@ -368,6 +374,33 @@ def test_load_switched_system_missing_key(tmp_path):
     cfg.write_text('{"A": [[0.9]], "b": [0.2]}')
     with pytest.raises(ValueError):
         load_switched_system(cfg)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", "NaN"), ("beta", "Infinity"), ("r", "[NaN]"), ("A", "[[-Infinity]]"),
+    ("output", "[NaN]"), ("Q", "[[1e999]]"), ("beta", '"abc"'), ("b", "{}"),
+])
+def test_load_switched_system_non_finite_value(tmp_path, key, value):
+    fields = {"A": "[[0.9]]", "b": "[0.2]", "alpha": "0.95", "beta": "0.1", "Q": "[[1.0]]", "r": "[1.0]"}
+    fields[key] = value
+    cfg = tmp_path / "system.json"
+    cfg.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+    with pytest.raises(CaseFileError) as info:
+        load_switched_system(cfg)
+    assert info.value.file == str(cfg)
+    assert info.value.column == key
+
+
+@pytest.mark.parametrize("config", [
+    '{"continuous": [1], "alpha": 0.95, "beta": 0.1, "Q": [[1.0]], "r": [1.0]}',
+    '{"A": [[0.9]], "b": [0.2], "alpha": [0.9, 0.95], "beta": 0.1, "Q": [[1.0]], "r": [1.0]}',
+])
+def test_load_switched_system_malformed_value(tmp_path, config):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(config)
+    with pytest.raises(CaseFileError) as info:
+        load_switched_system(cfg)
+    assert info.value.file == str(cfg)
 
 
 def test_load_switched_system_bad_json(tmp_path):
