@@ -39,7 +39,6 @@ from .measurements import (
     DEFAULT_SIGMA_FLOW,
     DEFAULT_SIGMA_INJ,
     DEFAULT_SIGMA_V,
-    Measurement,
     MeasurementKind,
     MeasurementSet,
     evaluate_h,
@@ -87,7 +86,6 @@ from .scenario import (
     SnapshotRecord,
     SnapshotReport,
     derive_snapshot_seed,
-    emit_report,
     load_case,
     load_switched_system,
     read_measurements_csv,
@@ -96,9 +94,7 @@ from .scenario import (
     render_report_json,
     resolve_case_dir,
     run_snapshots,
-    save_case,
     write_measurements_csv,
-    write_plan_csv,
 )
 from .cli import cli_dispatch
 

@@ -41,7 +41,6 @@ from .powerflow import SingularJacobian, solve_power_flow
 from .scenario import (
     CaseFileError,
     SnapshotPlan,
-    emit_report,
     load_case,
     load_switched_system,
     render_report_csv,
@@ -134,11 +133,8 @@ def cmd_snapshots(args) -> int:
     scales = _floats(args.load_scale, "--load-scale")
     plan = SnapshotPlan(snapshot_count=args.count, load_scale=tuple(scales), seed=args.seed)
     report = run_snapshots(bundle, plan)
-    fmt = "json" if args.out and str(args.out).endswith(".json") else "csv"
-    if args.out:
-        emit_report(report, fmt, args.out)
-    else:
-        sys.stdout.write(render_report_csv(report) if fmt == "csv" else render_report_json(report))
+    as_json = args.out is not None and str(args.out).endswith(".json")
+    _write_or_print(render_report_json(report) if as_json else render_report_csv(report), args.out)
     for rec in report.records:
         if rec.failed:
             print(f"error: snapshot {rec.index} failed: {rec.error}", file=sys.stderr)

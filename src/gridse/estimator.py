@@ -20,11 +20,11 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .measurements import (
     MeasurementSet,
+    check_columns,
     evaluate_h,
     jacobian_h,
     state_size,
     state_to_vector,
-    validate_kinds,
     vector_to_state,
 )
 from .network import Network
@@ -114,7 +114,9 @@ def estimate(network: Network, mset: MeasurementSet, config: EstimatorConfig | N
         raise ValueError(
             f"measurement set has m={len(mset)} < n={n_state}; state not estimable"
         )
-    validate_kinds(mset.kinds, network)
+    if not np.all(np.isfinite(mset.values)):
+        raise ValueError("measurement values must be finite; an unmetered plan has NaN values")
+    check_columns(mset.columns, network)
 
     ybus = network.ybus
     start = config.start if config.start is not None else flat_start(network)

@@ -1,11 +1,12 @@
 """Measurement functions, their analytic Jacobian, and synthetic metering.
 
-A measurement set holds values z and standard deviations sigma; h(x) covers
-voltage magnitude, bus injection and branch flow quantities. Each set is
-compiled once into read-only index columns (quantity code, bus index, branch
-index, measured end), so h(x) and H(x) are array expressions over all rows:
-gathers from the bus injections and their derivatives for bus quantities,
-and pi-model flow terms over the network's per-branch arrays for flows.
+A measurement set is one table of read-only arrays: index columns (quantity
+code, bus index, branch index, measured end), values z and standard
+deviations sigma. A plan is a set whose values are NaN. h(x) covers voltage
+magnitude, bus injection and branch flow quantities; h(x) and H(x) are array
+expressions over all rows: gathers from the bus injections and their
+derivatives for bus quantities, and pi-model flow terms over the network's
+per-branch arrays for flows.
 State coordinates are ordered as all non-slack angles followed by all
 magnitudes, so the Jacobian has shape (m, 2*n_buses - 1).
 
@@ -15,7 +16,7 @@ of its inputs and adding a measurement never perturbs the draws of others.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -81,19 +82,8 @@ class MeasurementKind:
         return cls(Q_FLOW, branch=branch, end=end)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    kind: MeasurementKind
-    value: float  # pu
-    sigma: float  # pu
-
-    def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-
-
 class MeasurementColumns(NamedTuple):
-    """Read-only index columns of a measurement list, one entry per row."""
+    """Read-only index columns of a measurement table, one entry per row."""
 
     quantity: np.ndarray  # code into QUANTITIES
     bus: np.ndarray       # 0-based bus index of bus quantities, -1 for flows
@@ -101,54 +91,76 @@ class MeasurementColumns(NamedTuple):
     to_end: np.ndarray    # 1 for flows measured at the branch's to end, else 0
 
 
-def _compile_columns(kinds: Sequence[MeasurementKind]) -> MeasurementColumns:
-    table = np.array(
-        [(QUANTITIES.index(k.quantity), -1 if k.bus is None else k.bus - 1,
-          -1 if k.branch is None else k.branch, k.end == TO) for k in kinds],
-        dtype=np.intp,
-    ).reshape(-1, 4)
-    table.setflags(write=False)
-    return MeasurementColumns(*table.T)
+def _read_only(x, dtype) -> np.ndarray:
+    a = np.asarray(x, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Measurements plus arrays compiled once at construction: `values`,
-    `sigmas` and the index `columns`, all read-only."""
+    """A measurement table: index `columns`, `values` z and `sigmas`, all
+    read-only arrays with one entry per row. A plan is a set whose values are
+    NaN, meaning not yet metered."""
 
-    measurements: tuple
-    values: np.ndarray = field(init=False, repr=False, compare=False)
-    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
-    columns: MeasurementColumns = field(init=False, repr=False, compare=False)
+    columns: MeasurementColumns
+    values: np.ndarray
+    sigmas: np.ndarray
 
     def __post_init__(self):
-        ms = tuple(self.measurements)
-        numbers = np.array([(m.value, m.sigma) for m in ms], dtype=float).reshape(-1, 2)
-        numbers.setflags(write=False)
-        object.__setattr__(self, "measurements", ms)
-        object.__setattr__(self, "values", numbers[:, 0])
-        object.__setattr__(self, "sigmas", numbers[:, 1])
-        object.__setattr__(self, "columns", _compile_columns([m.kind for m in ms]))
+        columns = MeasurementColumns(*(_read_only(c, np.intp) for c in self.columns))
+        values, sigmas = _read_only(self.values, float), _read_only(self.sigmas, float)
+        if values.ndim != 1 or any(a.shape != values.shape for a in (*columns, sigmas)):
+            raise ValueError("measurement columns, values and sigmas need one entry per row")
+        if not np.all((sigmas > 0) & (sigmas < np.inf)):
+            raise ValueError("measurement sigmas must be finite and > 0")
+        if not np.all((columns.quantity >= 0) & (columns.quantity < len(QUANTITIES))):
+            raise ValueError("unknown measurement quantity code")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "sigmas", sigmas)
+
+    @classmethod
+    def from_kinds(cls, kinds: Sequence[MeasurementKind], values, sigmas) -> "MeasurementSet":
+        table = np.array(
+            [(QUANTITIES.index(k.quantity), -1 if k.bus is None else k.bus - 1,
+              -1 if k.branch is None else k.branch, k.end == TO) for k in kinds],
+            dtype=np.intp,
+        ).reshape(-1, 4)
+        table.setflags(write=False)
+        return cls(MeasurementColumns(*table.T), values, sigmas)
 
     def __len__(self) -> int:
-        return len(self.measurements)
+        return self.values.shape[0]
 
-    def __iter__(self):
-        return iter(self.measurements)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeasurementSet):
+            return NotImplemented
+        return (all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+                and np.array_equal(self.values, other.values, equal_nan=True)
+                and np.array_equal(self.sigmas, other.sigmas))
 
     @property
     def kinds(self) -> list:
-        return [m.kind for m in self.measurements]
+        """The rows as MeasurementKind objects, for CSV output."""
+        return [
+            MeasurementKind(QUANTITIES[q], bus=None if b < 0 else b + 1, branch=None if k < 0 else k,
+                            end=None if k < 0 else (TO if t else FROM))
+            for q, b, k, t in zip(*(c.tolist() for c in self.columns))
+        ]
 
 
-def validate_kinds(kinds: Sequence[MeasurementKind], network: Network) -> None:
-    n = network.n_buses
-    nbr = len(network.branches)
-    for i, kind in enumerate(kinds):
-        if kind.bus is not None and not (1 <= kind.bus <= n):
-            raise ValueError(f"measurement {i}: bus {kind.bus} does not exist")
-        if kind.branch is not None and not (0 <= kind.branch < nbr):
-            raise ValueError(f"measurement {i}: branch index {kind.branch} does not exist")
+def check_columns(columns: MeasurementColumns, network: Network) -> None:
+    """Raise ValueError naming the first row whose bus or branch is not in the network."""
+    is_flow = columns.quantity >= _PF
+    index = np.where(is_flow, columns.branch, columns.bus)
+    bad = np.flatnonzero((index < 0) | (index >= np.where(is_flow, len(network.branches), network.n_buses)))
+    if bad.size:
+        i = int(bad[0])
+        what = f"branch index {index[i]}" if is_flow[i] else f"bus {index[i] + 1}"
+        raise ValueError(f"measurement {i}: {what} does not exist")
 
 
 def state_size(network: Network) -> int:
@@ -180,8 +192,9 @@ def _flow_terms(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, 
     return i, j, vm[i], vm[j], np.cos(thij), np.sin(thij), br.g[k], br.b[k], br.b_sh[k]
 
 
-def _evaluate(cols: MeasurementColumns, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
-    """h(x) for compiled columns, in row order."""
+def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
+    """h(x) for every row of the set, in row order."""
+    cols = mset.columns
     q = cols.quantity
     h = np.empty(q.shape[0])
     rows = np.flatnonzero(q == _V)
@@ -197,10 +210,6 @@ def _evaluate(cols: MeasurementColumns, state: StateVector, network: Network, yb
         h[rows] = np.where(q[rows] == _PF, vi * vi * g - vi * vj * (g * c + b * s),
                            -vi * vi * (b + bsh) - vi * vj * (g * s - b * c))
     return h
-
-
-def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
-    return _evaluate(mset.columns, state, network, ybus)
 
 
 def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
@@ -240,36 +249,26 @@ def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus:
 
 def generate_measurements(
     truth: StateVector,
-    plan: Sequence,
+    plan: MeasurementSet,
     seed: int,
     network: Network,
     ybus: np.ndarray,
     noise: bool = True,
 ) -> MeasurementSet:
-    """Synthetic z = h(truth) + e for a plan of (kind, sigma) pairs.
+    """Synthetic z = h(truth) + e for the rows and sigmas of a plan.
 
     Errors are zero-mean normal draws, one per measurement, from PCG64
     streams seeded with (seed, index). With noise=False the values equal
-    h(truth) exactly while keeping the plan sigmas.
+    h(truth) exactly. The plan's own values are ignored.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    kinds = [kind for kind, _ in plan]
-    sigmas = np.array([sigma for _, sigma in plan], dtype=float)
-    if not np.all(sigmas > 0):
-        raise ValueError("all plan sigmas must be > 0")
-    validate_kinds(kinds, network)
-    h_true = _evaluate(_compile_columns(kinds), truth, network, ybus)
-    values = h_true.copy()
+    check_columns(plan.columns, network)
+    values = evaluate_h(plan, truth, network, ybus)
     if noise:
-        for i, sigma in enumerate(sigmas):
-            rng = np.random.default_rng([seed, i])
-            values[i] += sigma * rng.standard_normal()
-    measurements = tuple(
-        Measurement(kind=kind, value=float(v), sigma=float(s))
-        for kind, v, s in zip(kinds, values, sigmas)
-    )
-    return MeasurementSet(measurements=measurements)
+        for i, sigma in enumerate(plan.sigmas.tolist()):
+            values[i] += sigma * np.random.default_rng([seed, i]).standard_normal()
+    return MeasurementSet(plan.columns, values, plan.sigmas)
 
 
 def full_measurement_plan(
@@ -277,22 +276,18 @@ def full_measurement_plan(
     sigma_v: float = DEFAULT_SIGMA_V,
     sigma_inj: float = DEFAULT_SIGMA_INJ,
     sigma_flow: float = DEFAULT_SIGMA_FLOW,
-) -> list:
-    """Every bus voltage, every bus P/Q injection, every branch P/Q flow at
-    both ends: m = n + 2n + 4*branches."""
+) -> MeasurementSet:
+    """Every bus voltage, then every bus P and Q injection, then per branch
+    P from, P to, Q from and Q to: m = n + 2n + 4*branches rows, values NaN."""
     for name, s in (("sigma_v", sigma_v), ("sigma_inj", sigma_inj), ("sigma_flow", sigma_flow)):
-        if not (s > 0):
-            raise ValueError(f"{name} must be > 0, got {s}")
-    plan = []
-    for bus in network.buses:
-        plan.append((MeasurementKind.voltage_magnitude(bus.id), sigma_v))
-    for bus in network.buses:
-        plan.append((MeasurementKind.active_injection(bus.id), sigma_inj))
-    for bus in network.buses:
-        plan.append((MeasurementKind.reactive_injection(bus.id), sigma_inj))
-    for idx in range(len(network.branches)):
-        plan.append((MeasurementKind.active_flow(idx, FROM), sigma_flow))
-        plan.append((MeasurementKind.active_flow(idx, TO), sigma_flow))
-        plan.append((MeasurementKind.reactive_flow(idx, FROM), sigma_flow))
-        plan.append((MeasurementKind.reactive_flow(idx, TO), sigma_flow))
-    return plan
+        if not (0 < s < np.inf):
+            raise ValueError(f"{name} must be finite and > 0, got {s}")
+    n, nbr = network.n_buses, len(network.branches)
+    columns = MeasurementColumns(
+        quantity=np.concatenate([np.repeat([_V, _P, _Q], n), np.tile([_PF, _PF, _QF, _QF], nbr)]),
+        bus=np.concatenate([np.tile(np.arange(n), 3), np.full(4 * nbr, -1)]),
+        branch=np.concatenate([np.full(3 * n, -1), np.repeat(np.arange(nbr), 4)]),
+        to_end=np.concatenate([np.zeros(3 * n), np.tile([0, 1, 0, 1], nbr)]),
+    )
+    sigmas = np.repeat([sigma_v, sigma_inj, sigma_flow], [n, 2 * n, 4 * nbr])
+    return MeasurementSet(columns, np.full(len(sigmas), np.nan), sigmas)

@@ -126,10 +126,6 @@ class Network:
         raise NoSlackBus("network has no slack bus")
 
     @property
-    def pv_indices(self) -> tuple:
-        return tuple(i for i, b in enumerate(self.buses) if b.kind is BusKind.PV)
-
-    @property
     def pq_indices(self) -> tuple:
         return tuple(i for i, b in enumerate(self.buses) if b.kind is BusKind.PQ)
 

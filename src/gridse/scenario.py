@@ -24,7 +24,6 @@ from .estimator import EstimatorConfig, SingularGain, estimate
 from .measurements import (
     FROM,
     TO,
-    Measurement,
     MeasurementKind,
     MeasurementSet,
     full_measurement_plan,
@@ -252,45 +251,27 @@ def _read_case_meta(path: Path):
     return base_mva, str(meta.get("version", "1")), weights
 
 
-def save_case(network: Network, dir_path, version: str = "1") -> None:
-    """Write a network back out as a case directory (lossless float repr)."""
-    directory = Path(dir_path)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / BUSES_FILE, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(BUS_COLUMNS + ["kind"])
-        for bus in network.buses:
-            w.writerow(
-                [bus.id, repr(bus.v_setpoint), repr(bus.p_gen), repr(bus.q_gen),
-                 repr(bus.p_load), repr(bus.q_load), bus.kind.value]
-            )
-    with open(directory / LINES_FILE, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(LINE_COLUMNS)
-        for br in network.branches:
-            w.writerow(
-                [br.from_bus, br.to_bus, repr(br.resistance), repr(br.reactance), repr(br.half_charging)]
-            )
-    meta = {"version": version, "base_mva": network.base_mva}
-    (directory / CASE_FILE).write_text(json.dumps(meta, indent=4) + "\n")
-
-
-def _kind_cells(k: MeasurementKind) -> list:
-    return [k.quantity] + ["" if v is None else v for v in (k.bus, k.branch, k.end)]
-
-
 def write_measurements_csv(mset: MeasurementSet, path) -> None:
+    """Write a set as CSV; NaN values (a plan) become empty value cells."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(MEASUREMENT_COLUMNS)
-        for m in mset:
-            w.writerow(_kind_cells(m.kind) + [repr(m.value), repr(m.sigma)])
+        for k, value, sigma in zip(mset.kinds, mset.values.tolist(), mset.sigmas.tolist()):
+            w.writerow([k.quantity] + ["" if c is None else c for c in (k.bus, k.branch, k.end)]
+                       + ["" if math.isnan(value) else repr(value), repr(sigma)])
+
+
+def _parse_index(cell: str, path, line_no: int, column: str, lowest: int) -> int:
+    value = _parse_int(cell, path, line_no, column)
+    if not lowest <= value < np.iinfo(np.intp).max:
+        raise CaseFileError(path, line_no, column, f"{cell!r} is not an index >= {lowest}")
+    return value
 
 
 def _kind_from_record(rec: dict, path, line_no: int) -> MeasurementKind:
     quantity = rec["kind"]
-    bus = _parse_int(rec["bus"], path, line_no, "bus") if rec["bus"] else None
-    branch = _parse_int(rec["branch"], path, line_no, "branch") if rec["branch"] else None
+    bus = _parse_index(rec["bus"], path, line_no, "bus", 1) if rec["bus"] else None
+    branch = _parse_index(rec["branch"], path, line_no, "branch", 0) if rec["branch"] else None
     end = rec["end"] or None
     if end is not None and end not in (FROM, TO):
         raise CaseFileError(path, line_no, "end", f"end must be '{FROM}' or '{TO}', got {end!r}")
@@ -300,37 +281,29 @@ def _kind_from_record(rec: dict, path, line_no: int) -> MeasurementKind:
         raise CaseFileError(path, line_no, "kind", str(exc)) from exc
 
 
-def read_measurements_csv(path) -> MeasurementSet:
+def _read_measurement_table(path, metered: bool) -> MeasurementSet:
+    """Rows of a measurement CSV; a plan (metered=False) takes NaN values."""
     path = Path(path)
-    measurements = []
+    kinds, values, sigmas = [], [], []
     for line_no, rec in _read_rows(path, MEASUREMENT_COLUMNS):
-        kind = _kind_from_record(rec, path, line_no)
-        if not rec["value_pu"]:
-            raise CaseFileError(path, line_no, "value_pu", "measurement value missing")
-        value = _parse_float(rec["value_pu"], path, line_no, "value_pu")
+        kinds.append(_kind_from_record(rec, path, line_no))
+        if metered:
+            if not rec["value_pu"]:
+                raise CaseFileError(path, line_no, "value_pu", "measurement value missing")
+            values.append(_parse_float(rec["value_pu"], path, line_no, "value_pu"))
         sigma = _parse_float(rec["sigma_pu"], path, line_no, "sigma_pu")
-        try:
-            measurements.append(Measurement(kind=kind, value=value, sigma=sigma))
-        except ValueError as exc:  # sigma <= 0
-            raise CaseFileError(path, line_no, "sigma_pu", str(exc)) from exc
-    return MeasurementSet(measurements=tuple(measurements))
+        if not sigma > 0:
+            raise CaseFileError(path, line_no, "sigma_pu", f"sigma must be > 0, got {sigma}")
+        sigmas.append(sigma)
+    return MeasurementSet.from_kinds(kinds, values if metered else np.full(len(kinds), np.nan), sigmas)
 
 
-def write_plan_csv(plan, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(MEASUREMENT_COLUMNS)
-        for kind, sigma in plan:
-            w.writerow(_kind_cells(kind) + ["", repr(sigma)])
+def read_measurements_csv(path) -> MeasurementSet:
+    return _read_measurement_table(path, metered=True)
 
 
-def read_plan_csv(path) -> list:
-    path = Path(path)
-    plan = []
-    for line_no, rec in _read_rows(path, MEASUREMENT_COLUMNS):
-        kind = _kind_from_record(rec, path, line_no)
-        plan.append((kind, _parse_float(rec["sigma_pu"], path, line_no, "sigma_pu")))
-    return plan
+def read_plan_csv(path) -> MeasurementSet:
+    return _read_measurement_table(path, metered=False)
 
 
 @dataclass(frozen=True)
@@ -393,14 +366,16 @@ def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
     """The multi-snapshot estimation loop with one-snapshot memory.
 
     Snapshot k scales all loads by plan.load_scale[k] (times any per-bus
-    weight from case.json), solves the truth power flow, generates the full
-    measurement plan with the seed derived from (plan.seed, k), and estimates
-    warm-started from the latest converged estimate (flat start before the
-    first). A snapshot whose solver fails is recorded with an error, one whose
-    estimate does not converge with converged=False, and the run continues.
+    weight from case.json), solves the truth power flow, meters the full
+    measurement plan (built once: the topology is fixed) with the seed derived
+    from (plan.seed, k), and estimates warm-started from the latest converged
+    estimate (flat start before the first). A snapshot whose solver fails is
+    recorded with an error, one whose estimate does not converge with
+    converged=False, and the run continues.
     """
     records = []
     previous: Optional[StateVector] = None
+    meters = full_measurement_plan(bundle.network)
     for k in range(plan.snapshot_count):
         scale = plan.load_scale[k]
         try:
@@ -411,7 +386,7 @@ def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
                     f"truth power flow did not converge (max mismatch {pf.max_mismatch:.3e})"
                 )
             mset = generate_measurements(
-                pf.state, full_measurement_plan(net_k), derive_snapshot_seed(plan.seed, k),
+                pf.state, meters, derive_snapshot_seed(plan.seed, k),
                 net_k, net_k.ybus, noise=plan.noise,
             )
             est = estimate(net_k, mset, EstimatorConfig(start=previous))
@@ -492,18 +467,6 @@ def render_report_json(report: SnapshotReport) -> str:
     return json.dumps({"rows": report_rows(report)}, indent=2) + "\n"
 
 
-def emit_report(report: SnapshotReport, fmt: str, out_path) -> None:
-    """Write the snapshot report as CSV or JSON."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    text = render_report_csv(report) if fmt == "csv" else render_report_json(report)
-    try:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {out_path}: {exc}") from exc
-
-
 def load_switched_system(path):
     """Read a SwitchedSystem and its optional scalar output gain from JSON.
 
@@ -543,5 +506,9 @@ def load_switched_system(path):
         raise ValueError(f"{path}: missing config key {exc}") from exc
     except TypeError as exc:  # "continuous" not an object, a non-scalar alpha or beta
         raise CaseFileError(path, 0, "-", str(exc)) from exc
-    gain = np.reshape(finite(raw, "output"), (-1,)) if "output" in raw else None
+    if "output" not in raw:
+        return system, None
+    gain = np.reshape(finite(raw, "output"), (-1,))
+    if gain.shape != (system.n,):
+        raise CaseFileError(path, 0, "output", f"expected {system.n} gain entries, got {gain.size}")
     return system, gain

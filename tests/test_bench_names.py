@@ -54,3 +54,19 @@ def test_bench_imports_from_gridse_exist(script):
     missing = [f"{mod}.{name}" for mod, name in imports
                if not hasattr(importlib.import_module(mod), name)]
     assert missing == []
+
+
+def test_ladder_call_chain_runs_on_ieee14():
+    """bench/ladder.py's gridse calls, argument for argument, on the shipped case."""
+    from gridse import (build_ybus, estimate, full_measurement_plan, generate_measurements,
+                        jacobian_h, load_case, solve_power_flow)
+    from gridse.scenario import builtin_case_dir
+
+    net = load_case(builtin_case_dir("ieee14")).network
+    pf = solve_power_flow(net)
+    ybus = build_ybus(net)
+    mset = generate_measurements(pf.state, full_measurement_plan(net), 7, net, ybus)
+    h_matrix = jacobian_h(mset, pf.state, net, ybus)
+    est = estimate(net, mset)
+    assert (len(mset), 2 * net.n_buses - 1) == h_matrix.shape == (122, 27)
+    assert pf.iterations > 0 and est.converged and est.iterations > 0

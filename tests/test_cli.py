@@ -253,6 +253,38 @@ def test_pf_bad_tol_exits_2(capsys, tol):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [["solve"], ["simulate", "--steps", "3", "--x0", "0", "--z0", "0"]])
+def test_controller_output_gain_of_wrong_length_exits_2(capsys, tmp_path, command):
+    config = json.loads(builtin_case_dir("scalar_controller.json").read_text())
+    cfg = tmp_path / "gain.json"
+    cfg.write_text(json.dumps({**config, "output": [1.0, 2.0]}))
+    code, out, err = run(capsys, ["controller", command[0], "--config", str(cfg), *command[1:]])
+    assert code == 2
+    assert "gain.json" in err and "'output'" in err
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["--sigma-v", "--sigma-inj", "--sigma-flow"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.01"])
+def test_estimate_bad_sigma_exits_2(capsys, flag, value):
+    code, out, err = run(capsys, ["estimate", "--case", "ieee14", "--seed", "7", flag, value])
+    assert code == 2
+    assert f"{flag[2:].replace('-', '_')} must be finite and > 0" in err
+    assert out == ""
+
+
+def test_snapshots_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing_dir" / "r.csv"
+    code, out, err = run(capsys, [
+        "snapshots", "--case", "ieee14", "--count", "1", "--load-scale", "1.0", "--seed", "0",
+        "--out", str(target),
+    ])
+    assert code == 2
+    assert str(target) in err
+    assert out == ""
+
+
 def test_controller_simulate(capsys, tmp_path):
     traj = tmp_path / "traj.csv"
     code, out, err = run(capsys, [

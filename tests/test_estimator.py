@@ -11,7 +11,7 @@ from gridse.estimator import (
     solve_normal_equations,
 )
 from gridse.measurements import (
-    Measurement,
+    MeasurementColumns,
     MeasurementKind,
     MeasurementSet,
     evaluate_h,
@@ -21,6 +21,12 @@ from gridse.measurements import (
     state_to_vector,
 )
 from gridse.powerflow import StateVector
+
+
+def _rows(mset, rows):
+    """The set's rows at `rows`, in that order."""
+    return MeasurementSet(MeasurementColumns(*(c[rows] for c in mset.columns)),
+                          mset.values[rows], mset.sigmas[rows])
 
 
 def _noise_free_set(network, truth, ybus, plan=None):
@@ -36,20 +42,16 @@ def test_objective_zero_at_exact_fit(ieee14, ieee14_truth, ieee14_ybus):
 
 
 def test_objective_single_measurement(ieee14, ieee14_truth, ieee14_ybus):
-    h = evaluate_h(
-        MeasurementSet((Measurement(MeasurementKind.voltage_magnitude(3), 0.0, 0.01),)),
-        ieee14_truth, ieee14, ieee14_ybus,
-    )[0]
-    mset = MeasurementSet((Measurement(MeasurementKind.voltage_magnitude(3), h + 0.02, 0.01),))
+    kinds = [MeasurementKind.voltage_magnitude(3)]
+    h = evaluate_h(MeasurementSet.from_kinds(kinds, [0.0], [0.01]), ieee14_truth, ieee14, ieee14_ybus)[0]
+    mset = MeasurementSet.from_kinds(kinds, [h + 0.02], [0.01])
     assert objective_j(mset, ieee14_truth, ieee14, ieee14_ybus) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_objective_sigma_scaling(ieee14, ieee14_truth, ieee14_ybus):
     plan = full_measurement_plan(ieee14)
     mset = generate_measurements(ieee14_truth, plan, 5, ieee14, ieee14_ybus)
-    doubled = MeasurementSet(
-        tuple(Measurement(m.kind, m.value, 2 * m.sigma) for m in mset)
-    )
+    doubled = MeasurementSet(mset.columns, mset.values, 2 * mset.sigmas)
     j1 = objective_j(mset, ieee14_truth, ieee14, ieee14_ybus)
     j2 = objective_j(doubled, ieee14_truth, ieee14, ieee14_ybus)
     assert j2 == pytest.approx(j1 / 4.0, rel=1e-12)
@@ -150,19 +152,24 @@ def test_warm_start_at_truth_converges_in_one_iteration(ieee14, ieee14_truth, ie
 
 
 def test_voltage_only_plan_is_unobservable(ieee14, ieee14_truth, ieee14_ybus):
-    plan = [(MeasurementKind.voltage_magnitude(b.id), 0.004) for b in ieee14.buses]
+    kinds = [MeasurementKind.voltage_magnitude(b.id) for b in ieee14.buses]
     # pad with duplicates to satisfy m >= n while keeping angles unobservable
-    plan = plan * 2
+    plan = MeasurementSet.from_kinds(kinds * 2, np.full(28, np.nan), np.full(28, 0.004))
     mset = generate_measurements(ieee14_truth, plan, 3, ieee14, ieee14_ybus)
     with pytest.raises(SingularGain):
         estimate(ieee14, mset)
 
 
 def test_too_few_measurements_rejected(ieee14, ieee14_truth, ieee14_ybus):
-    plan = full_measurement_plan(ieee14)[:20]
+    plan = _rows(full_measurement_plan(ieee14), np.arange(20))
     mset = generate_measurements(ieee14_truth, plan, 3, ieee14, ieee14_ybus)
     with pytest.raises(ValueError):
         estimate(ieee14, mset)
+
+
+def test_unmetered_plan_rejected(ieee14):
+    with pytest.raises(ValueError, match="finite"):
+        estimate(ieee14, full_measurement_plan(ieee14))
 
 
 def test_divergent_step_returns_last_physical_iterate(ieee14, ieee14_truth, ieee14_ybus):
@@ -207,7 +214,7 @@ def test_measurement_order_invariance(ieee14, ieee14_truth, ieee14_ybus):
     mset = generate_measurements(ieee14_truth, plan, 13, ieee14, ieee14_ybus)
     rng = np.random.default_rng(0)
     perm = rng.permutation(len(mset))
-    shuffled = MeasurementSet(tuple(mset.measurements[i] for i in perm))
+    shuffled = _rows(mset, perm)
     a = estimate(ieee14, mset)
     b = estimate(ieee14, shuffled)
     assert np.max(np.abs(state_to_vector(a.state, ieee14) - state_to_vector(b.state, ieee14))) < 1e-12

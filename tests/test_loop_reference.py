@@ -17,7 +17,6 @@ from gridse.measurements import (
     Q_INJ,
     TO,
     V_MAG,
-    Measurement,
     MeasurementKind,
     MeasurementSet,
     evaluate_h,
@@ -134,7 +133,7 @@ def _perturbed_state(rng, network):
 
 
 def _mset(kinds):
-    return MeasurementSet(tuple(Measurement(kind=k, value=0.0, sigma=0.01) for k in kinds))
+    return MeasurementSet.from_kinds(kinds, np.zeros(len(kinds)), np.full(len(kinds), 0.01))
 
 
 def _slack_partial_kinds(network):
@@ -174,12 +173,12 @@ def _case(ieee14, name):
     """(network, kinds, perturbed state) of a named case."""
     rng = np.random.default_rng(2024)
     if name == "ieee14-full":
-        return ieee14, [k for k, _ in full_measurement_plan(ieee14)], _perturbed_state(rng, ieee14)
+        return ieee14, full_measurement_plan(ieee14).kinds, _perturbed_state(rng, ieee14)
     if name == "ieee14-slack-partial":
         return ieee14, _slack_partial_kinds(ieee14), _perturbed_state(rng, ieee14)
     tiled = _tiled(ieee14, 4)
     assert tiled.n_buses == 56
-    return tiled, [k for k, _ in full_measurement_plan(tiled)], _perturbed_state(rng, tiled)
+    return tiled, full_measurement_plan(tiled).kinds, _perturbed_state(rng, tiled)
 
 
 def _assert_close(got, want):

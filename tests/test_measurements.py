@@ -12,9 +12,10 @@ from gridse.measurements import (
     QUANTITIES,
     TO,
     V_MAG,
-    Measurement,
+    MeasurementColumns,
     MeasurementKind,
     MeasurementSet,
+    check_columns,
     evaluate_h,
     full_measurement_plan,
     generate_measurements,
@@ -36,7 +37,12 @@ def _two_bus_net(r=0.0, x=0.1):
 
 
 def _mset(kinds, sigma=0.01):
-    return MeasurementSet(tuple(Measurement(kind=k, value=0.0, sigma=sigma) for k in kinds))
+    return MeasurementSet.from_kinds(kinds, np.zeros(len(kinds)), np.full(len(kinds), sigma))
+
+
+def _head(mset, m):
+    """The first m rows of a set."""
+    return MeasurementSet(MeasurementColumns(*(c[:m] for c in mset.columns)), mset.values[:m], mset.sigmas[:m])
 
 
 def _random_state(rng, n, slack=0):
@@ -105,17 +111,33 @@ def test_kind_validation(ieee14):
         MeasurementKind.active_flow(0, "sideways")
     with pytest.raises(ValueError):
         MeasurementKind(quantity="volts", bus=1)
-    from gridse.measurements import validate_kinds
-
-    with pytest.raises(ValueError):
-        validate_kinds([MeasurementKind.voltage_magnitude(99)], ieee14)
-    with pytest.raises(ValueError):
-        validate_kinds([MeasurementKind.active_flow(77, FROM)], ieee14)
+    with pytest.raises(ValueError, match="bus 99 does not exist"):
+        check_columns(_mset([MeasurementKind.voltage_magnitude(99)]).columns, ieee14)
+    with pytest.raises(ValueError, match="measurement 1: branch index 77 does not exist"):
+        check_columns(_mset([MeasurementKind.voltage_magnitude(1),
+                             MeasurementKind.active_flow(77, FROM)]).columns, ieee14)
+    with pytest.raises(ValueError, match="bus 0 does not exist"):
+        check_columns(_mset([MeasurementKind.voltage_magnitude(0)]).columns, ieee14)
+    check_columns(full_measurement_plan(ieee14).columns, ieee14)
 
 
 def test_sigma_must_be_positive():
+    for sigma in (0.0, -0.01, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            MeasurementSet.from_kinds([MeasurementKind.voltage_magnitude(1)], [1.0], [sigma])
+
+
+def test_set_needs_one_entry_per_row():
+    kinds = [MeasurementKind.voltage_magnitude(1), MeasurementKind.voltage_magnitude(2)]
     with pytest.raises(ValueError):
-        Measurement(kind=MeasurementKind.voltage_magnitude(1), value=1.0, sigma=0.0)
+        MeasurementSet.from_kinds(kinds, [1.0], [0.01, 0.01])
+    with pytest.raises(ValueError):
+        MeasurementSet.from_kinds(kinds, [1.0, 1.0], [0.01])
+    columns = _mset(kinds).columns
+    with pytest.raises(ValueError):
+        MeasurementSet(columns._replace(bus=columns.bus[:1]), [1.0, 1.0], [0.01, 0.01])
+    with pytest.raises(ValueError):
+        MeasurementSet(columns._replace(quantity=np.array([0, len(QUANTITIES)])), [1.0, 1.0], [0.01, 0.01])
 
 
 # ---- Jacobian ---------------------------------------------------------------
@@ -135,8 +157,7 @@ def test_voltage_rows_are_unit_vectors(ieee14, ieee14_ybus):
 def test_jacobian_matches_central_differences(ieee14, ieee14_ybus):
     """The single most important numerical test: analytic H vs central FD."""
     rng = np.random.default_rng(123)
-    plan = full_measurement_plan(ieee14)
-    mset = _mset([k for k, _ in plan])
+    mset = full_measurement_plan(ieee14)  # h and H read the rows only
     step = 1e-6
     for _ in range(20):
         state = _random_state(rng, 14)
@@ -227,9 +248,6 @@ def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14):
 
 def test_measurement_set_arrays_are_stored_read_only(ieee14, ieee14_truth, ieee14_ybus):
     mset = generate_measurements(ieee14_truth, full_measurement_plan(ieee14), 7, ieee14, ieee14_ybus)
-    assert mset.values is mset.values and mset.sigmas is mset.sigmas
-    assert np.array_equal(mset.values, [m.value for m in mset])
-    assert np.array_equal(mset.sigmas, [m.sigma for m in mset])
     cols = mset.columns
     for column in (mset.values, mset.sigmas, *cols):
         assert not column.flags.writeable
@@ -238,10 +256,20 @@ def test_measurement_set_arrays_are_stored_read_only(ieee14, ieee14_truth, ieee1
     assert list(cols.to_end) == [k.end == TO for k in kinds]
     assert list(cols.bus) == [-1 if k.bus is None else k.bus - 1 for k in kinds]
     assert list(cols.branch) == [-1 if k.branch is None else k.branch for k in kinds]
+    assert MeasurementSet.from_kinds(kinds, mset.values, mset.sigmas) == mset
+
+
+def test_set_does_not_freeze_caller_arrays():
+    values, sigmas = np.ones(2), np.full(2, 0.01)
+    mset = MeasurementSet.from_kinds([MeasurementKind.voltage_magnitude(1)] * 2, values, sigmas)
+    assert values.flags.writeable and sigmas.flags.writeable
+    values[0] = 5.0
+    assert mset.values[0] == 1.0
 
 
 def test_empty_measurement_set_has_empty_columns():
-    mset = MeasurementSet(())
+    mset = MeasurementSet.from_kinds([], [], [])
+    assert len(mset) == 0
     assert mset.values.shape == (0,)
     assert all(column.shape == (0,) for column in mset.columns)
 
@@ -265,7 +293,8 @@ def test_noise_off_is_exact(ieee14, ieee14_truth, ieee14_ybus):
 
 
 def test_tiny_sigma_limit(ieee14, ieee14_truth, ieee14_ybus):
-    plan = [(k, 1e-300) for k, _ in full_measurement_plan(ieee14)]
+    full = full_measurement_plan(ieee14)
+    plan = MeasurementSet(full.columns, full.values, np.full(len(full), 1e-300))
     mset = generate_measurements(ieee14_truth, plan, 99, ieee14, ieee14_ybus)
     h = evaluate_h(mset, ieee14_truth, ieee14, ieee14_ybus)
     assert np.allclose(mset.values, h, atol=1e-290)
@@ -282,8 +311,8 @@ def test_same_seed_reproduces(ieee14, ieee14_truth, ieee14_ybus):
 
 def test_adding_measurement_does_not_perturb_others(ieee14, ieee14_truth, ieee14_ybus):
     plan = full_measurement_plan(ieee14)
-    short = generate_measurements(ieee14_truth, plan[:10], 7, ieee14, ieee14_ybus)
-    longer = generate_measurements(ieee14_truth, plan[:11], 7, ieee14, ieee14_ybus)
+    short = generate_measurements(ieee14_truth, _head(plan, 10), 7, ieee14, ieee14_ybus)
+    longer = generate_measurements(ieee14_truth, _head(plan, 11), 7, ieee14, ieee14_ybus)
     assert np.array_equal(short.values, longer.values[:10])
 
 
@@ -292,7 +321,7 @@ def test_noise_statistics():
     net = _two_bus_net()
     ybus = build_ybus(net)
     truth = StateVector(angles=np.zeros(2), magnitudes=np.ones(2))
-    plan = [(MeasurementKind.voltage_magnitude(1), 0.01)]
+    plan = MeasurementSet.from_kinds([MeasurementKind.voltage_magnitude(1)], [np.nan], [0.01])
     vals = np.array(
         [generate_measurements(truth, plan, seed, net, ybus).values[0] for seed in range(10000)]
     )
@@ -302,7 +331,7 @@ def test_noise_statistics():
 
 
 def test_negative_seed_rejected(ieee14, ieee14_truth, ieee14_ybus):
-    plan = full_measurement_plan(ieee14)[:1]
+    plan = _head(full_measurement_plan(ieee14), 1)
     with pytest.raises(ValueError):
         generate_measurements(ieee14_truth, plan, -1, ieee14, ieee14_ybus)
 
@@ -321,5 +350,31 @@ def test_full_plan_two_bus():
 
 
 def test_plan_sigma_validation(ieee14):
-    with pytest.raises(ValueError):
-        full_measurement_plan(ieee14, sigma_v=0.0)
+    for name in ("sigma_v", "sigma_inj", "sigma_flow"):
+        for sigma in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=name):
+                full_measurement_plan(ieee14, **{name: sigma})
+
+
+def test_full_plan_is_unmetered_in_row_order(ieee14):
+    """Voltages, then P and Q injections bus by bus, then per branch P from,
+    P to, Q from, Q to; values NaN."""
+    kinds = [MeasurementKind.voltage_magnitude(b.id) for b in ieee14.buses]
+    kinds += [MeasurementKind.active_injection(b.id) for b in ieee14.buses]
+    kinds += [MeasurementKind.reactive_injection(b.id) for b in ieee14.buses]
+    for idx in range(len(ieee14.branches)):
+        kinds += [MeasurementKind.active_flow(idx, FROM), MeasurementKind.active_flow(idx, TO),
+                  MeasurementKind.reactive_flow(idx, FROM), MeasurementKind.reactive_flow(idx, TO)]
+    sigmas = [0.004] * 14 + [0.01] * 28 + [0.008] * 80
+    plan = full_measurement_plan(ieee14)
+    assert plan == MeasurementSet.from_kinds(kinds, np.full(122, np.nan), sigmas)
+    assert plan.kinds == kinds
+    assert np.all(np.isnan(plan.values))
+
+
+def test_metered_set_shares_the_plan_columns(ieee14, ieee14_truth, ieee14_ybus):
+    plan = full_measurement_plan(ieee14)
+    mset = generate_measurements(ieee14_truth, plan, 7, ieee14, ieee14_ybus)
+    assert all(a is b for a, b in zip(mset.columns, plan.columns))
+    assert mset.sigmas is plan.sigmas
+    assert np.all(np.isfinite(mset.values))
