@@ -10,7 +10,6 @@ from .network import (
     Branch,
     Bus,
     BusKind,
-    BusRow,
     DanglingBranchEndpoint,
     DisconnectedGraph,
     DuplicateBusId,
@@ -21,9 +20,6 @@ from .network import (
     ZeroImpedanceBranch,
     build_network,
     build_ybus,
-    buses_from_rows,
-    infer_bus_kinds,
-    net_injection_pu,
     with_scaled_loads,
 )
 from .powerflow import (

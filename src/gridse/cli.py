@@ -18,6 +18,8 @@ import sys
 import numpy as np
 
 from .controller import (
+    MAX_GRID_POINTS,
+    MAX_STEPS,
     MaxSweepsExceeded,
     NonAffineResidual,
     SingularP,
@@ -36,7 +38,6 @@ from .measurements import (
     full_measurement_plan,
     generate_measurements,
 )
-from .network import NetworkError
 from .powerflow import SingularJacobian, solve_power_flow
 from .scenario import (
     CaseFileError,
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = ctl_sub.add_parser("simulate", help="closed-loop rollout under the hysteresis policy")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--steps", type=int, required=True)
+    p_sim.add_argument("--steps", type=int, required=True, help=f"rollout length, 1..{MAX_STEPS}")
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
     p_sim.add_argument("--z0", type=int, choices=(0, 1), required=True)
     p_sim.add_argument("--out", default=None)
@@ -270,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_or = ctl_sub.add_parser("oracle", help="grid value-iteration reference solution")
     p_or.add_argument("--config", required=True)
     p_or.add_argument("--box", required=True, help="LO,HI bounds (repeat per dimension for 2-d)")
-    p_or.add_argument("--resolution", type=int, required=True)
+    p_or.add_argument("--resolution", type=int, required=True,
+                      help=f"points per dimension, >= 2, with resolution**n <= {MAX_GRID_POINTS}")
     p_or.add_argument("--out", default=None)
     p_or.set_defaults(func=cmd_controller_oracle)
 
@@ -310,7 +312,6 @@ def cli_dispatch(argv) -> int:
         return 1
     except (
         CaseFileError,
-        NetworkError,
         SingularGain,
         SingularJacobian,
         UnstableSystem,

@@ -21,6 +21,10 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 
+MAX_STEPS = 1_000_000        # rollout length cap, checked before allocating (n + 2 numbers a step)
+MAX_GRID_POINTS = 1_000_000  # oracle cap on resolution**n, checked before allocating the grid
+
+
 class UnstableSystem(ValueError):
     """alpha * rho(A)^2 >= 1: the quadratic fixed point does not exist."""
 
@@ -302,8 +306,9 @@ def bellman_value_iteration(
     n = system.n
     if n > 2:
         raise ValueError("grid oracle supports only 1- or 2-dimensional systems")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    if not (resolution >= 2 and resolution**n <= MAX_GRID_POINTS):
+        raise ValueError(f"resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}, "
+                         f"got {resolution}**{n}")
     if not (tol > 0):
         raise ValueError("tol must be > 0")
 
@@ -404,8 +409,8 @@ def _rollout(system: SwitchedSystem, x0, z0: int, steps: int, sf: Optional[Switc
     """Rollout from (x0, z0): the hysteresis policy when sf is given, else
     u = u_const held at every step (one switching charge at step 0 if it
     differs from z0)."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in 1..{MAX_STEPS}, got {steps}")
     if z0 not in (0, 1):
         raise ValueError(f"z0 must be 0 or 1, got {z0}")
     n = system.n

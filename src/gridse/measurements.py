@@ -48,7 +48,7 @@ _V, _P, _Q, _PF, _QF = range(len(QUANTITIES))
 class MeasurementKind:
     quantity: str
     bus: Optional[int] = None     # 1-based bus id for bus quantities
-    branch: Optional[int] = None  # 0-based index into network.branches
+    branch: Optional[int] = None  # 0-based index into the branch list
     end: Optional[str] = None     # FROM or TO for flow quantities
 
     def __post_init__(self):
@@ -156,7 +156,7 @@ def check_columns(columns: MeasurementColumns, network: Network) -> None:
     """Raise ValueError naming the first row whose bus or branch is not in the network."""
     is_flow = columns.quantity >= _PF
     index = np.where(is_flow, columns.branch, columns.bus)
-    bad = np.flatnonzero((index < 0) | (index >= np.where(is_flow, len(network.branches), network.n_buses)))
+    bad = np.flatnonzero((index < 0) | (index >= np.where(is_flow, network.n_branches, network.n_buses)))
     if bad.size:
         i = int(bad[0])
         what = f"branch index {index[i]}" if is_flow[i] else f"bus {index[i] + 1}"
@@ -282,7 +282,7 @@ def full_measurement_plan(
     for name, s in (("sigma_v", sigma_v), ("sigma_inj", sigma_inj), ("sigma_flow", sigma_flow)):
         if not (0 < s < np.inf):
             raise ValueError(f"{name} must be finite and > 0, got {s}")
-    n, nbr = network.n_buses, len(network.branches)
+    n, nbr = network.n_buses, network.n_branches
     columns = MeasurementColumns(
         quantity=np.concatenate([np.repeat([_V, _P, _Q], n), np.tile([_PF, _PF, _QF, _QF], nbr)]),
         bus=np.concatenate([np.tile(np.arange(n), 3), np.full(4 * nbr, -1)]),

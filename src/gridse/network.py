@@ -2,23 +2,29 @@
 
 Bus data follows the usual exchange convention: voltage setpoints in per-unit,
 generation and load in MW / MVAr on a common MVA base. Branches carry the
-series impedance and half charging susceptance of the pi model. All types are
-frozen after construction; a Network should be built through build_network,
-which enforces the topology invariants.
+series impedance and half charging susceptance of the pi model. Bus and
+Branch are the validated row types that describe a grid; a Network is a table
+of read-only columns (one entry per bus, and per branch in branch-list order,
+after MATPOWER's bus and branch matrices) plus its admittance matrix, built
+and validated once by build_network.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 
 class NetworkError(ValueError):
-    """Invalid network data or topology."""
+    """Invalid network data or topology. `row` is the 0-based index of the
+    bus or branch at fault, when one row is."""
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
 
 
 class DuplicateBusId(NetworkError):
@@ -63,13 +69,13 @@ class BusKind(Enum):
 
 @dataclass(frozen=True)
 class Bus:
-    id: int               # 1-based
-    kind: BusKind
-    v_setpoint: float     # pu
-    p_gen: float          # MW
-    q_gen: float          # MVAr
-    p_load: float         # MW
-    q_load: float         # MVAr
+    id: int                # 1-based
+    v_setpoint: float      # pu
+    p_gen: float = 0.0     # MW
+    q_gen: float = 0.0     # MVAr
+    p_load: float = 0.0    # MW
+    q_load: float = 0.0    # MVAr
+    kind: Optional[BusKind] = None  # None: inferred by build_network
 
     def __post_init__(self):
         if self.id < 1:
@@ -96,109 +102,68 @@ class Branch:
             raise NetworkError(f"branch {self.from_bus}-{self.to_bus}: resistance must be >= 0")
         if self.reactance == 0:
             if self.resistance == 0:
-                raise ZeroImpedanceBranch(
-                    f"branch {self.from_bus}-{self.to_bus}: r and x are both zero"
-                )
+                raise ZeroImpedanceBranch(f"branch {self.from_bus}-{self.to_bus}: r and x are both zero")
             raise NetworkError(f"branch {self.from_bus}-{self.to_bus}: reactance must be nonzero")
         if self.half_charging < 0:
             raise NetworkError(f"branch {self.from_bus}-{self.to_bus}: half_charging must be >= 0")
 
-    def series_admittance(self) -> complex:
-        return 1.0 / complex(self.resistance, self.reactance)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    buses: tuple
-    branches: tuple
+    """A grid as read-only columns: per bus (position i is bus id i + 1) its
+    kind, voltage setpoint and generation and load in MW / MVAr; per branch
+    the arrays of `branch_arrays`; and the nodal admittance matrix Y."""
+
+    kinds: np.ndarray       # BusKind objects
+    v_setpoint: np.ndarray  # pu
+    p_gen: np.ndarray
+    q_gen: np.ndarray
+    p_load: np.ndarray
+    q_load: np.ndarray
+    branch_arrays: BranchArrays
     base_mva: float
+    ybus: Optional[np.ndarray]  # set by build_network
 
     @property
     def n_buses(self) -> int:
-        return len(self.buses)
+        return self.kinds.shape[0]
+
+    @property
+    def n_branches(self) -> int:
+        return self.branch_arrays.from_idx.shape[0]
 
     @property
     def slack_index(self) -> int:
         """0-based index of the slack bus."""
-        for i, bus in enumerate(self.buses):
-            if bus.kind is BusKind.SLACK:
-                return i
-        raise NoSlackBus("network has no slack bus")
+        return int(np.flatnonzero(self.kinds == BusKind.SLACK)[0])
 
     @property
-    def pq_indices(self) -> tuple:
-        return tuple(i for i, b in enumerate(self.buses) if b.kind is BusKind.PQ)
-
-    @cached_property
-    def ybus(self) -> np.ndarray:
-        """Read-only admittance matrix, built once per network object."""
-        return build_ybus(self)
-
-    @cached_property
-    def branch_arrays(self) -> BranchArrays:
-        """Read-only per-branch columns, built once per network object."""
-        ends = np.array([(br.from_bus - 1, br.to_bus - 1) for br in self.branches], dtype=np.intp)
-        ys = np.array([br.series_admittance() for br in self.branches], dtype=complex)
-        b_sh = np.array([br.half_charging for br in self.branches], dtype=float)
-        arrays = BranchArrays(ends[:, 0], ends[:, 1], ys.real, ys.imag, b_sh)
-        for column in arrays:
-            column.setflags(write=False)
-        return arrays
+    def pq_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.kinds == BusKind.PQ)
 
 
-class BusRow(NamedTuple):
-    """One raw bus-table row, before its kind is known."""
-
-    id: int
-    v_setpoint: float
-    p_gen: float = 0.0
-    q_gen: float = 0.0
-    p_load: float = 0.0
-    q_load: float = 0.0
-    kind: Optional[BusKind] = None  # explicit kind, overrides inference
+def _read_only(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
-def infer_bus_kinds(rows: Sequence[BusRow]) -> list:
-    """Classify raw bus rows when no explicit kind column is available.
-
-    Bus 1 is the slack; any other bus holding a non-unity voltage setpoint
-    while generating (p_gen > 0 or q_gen != 0) is PV; everything else is PQ.
-    """
-    if not rows:
-        raise NetworkError("need at least one bus row")
-    kinds = []
-    for row in rows:
-        if row.id == 1:
-            kinds.append(BusKind.SLACK)
-        elif row.v_setpoint != 1.0 and (row.p_gen > 0 or row.q_gen != 0):
-            kinds.append(BusKind.PV)
-        else:
-            kinds.append(BusKind.PQ)
-    return kinds
-
-
-def buses_from_rows(rows: Sequence[BusRow]) -> list:
-    """Build Bus objects from raw rows, inferring kinds where not explicit."""
-    inferred = infer_bus_kinds(rows)
-    return [
-        Bus(
-            id=row.id,
-            kind=row.kind if row.kind is not None else kind,
-            v_setpoint=row.v_setpoint,
-            p_gen=row.p_gen,
-            q_gen=row.q_gen,
-            p_load=row.p_load,
-            q_load=row.q_load,
-        )
-        for row, kind in zip(rows, inferred)
-    ]
+def _inferred_kind(bus: Bus) -> BusKind:
+    """Bus 1 is the slack; any other bus holding a non-unity voltage setpoint
+    while generating (p_gen > 0 or q_gen != 0) is PV; everything else is PQ."""
+    if bus.id == 1:
+        return BusKind.SLACK
+    if bus.v_setpoint != 1.0 and (bus.p_gen > 0 or bus.q_gen != 0):
+        return BusKind.PV
+    return BusKind.PQ
 
 
 def build_network(buses: Sequence[Bus], branches: Sequence[Branch], base_mva: float = 100.0) -> Network:
-    """Validate and assemble a Network.
+    """Check the grid the rows describe and assemble its Network: columns and Y.
 
-    Raises DuplicateBusId, DanglingBranchEndpoint, DisconnectedGraph,
-    NoSlackBus or MultipleSlackBuses on invariant violations.
+    A bus whose kind is None gets the inferred kind. Raises DuplicateBusId,
+    DanglingBranchEndpoint, DisconnectedGraph, NoSlackBus or
+    MultipleSlackBuses on invariant violations, with the row at fault.
     """
     if not (base_mva > 0):
         raise NetworkError(f"base_mva must be > 0, got {base_mva}")
@@ -206,88 +171,77 @@ def build_network(buses: Sequence[Bus], branches: Sequence[Branch], base_mva: fl
         raise NetworkError("network needs at least one bus")
 
     ids = [b.id for b in buses]
-    seen = set()
-    for bus_id in ids:
-        if bus_id in seen:
-            raise DuplicateBusId(f"bus id {bus_id} appears more than once")
-        seen.add(bus_id)
     n = len(buses)
     if ids != list(range(1, n + 1)):
-        raise NetworkError(f"bus ids must be contiguous 1..{n} in order, got {ids}")
+        for k, bus_id in enumerate(ids):
+            if bus_id in ids[:k]:
+                raise DuplicateBusId(f"bus id {bus_id} appears more than once", row=k)
+        row = next(k for k, bus_id in enumerate(ids) if bus_id != k + 1)
+        raise NetworkError(f"bus ids must be contiguous 1..{n} in order, got {ids}", row=row)
 
-    n_slack = sum(1 for b in buses if b.kind is BusKind.SLACK)
-    if n_slack == 0:
+    kinds = _read_only([_inferred_kind(b) if b.kind is None else b.kind for b in buses], object)
+    slack_rows = np.flatnonzero(kinds == BusKind.SLACK)
+    if slack_rows.size == 0:
         raise NoSlackBus("network has no slack bus")
-    if n_slack > 1:
-        raise MultipleSlackBuses(f"network has {n_slack} slack buses")
+    if slack_rows.size > 1:
+        raise MultipleSlackBuses(f"network has {slack_rows.size} slack buses", row=int(slack_rows[1]))
 
-    adjacency = [[] for _ in range(n)]
-    for br in branches:
+    for k, br in enumerate(branches):
         for end in (br.from_bus, br.to_bus):
             if not (1 <= end <= n):
-                raise DanglingBranchEndpoint(
-                    f"branch {br.from_bus}-{br.to_bus}: bus {end} does not exist"
-                )
-        adjacency[br.from_bus - 1].append(br.to_bus - 1)
-        adjacency[br.to_bus - 1].append(br.from_bus - 1)
-
-    # breadth-first reachability from bus 1
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in adjacency[i]:
-                if j not in reached:
-                    reached.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    if len(reached) != n:
-        missing = sorted(i + 1 for i in range(n) if i not in reached)
+                raise DanglingBranchEndpoint(f"branch {br.from_bus}-{br.to_bus}: bus {end} does not exist", row=k)
+    ends = np.array([(br.from_bus - 1, br.to_bus - 1) for br in branches], dtype=np.intp).reshape(-1, 2)
+    # reachability from bus 1: grow along every branch with exactly one end reached
+    reached = np.arange(n) == 0
+    while True:
+        grow = ends[reached[ends[:, 0]] != reached[ends[:, 1]]]
+        if not grow.size:
+            break
+        reached[grow] = True
+    if not reached.all():
+        missing = (np.flatnonzero(~reached) + 1).tolist()
         raise DisconnectedGraph(f"buses not connected to bus 1: {missing}")
 
-    return Network(buses=tuple(buses), branches=tuple(branches), base_mva=float(base_mva))
-
-
-def net_injection_pu(bus: Bus, base_mva: float):
-    """Net injected (P, Q) of a bus in pu: (gen - load) / base."""
-    if not (base_mva > 0):
-        raise NetworkError(f"base_mva must be > 0, got {base_mva}")
-    return (bus.p_gen - bus.p_load) / base_mva, (bus.q_gen - bus.q_load) / base_mva
+    # Python's complex division, once per branch: numpy's rounds differently
+    ys = np.array([1.0 / complex(br.resistance, br.reactance) for br in branches], dtype=complex)
+    columns = {name: _read_only([getattr(b, name) for b in buses], float)
+               for name in ("v_setpoint", "p_gen", "q_gen", "p_load", "q_load")}
+    branch_arrays = BranchArrays(
+        _read_only(ends[:, 0], np.intp), _read_only(ends[:, 1], np.intp), _read_only(ys.real, float),
+        _read_only(ys.imag, float), _read_only([br.half_charging for br in branches], float))
+    network = Network(kinds=kinds, branch_arrays=branch_arrays, base_mva=float(base_mva), ybus=None,
+                      **columns)
+    return replace(network, ybus=build_ybus(network))
 
 
 def build_ybus(network: Network) -> np.ndarray:
     """Complex nodal admittance matrix from the branch pi model.
 
-    Contributions are accumulated over a canonical branch ordering, so any
-    permutation of the branch list produces a bit-identical matrix.
+    Contributions are accumulated over a canonical branch ordering (by end
+    indices, then g, b and b_sh), so any permutation of the branch list
+    produces a bit-identical matrix.
     """
-    n = network.n_buses
-    y = np.zeros((n, n), dtype=complex)
-    order = sorted(
-        network.branches,
-        key=lambda b: (b.from_bus, b.to_bus, b.resistance, b.reactance, b.half_charging),
-    )
-    for br in order:
-        ys = br.series_admittance()
-        f = br.from_bus - 1
-        t = br.to_bus - 1
-        y[f, t] -= ys
-        y[t, f] -= ys
-        y[f, f] += ys + 1j * br.half_charging
-        y[t, t] += ys + 1j * br.half_charging
+    br = network.branch_arrays
+    order = np.lexsort((br.b_sh, br.b, br.g, br.to_idx, br.from_idx))
+    f, t = br.from_idx[order], br.to_idx[order]
+    ys = br.g[order].astype(complex)
+    ys.imag = br.b[order]
+    diag = ys + 1j * br.b_sh[order]
+    # per branch, in order: Y_ft -= ys, Y_tf -= ys, Y_ff += ys + j b_sh, Y_tt += ys + j b_sh
+    rows = np.stack([f, t, f, t], axis=1).ravel()
+    cols = np.stack([t, f, f, t], axis=1).ravel()
+    y = np.zeros((network.n_buses, network.n_buses), dtype=complex)
+    np.add.at(y, (rows, cols), np.stack([-ys, -ys, diag, diag], axis=1).ravel())
     y.setflags(write=False)
     return y
 
 
 def with_scaled_loads(network: Network, scale: float, weights: Optional[dict] = None) -> Network:
-    """New network with every bus load multiplied by scale (times an optional
-    per-bus weight keyed by bus id)."""
+    """The network with every bus load multiplied by scale (times an optional
+    per-bus weight keyed by bus id). The copy shares the other columns and Y."""
     if not (scale > 0):
         raise NetworkError(f"load scale must be > 0, got {scale}")
     weights = weights or {}
-    buses = []
-    for bus in network.buses:
-        w = scale * weights.get(bus.id, 1.0)
-        buses.append(replace(bus, p_load=bus.p_load * w, q_load=bus.q_load * w))
-    return Network(buses=tuple(buses), branches=network.branches, base_mva=network.base_mva)
+    w = scale * np.array([weights.get(bus_id, 1.0) for bus_id in range(1, network.n_buses + 1)])
+    return replace(network, p_load=_read_only(network.p_load * w, float),
+                   q_load=_read_only(network.q_load * w, float))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BusKind, Network, net_injection_pu
+from .network import BusKind, Network
 
 
 class SingularJacobian(RuntimeError):
@@ -57,7 +57,7 @@ class PowerFlowResult:
 
 def flat_start(network: Network) -> StateVector:
     """Zero angles; setpoint magnitudes at slack and PV buses, 1.0 at PQ."""
-    mag = [1.0 if bus.kind is BusKind.PQ else bus.v_setpoint for bus in network.buses]
+    mag = np.where(network.kinds == BusKind.PQ, 1.0, network.v_setpoint)
     return StateVector(angles=np.zeros(network.n_buses), magnitudes=mag)
 
 
@@ -91,15 +91,10 @@ def injection_jacobian(state: StateVector, ybus: np.ndarray):
     return ds_dth.real, ds_dv.real, ds_dth.imag, ds_dv.imag
 
 
-def _specified_injections(network: Network):
-    return np.array([net_injection_pu(bus, network.base_mva) for bus in network.buses]).T
-
-
 def solve_power_flow(
     network: Network,
     tol: float = 1e-8,
     max_iter: int = 20,
-    initial: StateVector | None = None,
 ) -> PowerFlowResult:
     """Full Newton power flow.
 
@@ -115,17 +110,15 @@ def solve_power_flow(
 
     ybus = network.ybus
     slack = network.slack_index
-    pq = list(network.pq_indices)
-    non_slack = [i for i in range(network.n_buses) if i != slack]
-    p_spec, q_spec = _specified_injections(network)
+    pq = network.pq_indices
+    non_slack = np.delete(np.arange(network.n_buses), slack)
+    # specified net injections (generation - load), pu
+    p_spec = (network.p_gen - network.p_load) / network.base_mva
+    q_spec = (network.q_gen - network.q_load) / network.base_mva
 
     start = flat_start(network)
     ang = np.array(start.angles)
     mag = np.array(start.magnitudes)
-    if initial is not None:
-        # warm start the unknowns only: the knowns keep their flat-start values
-        ang[non_slack] = initial.angles[non_slack]
-        mag[pq] = initial.magnitudes[pq]
 
     n_ang = len(non_slack)
     iterations = 0

@@ -31,12 +31,13 @@ from .measurements import (
 )
 from .network import (
     Branch,
+    Bus,
     BusKind,
-    BusRow,
+    DanglingBranchEndpoint,
+    DisconnectedGraph,
     Network,
     NetworkError,
     build_network,
-    buses_from_rows,
     with_scaled_loads,
 )
 from .powerflow import SingularJacobian, StateVector, solve_power_flow
@@ -97,13 +98,13 @@ def resolve_case_dir(name_or_path: str) -> Path:
     raise CaseFileError(name_or_path, 0, "-", "case directory not found")
 
 
-def _parse_float(cell: str, path, line_no: int, column: str) -> float:
+def _parse_float(cell: str, path, line_no: int, column: str, positive: bool = False) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise CaseFileError(path, line_no, column, f"cannot parse {cell!r} as a number") from None
-    if not math.isfinite(value):
-        raise CaseFileError(path, line_no, column, f"{cell!r} is not a finite number")
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise CaseFileError(path, line_no, column, f"{cell!r} is not a {'positive ' * positive}finite number")
     return value
 
 
@@ -112,6 +113,16 @@ def _parse_int(cell: str, path, line_no: int, column: str) -> int:
         return int(cell)
     except ValueError:
         raise CaseFileError(path, line_no, column, f"cannot parse {cell!r} as an integer") from None
+
+
+_INDEX_END = np.iinfo(np.intp).max
+
+
+def _parse_index(cell: str, path, line_no: int, column: str, lowest: int) -> int:
+    value = _parse_int(cell, path, line_no, column)
+    if not lowest <= value < _INDEX_END:
+        raise CaseFileError(path, line_no, column, f"{cell!r} is not an index >= {lowest}")
+    return value
 
 
 def _read_text(path: Path) -> str:
@@ -154,12 +165,13 @@ _KIND_NAMES = {"slack": BusKind.SLACK, "pv": BusKind.PV, "pq": BusKind.PQ}
 
 
 def load_case(dir_path) -> CaseBundle:
-    """Parse and validate a case directory into a CaseBundle."""
+    """Parse and validate a case directory into a CaseBundle. Every error is a
+    CaseFileError naming its file, and the line where one row is at fault."""
     directory = Path(dir_path)
     buses_path = directory / BUSES_FILE
     lines_path = directory / LINES_FILE
 
-    bus_rows = []
+    buses, bus_lines = [], []
     for line_no, rec in _read_rows(buses_path, BUS_COLUMNS, optional=("kind",)):
         kind = None
         if rec.get("kind"):
@@ -167,37 +179,30 @@ def load_case(dir_path) -> CaseBundle:
             if key not in _KIND_NAMES:
                 raise CaseFileError(buses_path, line_no, "kind", f"unknown bus kind {rec['kind']!r}")
             kind = _KIND_NAMES[key]
-        bus_rows.append(
-            (
-                line_no,
-                BusRow(
-                    id=_parse_int(rec["bus"], buses_path, line_no, "bus"),
-                    v_setpoint=_parse_float(rec["vsp_pu"], buses_path, line_no, "vsp_pu"),
-                    p_gen=_parse_float(rec["pg_mw"], buses_path, line_no, "pg_mw"),
-                    q_gen=_parse_float(rec["qg_mvar"], buses_path, line_no, "qg_mvar"),
-                    p_load=_parse_float(rec["pl_mw"], buses_path, line_no, "pl_mw"),
-                    q_load=_parse_float(rec["ql_mvar"], buses_path, line_no, "ql_mvar"),
-                    kind=kind,
-                ),
-            )
-        )
-    if not bus_rows:
-        raise CaseFileError(buses_path, 1, "-", "no bus rows")
+        buses.append(Bus(
+            id=_parse_index(rec["bus"], buses_path, line_no, "bus", 1),
+            v_setpoint=_parse_float(rec["vsp_pu"], buses_path, line_no, "vsp_pu", positive=True),
+            p_gen=_parse_float(rec["pg_mw"], buses_path, line_no, "pg_mw"),
+            q_gen=_parse_float(rec["qg_mvar"], buses_path, line_no, "qg_mvar"),
+            p_load=_parse_float(rec["pl_mw"], buses_path, line_no, "pl_mw"),
+            q_load=_parse_float(rec["ql_mvar"], buses_path, line_no, "ql_mvar"),
+            kind=kind,
+        ))
+        bus_lines.append(line_no)
 
-    branches = []
+    branches, branch_lines = [], []
     for line_no, rec in _read_rows(lines_path, LINE_COLUMNS):
         try:
-            branches.append(
-                Branch(
-                    from_bus=_parse_int(rec["from_bus"], lines_path, line_no, "from_bus"),
-                    to_bus=_parse_int(rec["to_bus"], lines_path, line_no, "to_bus"),
-                    resistance=_parse_float(rec["r_pu"], lines_path, line_no, "r_pu"),
-                    reactance=_parse_float(rec["x_pu"], lines_path, line_no, "x_pu"),
-                    half_charging=_parse_float(rec["b_half_pu"], lines_path, line_no, "b_half_pu"),
-                )
-            )
+            branches.append(Branch(
+                from_bus=_parse_int(rec["from_bus"], lines_path, line_no, "from_bus"),
+                to_bus=_parse_int(rec["to_bus"], lines_path, line_no, "to_bus"),
+                resistance=_parse_float(rec["r_pu"], lines_path, line_no, "r_pu"),
+                reactance=_parse_float(rec["x_pu"], lines_path, line_no, "x_pu"),
+                half_charging=_parse_float(rec["b_half_pu"], lines_path, line_no, "b_half_pu"),
+            ))
         except NetworkError as exc:
             raise CaseFileError(lines_path, line_no, "-", str(exc)) from exc
+        branch_lines.append(line_no)
 
     case_path = directory / CASE_FILE
     if case_path.is_file():
@@ -206,10 +211,11 @@ def load_case(dir_path) -> CaseBundle:
         case_path, base_mva, version, weights = None, 100.0, "1", {}
 
     try:
-        buses = buses_from_rows([row for _, row in bus_rows])
+        network = build_network(buses, branches, base_mva=base_mva)
     except NetworkError as exc:
-        raise CaseFileError(buses_path, bus_rows[0][0], "-", str(exc)) from exc
-    network = build_network(buses, branches, base_mva=base_mva)
+        on_lines = isinstance(exc, (DanglingBranchEndpoint, DisconnectedGraph))
+        path, lines = (lines_path, branch_lines) if on_lines else (buses_path, bus_lines)
+        raise CaseFileError(path, 0 if exc.row is None else lines[exc.row], "-", str(exc)) from exc
     for bus_id in weights:
         if not (1 <= bus_id <= network.n_buses):
             raise CaseFileError(case_path, 0, "bus_load_weights", f"bus {bus_id} does not exist")
@@ -261,13 +267,6 @@ def write_measurements_csv(mset: MeasurementSet, path) -> None:
                        + ["" if math.isnan(value) else repr(value), repr(sigma)])
 
 
-def _parse_index(cell: str, path, line_no: int, column: str, lowest: int) -> int:
-    value = _parse_int(cell, path, line_no, column)
-    if not lowest <= value < np.iinfo(np.intp).max:
-        raise CaseFileError(path, line_no, column, f"{cell!r} is not an index >= {lowest}")
-    return value
-
-
 def _kind_from_record(rec: dict, path, line_no: int) -> MeasurementKind:
     quantity = rec["kind"]
     bus = _parse_index(rec["bus"], path, line_no, "bus", 1) if rec["bus"] else None
@@ -291,10 +290,7 @@ def _read_measurement_table(path, metered: bool) -> MeasurementSet:
             if not rec["value_pu"]:
                 raise CaseFileError(path, line_no, "value_pu", "measurement value missing")
             values.append(_parse_float(rec["value_pu"], path, line_no, "value_pu"))
-        sigma = _parse_float(rec["sigma_pu"], path, line_no, "sigma_pu")
-        if not sigma > 0:
-            raise CaseFileError(path, line_no, "sigma_pu", f"sigma must be > 0, got {sigma}")
-        sigmas.append(sigma)
+        sigmas.append(_parse_float(rec["sigma_pu"], path, line_no, "sigma_pu", positive=True))
     return MeasurementSet.from_kinds(kinds, values if metered else np.full(len(kinds), np.nan), sigmas)
 
 
@@ -411,7 +407,7 @@ def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
                 converged=est.converged,
             )
         )
-    bus_ids = tuple(bus.id for bus in bundle.network.buses)
+    bus_ids = tuple(range(1, bundle.network.n_buses + 1))
     return SnapshotReport(records=tuple(records), bus_ids=bus_ids)
 
 

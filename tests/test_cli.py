@@ -1,10 +1,13 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
 import json
+import math
 import shutil
+from pathlib import Path
 
 import pytest
 
 from gridse.cli import cli_dispatch
+from gridse.controller import MAX_GRID_POINTS, MAX_STEPS
 from gridse.scenario import builtin_case_dir
 
 SCALAR_CONFIG = str(builtin_case_dir("scalar_controller.json"))
@@ -285,6 +288,30 @@ def test_snapshots_unwritable_out_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+def test_controller_simulate_steps_past_cap_exits_2(capsys):
+    code, out, err = run(capsys, [
+        "controller", "simulate", "--config", SCALAR_CONFIG,
+        "--steps", str(MAX_STEPS + 1), "--x0", "0.0", "--z0", "0",
+    ])
+    assert code == 2
+    assert f"steps must be in 1..{MAX_STEPS}" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("config, resolution", [
+    (SCALAR_CONFIG, MAX_GRID_POINTS + 1),
+    ("tests/golden/controller_2d.json", math.isqrt(MAX_GRID_POINTS) + 1),
+])
+def test_controller_oracle_resolution_past_cap_exits_2(capsys, config, resolution):
+    config = str(Path(__file__).resolve().parents[1] / config)
+    code, out, err = run(capsys, [
+        "controller", "oracle", "--config", config, "--box", "-0.5,2.5", "--resolution", str(resolution),
+    ])
+    assert code == 2
+    assert f"resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_controller_simulate(capsys, tmp_path):
     traj = tmp_path / "traj.csv"
     code, out, err = run(capsys, [
@@ -379,3 +406,35 @@ def test_non_utf8_case_file_exits_2(capsys, tmp_path, name):
     original = (builtin_case_dir("ieee14") / name).read_bytes()
     broken = original.replace(b"\n", b"\n\xff\xfe", 1)
     _assert_case_error(capsys, _case_dir(tmp_path, name, broken), f"{name}:2:")
+
+
+# ---- case topology errors name their file -------------------------------------
+
+def _edited(name, line, row):
+    """A shipped ieee14 file with 1-based `line` replaced by `row` (None
+    deletes it; a line past the end appends it)."""
+    lines = (builtin_case_dir("ieee14") / name).read_text().splitlines()
+    lines[line - 1: line] = [] if row is None else [row]
+    return "\n".join(lines) + "\n"
+
+
+def _with_kinds(kinds):
+    """The shipped buses.csv with a kind column; `kinds` maps bus id to kind."""
+    lines = (builtin_case_dir("ieee14") / "buses.csv").read_text().splitlines()
+    lines = [lines[0] + ",kind"] + [f"{row},{kinds.get(i, '')}" for i, row in enumerate(lines[1:], start=1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, content, where, reason", [
+    ("lines.csv", _edited("lines.csv", 5, "2,99,0.05,0.17,0.02"), "lines.csv:5:", "bus 99 does not exist"),
+    ("lines.csv", _edited("lines.csv", 15, None), "lines.csv:0:", "not connected to bus 1: [8]"),
+    ("buses.csv", _edited("buses.csv", 6, "4,1.0,0,0,7.6,1.6"), "buses.csv:6:", "bus id 4 appears more than once"),
+    ("buses.csv", _edited("buses.csv", 16, "16,1.0,0,0,0,0"), "buses.csv:16:", "contiguous"),
+    ("buses.csv", _with_kinds({1: "pq"}), "buses.csv:0:", "no slack bus"),
+    ("buses.csv", _with_kinds({5: "slack"}), "buses.csv:6:", "2 slack buses"),
+])
+def test_case_topology_error_names_its_file(capsys, tmp_path, name, content, where, reason):
+    code, out, err = run(capsys, ["pf", "--case", str(_case_dir(tmp_path, name, content))])
+    assert code == 2
+    assert err.startswith("error: ") and where in err and reason in err
+    assert "Traceback" not in err and out == ""

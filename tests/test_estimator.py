@@ -152,7 +152,7 @@ def test_warm_start_at_truth_converges_in_one_iteration(ieee14, ieee14_truth, ie
 
 
 def test_voltage_only_plan_is_unobservable(ieee14, ieee14_truth, ieee14_ybus):
-    kinds = [MeasurementKind.voltage_magnitude(b.id) for b in ieee14.buses]
+    kinds = [MeasurementKind.voltage_magnitude(i) for i in range(1, 15)]
     # pad with duplicates to satisfy m >= n while keeping angles unobservable
     plan = MeasurementSet.from_kinds(kinds * 2, np.full(28, np.nan), np.full(28, 0.004))
     mset = generate_measurements(ieee14_truth, plan, 3, ieee14, ieee14_ybus)

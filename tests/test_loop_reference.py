@@ -1,14 +1,17 @@
-"""Columnar h(x), H(x) and the broadcast injection Jacobian against per-row
-loop references.
+"""Columnar Y, h(x), H(x) and the broadcast injection Jacobian against
+per-row loop references.
 
-The references below are the straightforward per-measurement loops and the
-diagonal-matrix form of the injection derivatives. The array versions round
-differently in the last bits (vectorised cos/sin, elementwise complex
-products instead of BLAS products with diagonal matrices), so agreement is
-required to 1e-12 times the largest entry rather than bit for bit.
+The references below are the per-branch admittance loop, the straightforward
+per-measurement loops and the diagonal-matrix form of the injection
+derivatives. Y does the same additions in the same order as its loop, so it
+must match bit for bit. h and H round differently in the last bits
+(vectorised cos/sin, elementwise complex products instead of BLAS products
+with diagonal matrices), so their agreement is required to 1e-12 times the
+largest entry.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridse.measurements import (
     FROM,
@@ -31,10 +34,31 @@ RTOL = 1e-12
 
 # ---- loop references --------------------------------------------------------
 
+def ybus_loop(buses, branches):
+    """Y accumulated branch by branch over the canonical order (end ids, then
+    g, b and half charging)."""
+    n = len(buses)
+    y = np.zeros((n, n), dtype=complex)
+
+    def key(br):
+        ys = 1.0 / complex(br.resistance, br.reactance)
+        return br.from_bus, br.to_bus, ys.real, ys.imag, br.half_charging
+
+    for br in sorted(branches, key=key):
+        ys = 1.0 / complex(br.resistance, br.reactance)
+        f = br.from_bus - 1
+        t = br.to_bus - 1
+        y[f, t] -= ys
+        y[t, f] -= ys
+        y[f, f] += ys + 1j * br.half_charging
+        y[t, t] += ys + 1j * br.half_charging
+    return y
+
+
 def _branch_constants(network, branch_idx):
-    br = network.branches[branch_idx]
-    ys = br.series_admittance()
-    return br.from_bus - 1, br.to_bus - 1, ys.real, ys.imag, br.half_charging
+    br = network.branch_arrays
+    k = branch_idx
+    return br.from_idx[k], br.to_idx[k], br.g[k], br.b[k], br.b_sh[k]
 
 
 def _flow_value(kind, state, network):
@@ -143,40 +167,42 @@ def _slack_partial_kinds(network):
     kinds = [MeasurementKind.voltage_magnitude(slack_id),
              MeasurementKind.active_injection(slack_id),
              MeasurementKind.reactive_injection(network.n_buses)]
-    for idx, br in enumerate(network.branches):
-        if slack_id in (br.from_bus, br.to_bus):
+    br = network.branch_arrays
+    for idx, ends in enumerate(zip(br.from_idx.tolist(), br.to_idx.tolist())):
+        if network.slack_index in ends:
             kinds += [MeasurementKind.active_flow(idx, TO), MeasurementKind.reactive_flow(idx, TO),
                       MeasurementKind.reactive_flow(idx, FROM)]
-    kinds.append(MeasurementKind.active_flow(len(network.branches) - 1, TO))
+    kinds.append(MeasurementKind.active_flow(network.n_branches - 1, TO))
     return kinds
 
 
-def _tiled(network, tiles):
-    """`tiles` copies of a network chained by one tie line each; only the
-    first copy keeps its slack bus."""
-    n = network.n_buses
-    buses, branches = [], []
+def _tiled_rows(rows, tiles):
+    """Bus and branch rows of `tiles` copies of a grid chained by one tie line
+    each; the first copy's bus 1 stays the slack, later copies' are PV."""
+    buses, branches = rows
+    n = len(buses)
+    tiled_buses, tiled_branches = [], []
     for t in range(tiles):
-        for bus in network.buses:
-            kind = BusKind.PV if (t and bus.kind is BusKind.SLACK) else bus.kind
-            buses.append(Bus(id=bus.id + t * n, kind=kind, v_setpoint=bus.v_setpoint, p_gen=bus.p_gen,
-                             q_gen=bus.q_gen, p_load=bus.p_load, q_load=bus.q_load))
-        for br in network.branches:
-            branches.append(Branch(br.from_bus + t * n, br.to_bus + t * n, br.resistance,
-                                   br.reactance, br.half_charging))
+        for bus in buses:
+            kind = BusKind.PV if (t and bus.id == 1) else bus.kind
+            tiled_buses.append(Bus(id=bus.id + t * n, kind=kind, v_setpoint=bus.v_setpoint, p_gen=bus.p_gen,
+                                   q_gen=bus.q_gen, p_load=bus.p_load, q_load=bus.q_load))
+        for br in branches:
+            tiled_branches.append(Branch(br.from_bus + t * n, br.to_bus + t * n, br.resistance,
+                                         br.reactance, br.half_charging))
         if t:
-            branches.append(Branch(t * n, t * n + 4, 0.02, 0.12, 0.015))
-    return build_network(buses, branches, network.base_mva)
+            tiled_branches.append(Branch(t * n, t * n + 4, 0.02, 0.12, 0.015))
+    return tiled_buses, tiled_branches
 
 
-def _case(ieee14, name):
+def _case(ieee14, ieee14_rows, name):
     """(network, kinds, perturbed state) of a named case."""
     rng = np.random.default_rng(2024)
     if name == "ieee14-full":
         return ieee14, full_measurement_plan(ieee14).kinds, _perturbed_state(rng, ieee14)
     if name == "ieee14-slack-partial":
         return ieee14, _slack_partial_kinds(ieee14), _perturbed_state(rng, ieee14)
-    tiled = _tiled(ieee14, 4)
+    tiled = build_network(*_tiled_rows(ieee14_rows, 4))
     assert tiled.n_buses == 56
     return tiled, full_measurement_plan(tiled).kinds, _perturbed_state(rng, tiled)
 
@@ -187,8 +213,8 @@ def _assert_close(got, want):
 
 
 @pytest.mark.parametrize("name", ["ieee14-full", "ieee14-slack-partial", "tiled56-full"])
-def test_columnar_h_and_jacobian_match_loop_reference(ieee14, name):
-    network, kinds, state = _case(ieee14, name)
+def test_columnar_h_and_jacobian_match_loop_reference(ieee14, ieee14_rows, name):
+    network, kinds, state = _case(ieee14, ieee14_rows, name)
     ybus = build_ybus(network)
     mset = _mset(kinds)
     _assert_close(evaluate_h(mset, state, network, ybus), evaluate_kinds_loop(kinds, state, network, ybus))
@@ -196,8 +222,43 @@ def test_columnar_h_and_jacobian_match_loop_reference(ieee14, name):
 
 
 @pytest.mark.parametrize("name", ["ieee14-full", "tiled56-full"])
-def test_broadcast_injection_jacobian_matches_diag_formula(ieee14, name):
-    network, _, state = _case(ieee14, name)
+def test_broadcast_injection_jacobian_matches_diag_formula(ieee14, ieee14_rows, name):
+    network, _, state = _case(ieee14, ieee14_rows, name)
     ybus = build_ybus(network)
     for got, want in zip(injection_jacobian(state, ybus), injection_jacobian_diag(state, ybus)):
         _assert_close(got, want)
+
+
+@pytest.mark.parametrize("tiles", [1, 4])
+def test_ybus_matches_loop_reference(ieee14_rows, tiles):
+    buses, branches = _tiled_rows(ieee14_rows, tiles)
+    network = build_network(buses, branches)
+    assert network.n_buses == 14 * tiles
+    assert np.array_equal(network.ybus, ybus_loop(buses, branches))
+    assert np.array_equal(build_ybus(network), network.ybus)
+
+
+@st.composite
+def meshed_rows(draw):
+    """(buses, branches, permuted branches): a random connected meshed grid
+    with random r/x/b_sh in which some branches have parallel copies, either
+    way round, with their own impedances."""
+    n = draw(st.integers(2, 9))
+    bus = st.integers(0, n - 1)
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # spanning tree
+    pairs += draw(st.lists(st.tuples(bus, bus).filter(lambda p: p[0] != p[1]), max_size=n))
+    pairs += draw(st.lists(st.sampled_from(pairs).map(lambda p: p[::-1]) | st.sampled_from(pairs),
+                           min_size=1, max_size=n))
+    branches = [Branch(f + 1, t + 1, draw(st.floats(0.0, 0.1)), draw(st.floats(0.02, 0.5) | st.floats(-0.5, -0.02)),
+                       draw(st.floats(0.0, 0.05))) for f, t in pairs]
+    buses = [Bus(i + 1, 1.0) for i in range(n)]
+    return buses, branches, draw(st.permutations(branches))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(meshed_rows())
+def test_ybus_matches_loop_reference_on_random_meshed_networks(rows):
+    buses, branches, permuted = rows
+    y_ref = ybus_loop(buses, branches)
+    assert np.array_equal(build_network(buses, branches).ybus, y_ref)
+    assert np.array_equal(build_network(buses, permuted).ybus, y_ref)

@@ -1,4 +1,4 @@
-"""Network model: bus-kind inference, validation, admittance construction."""
+"""Network model: bus-kind inference, validation, columns, admittance construction."""
 import numpy as np
 import pytest
 
@@ -6,7 +6,6 @@ from gridse.network import (
     Branch,
     Bus,
     BusKind,
-    BusRow,
     DanglingBranchEndpoint,
     DisconnectedGraph,
     DuplicateBusId,
@@ -16,9 +15,6 @@ from gridse.network import (
     ZeroImpedanceBranch,
     build_network,
     build_ybus,
-    buses_from_rows,
-    infer_bus_kinds,
-    net_injection_pu,
     with_scaled_loads,
 )
 
@@ -36,9 +32,8 @@ def _slack_bus(bus_id=1, vsp=1.06):
 # ---- bus-kind inference -----------------------------------------------------
 
 def test_infer_kinds_on_shipped_bus_table(ieee14):
-    # reconstruct raw rows from the loaded buses and re-infer
-    rows = [BusRow(b.id, b.v_setpoint, b.p_gen, b.q_gen, b.p_load, b.q_load) for b in ieee14.buses]
-    kinds = infer_bus_kinds(rows)
+    # the shipped bus table has no kind column: every kind is inferred
+    kinds = list(ieee14.kinds)
     assert kinds[0] is BusKind.SLACK
     pv = {i + 1 for i, k in enumerate(kinds) if k is BusKind.PV}
     assert pv == {2, 3, 6, 8}
@@ -46,55 +41,69 @@ def test_infer_kinds_on_shipped_bus_table(ieee14):
 
 
 def test_infer_kinds_single_bus():
-    assert infer_bus_kinds([BusRow(1, 1.06)]) == [BusKind.SLACK]
+    assert list(build_network([Bus(1, 1.06)], []).kinds) == [BusKind.SLACK]
 
 
 def test_infer_kinds_no_pv_condition():
-    rows = [BusRow(1, 1.0), BusRow(2, 1.0), BusRow(3, 1.0)]
-    assert infer_bus_kinds(rows) == [BusKind.SLACK, BusKind.PQ, BusKind.PQ]
+    buses = [Bus(1, 1.0), Bus(2, 1.0, p_gen=10.0), Bus(3, 1.05)]  # unity setpoint / not generating
+    net = build_network(buses, [Branch(1, 2, 0.01, 0.05, 0.0), Branch(2, 3, 0.01, 0.05, 0.0)])
+    assert list(net.kinds) == [BusKind.SLACK, BusKind.PQ, BusKind.PQ]
 
 
 def test_infer_kinds_explicit_override():
-    rows = [BusRow(1, 1.06), BusRow(2, 1.0, kind=BusKind.PV)]
-    buses = buses_from_rows(rows)
-    assert buses[1].kind is BusKind.PV  # rule would say PQ
+    net = build_network([Bus(1, 1.06), Bus(2, 1.0, kind=BusKind.PV)], [Branch(1, 2, 0.01, 0.05, 0.0)])
+    assert net.kinds[1] is BusKind.PV  # rule would say PQ
 
 
 def test_infer_kinds_empty_rows_rejected():
     with pytest.raises(NetworkError):
-        infer_bus_kinds([])
+        build_network([], [])
 
 
 # ---- build_network validation -----------------------------------------------
 
 def test_shipped_case_is_valid(ieee14):
     assert ieee14.n_buses == 14
-    assert len(ieee14.branches) == 20
+    assert ieee14.n_branches == 20
     assert ieee14.slack_index == 0
+    assert ieee14.pq_indices.tolist() == [3, 4, 6, 8, 9, 10, 11, 12, 13]
     assert ieee14.base_mva == 100.0
 
 
-def test_dangling_branch_endpoint(ieee14):
-    branches = list(ieee14.branches) + [Branch(1, 15, 0.01, 0.05, 0.0)]
-    with pytest.raises(DanglingBranchEndpoint):
-        build_network(list(ieee14.buses), branches)
+def test_dangling_branch_endpoint(ieee14_rows):
+    buses, branches = ieee14_rows
+    with pytest.raises(DanglingBranchEndpoint) as info:
+        build_network(buses, list(branches) + [Branch(1, 15, 0.01, 0.05, 0.0)])
+    assert info.value.row == 20
 
 
 def test_disconnected_two_buses_no_branches():
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(DisconnectedGraph) as info:
         build_network([_slack_bus(), _pq_bus(2)], [])
+    assert info.value.row is None
+
+
+def test_disconnected_island_of_meshed_buses():
+    buses = [_slack_bus(), _pq_bus(2), _pq_bus(3), _pq_bus(4), _pq_bus(5)]
+    branches = [Branch(1, 2, 0.01, 0.05, 0.0), Branch(4, 3, 0.01, 0.05, 0.0),
+                Branch(5, 4, 0.01, 0.05, 0.0), Branch(3, 5, 0.01, 0.05, 0.0)]
+    with pytest.raises(DisconnectedGraph, match=r"\[3, 4, 5\]"):
+        build_network(buses, branches)
+    build_network(buses, branches + [Branch(5, 2, 0.01, 0.05, 0.0)])
 
 
 def test_duplicate_bus_id():
     buses = [_slack_bus(), _pq_bus(2), _pq_bus(2)]
-    with pytest.raises(DuplicateBusId):
+    with pytest.raises(DuplicateBusId) as info:
         build_network(buses, [Branch(1, 2, 0.01, 0.05, 0.0)])
+    assert info.value.row == 2
 
 
 def test_non_contiguous_ids_rejected():
     buses = [_slack_bus(), _pq_bus(3)]
-    with pytest.raises(NetworkError):
+    with pytest.raises(NetworkError) as info:
         build_network(buses, [Branch(1, 3, 0.01, 0.05, 0.0)])
+    assert info.value.row == 1
 
 
 def test_no_slack_bus():
@@ -103,8 +112,9 @@ def test_no_slack_bus():
 
 
 def test_multiple_slack_buses():
-    with pytest.raises(MultipleSlackBuses):
+    with pytest.raises(MultipleSlackBuses) as info:
         build_network([_slack_bus(1), _slack_bus(2)], [Branch(1, 2, 0.01, 0.05, 0.0)])
+    assert info.value.row == 1
 
 
 def test_bus_invariants():
@@ -129,27 +139,42 @@ def test_branch_invariants():
     Branch(1, 2, 0.01, -0.1, 0.0)    # negative reactance allowed
 
 
-# ---- net injections ---------------------------------------------------------
+# ---- bus columns and net injections ------------------------------------------
+
+def _net_injection_pu(network, i):
+    return ((network.p_gen[i] - network.p_load[i]) / network.base_mva,
+            (network.q_gen[i] - network.q_load[i]) / network.base_mva)
+
 
 def test_net_injection_bus3(ieee14):
-    p, q = net_injection_pu(ieee14.buses[2], 100.0)
+    p, q = _net_injection_pu(ieee14, 2)
     assert p == pytest.approx(-0.942, abs=1e-12)
     assert q == pytest.approx((23.4 - 19.0) / 100.0, abs=1e-12)
 
 
 def test_net_injection_zero_bus(ieee14):
-    assert net_injection_pu(ieee14.buses[6], 100.0) == (0.0, 0.0)
+    assert _net_injection_pu(ieee14, 6) == (0.0, 0.0)
 
 
 def test_net_injection_bus2(ieee14):
-    p, q = net_injection_pu(ieee14.buses[1], 100.0)
+    p, q = _net_injection_pu(ieee14, 1)
     assert p == pytest.approx(0.183, abs=1e-12)
     assert q == pytest.approx(0.297, abs=1e-12)
 
 
-def test_net_injection_requires_positive_base(ieee14):
-    with pytest.raises(NetworkError):
-        net_injection_pu(ieee14.buses[0], 0.0)
+def test_net_injection_requires_positive_base(ieee14_rows):
+    for base_mva in (0.0, -100.0, float("nan")):
+        with pytest.raises(NetworkError):
+            build_network(*ieee14_rows, base_mva=base_mva)
+
+
+def test_bus_columns_follow_bus_rows(ieee14, ieee14_rows):
+    buses, _ = ieee14_rows
+    for name in ("v_setpoint", "p_gen", "q_gen", "p_load", "q_load"):
+        column = getattr(ieee14, name)
+        assert column.tolist() == [getattr(b, name) for b in buses]
+        assert not column.flags.writeable
+    assert not ieee14.kinds.flags.writeable
 
 
 # ---- admittance matrix ------------------------------------------------------
@@ -168,7 +193,8 @@ def test_ybus_shape_and_sparsity(ieee14_ybus, ieee14):
     )
     assert off_diag_pairs == 20
     # off-diagonal nonzero iff a branch connects the pair
-    connected = {tuple(sorted((b.from_bus - 1, b.to_bus - 1))) for b in ieee14.branches}
+    br = ieee14.branch_arrays
+    connected = {tuple(sorted(ends)) for ends in zip(br.from_idx.tolist(), br.to_idx.tolist())}
     for i in range(14):
         for j in range(i + 1, 14):
             assert (ieee14_ybus[i, j] != 0) == ((i, j) in connected)
@@ -185,42 +211,44 @@ def test_ybus_zero_shunt_rows_sum_to_zero():
     assert np.max(np.abs(y.sum(axis=1))) < 1e-12
 
 
-def test_ybus_zero_shunt_14bus_variant(ieee14):
-    branches = [Branch(b.from_bus, b.to_bus, b.resistance, b.reactance, 0.0) for b in ieee14.branches]
-    net = build_network(list(ieee14.buses), branches)
+def test_ybus_zero_shunt_14bus_variant(ieee14_rows):
+    buses, branches = ieee14_rows
+    net = build_network(buses, [Branch(b.from_bus, b.to_bus, b.resistance, b.reactance, 0.0) for b in branches])
     y = build_ybus(net)
     assert np.max(np.abs(y.sum(axis=1))) < 1e-12
 
 
-def test_ybus_branch_permutation_invariant(ieee14):
+def test_ybus_branch_permutation_invariant(ieee14, ieee14_rows):
+    buses, branches = ieee14_rows
     rng = np.random.default_rng(5)
     y_ref = build_ybus(ieee14)
     for _ in range(3):
-        perm = list(ieee14.branches)
+        perm = list(branches)
         rng.shuffle(perm)
-        net = build_network(list(ieee14.buses), perm)
+        net = build_network(buses, perm)
         assert np.array_equal(build_ybus(net), y_ref)
+        assert np.array_equal(net.ybus, y_ref)
 
 
-def test_network_ybus_built_once_per_network_object(ieee14, monkeypatch):
+def test_network_ybus_built_once_per_network_object(ieee14, ieee14_rows, monkeypatch):
     import gridse.network
 
     calls = []
     monkeypatch.setattr(gridse.network, "build_ybus", lambda net: calls.append(net) or build_ybus(net))
-    net = with_scaled_loads(ieee14, 1.0)
-    y = net.ybus
-    assert net.ybus is y
+    net = build_network(*ieee14_rows)
     assert len(calls) == 1
-    assert np.array_equal(y, build_ybus(ieee14))
-    assert not y.flags.writeable
-    with_scaled_loads(net, 0.9).ybus
-    assert len(calls) == 2
+    assert np.array_equal(net.ybus, ieee14.ybus)
+    assert not net.ybus.flags.writeable
+    scaled = with_scaled_loads(net, 0.9)
+    assert scaled.ybus is net.ybus
+    assert scaled.branch_arrays is net.branch_arrays
+    assert len(calls) == 1
 
 
-def test_branch_arrays_follow_branch_order(ieee14):
+def test_branch_arrays_follow_branch_order(ieee14, ieee14_rows):
     arrays = ieee14.branch_arrays
-    for k, br in enumerate(ieee14.branches):
-        ys = br.series_admittance()
+    for k, br in enumerate(ieee14_rows[1]):
+        ys = 1.0 / complex(br.resistance, br.reactance)
         assert (arrays.from_idx[k], arrays.to_idx[k]) == (br.from_bus - 1, br.to_bus - 1)
         assert (arrays.g[k], arrays.b[k], arrays.b_sh[k]) == (ys.real, ys.imag, br.half_charging)
     assert all(not column.flags.writeable for column in arrays)
@@ -230,10 +258,13 @@ def test_branch_arrays_follow_branch_order(ieee14):
 
 def test_with_scaled_loads(ieee14):
     scaled = with_scaled_loads(ieee14, 0.5)
-    assert scaled.buses[2].p_load == pytest.approx(94.2 * 0.5)
-    assert scaled.buses[2].p_gen == ieee14.buses[2].p_gen
+    assert scaled.p_load[2] == pytest.approx(94.2 * 0.5)
+    assert scaled.q_load[2] == pytest.approx(19.0 * 0.5)
+    assert scaled.p_gen is ieee14.p_gen and scaled.kinds is ieee14.kinds
+    assert not scaled.p_load.flags.writeable
     weighted = with_scaled_loads(ieee14, 1.0, {3: 2.0})
-    assert weighted.buses[2].p_load == pytest.approx(188.4)
-    assert weighted.buses[3].p_load == pytest.approx(47.8)
+    assert weighted.p_load[2] == pytest.approx(188.4)
+    assert weighted.p_load[3] == pytest.approx(47.8)
+    assert ieee14.p_load[2] == 94.2
     with pytest.raises(NetworkError):
         with_scaled_loads(ieee14, 0.0)

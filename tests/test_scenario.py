@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import shutil
 from pathlib import Path
 
 from dataclasses import replace
@@ -39,7 +40,7 @@ LINES_SHA256 = "de36204737c7ad8a9963e457ede92bbc8746469c297ab2af9ab0ac9333a5b503
 
 def test_shipped_bundle_loads(ieee14_bundle):
     assert ieee14_bundle.network.n_buses == 14
-    assert len(ieee14_bundle.network.branches) == 20
+    assert ieee14_bundle.network.n_branches == 20
     assert ieee14_bundle.version == "1"
     assert ieee14_bundle.network.base_mva == 100.0
 
@@ -60,8 +61,10 @@ def test_header_only_lines_file(tmp_path, ieee14_bundle):
     case.mkdir()
     (case / "buses.csv").write_text(Path(ieee14_bundle.buses_path).read_text())
     (case / "lines.csv").write_text("from_bus,to_bus,r_pu,x_pu,b_half_pu\n")
-    with pytest.raises(NetworkError):  # disconnected graph, not a parse error
+    with pytest.raises(CaseFileError) as info:  # disconnected graph, not a parse error
         load_case(case)
+    assert (Path(info.value.file).name, info.value.line) == ("lines.csv", 0)
+    assert isinstance(info.value.__cause__, NetworkError)
 
 
 def test_negative_reactance_accepted(tmp_path):
@@ -74,7 +77,7 @@ def test_negative_reactance_accepted(tmp_path):
         "from_bus,to_bus,r_pu,x_pu,b_half_pu\n1,2,0.01,-0.1,0.0\n"
     )
     bundle = load_case(case)
-    assert bundle.network.branches[0].reactance == -0.1
+    assert bundle.network.branch_arrays.b[0] == (1.0 / complex(0.01, -0.1)).imag > 0
 
 
 def test_parse_error_carries_position(tmp_path):
@@ -113,7 +116,7 @@ def test_explicit_kind_column(tmp_path):
         "from_bus,to_bus,r_pu,x_pu,b_half_pu\n1,2,0.01,0.1,0.0\n2,3,0.01,0.1,0.0\n"
     )
     bundle = load_case(case)
-    kinds = [b.kind.value for b in bundle.network.buses]
+    kinds = [kind.value for kind in bundle.network.kinds]
     assert kinds == ["slack", "pv", "pq"]  # pv would be inferred pq (vsp = 1.0)
 
 
@@ -127,6 +130,20 @@ def test_case_json_base_and_weights(tmp_path, ieee14_bundle):
     assert bundle.network.base_mva == 50.0
     assert bundle.version == "2"
     assert bundle.bus_load_weights == {3: 1.5}
+
+
+@pytest.mark.parametrize("line", [2, 6, 15])
+@pytest.mark.parametrize("column, cell", [("vsp_pu", "0"), ("vsp_pu", "-1.02"), ("bus", "0"), ("bus", "-3")])
+def test_bad_bus_row_names_its_line(tmp_path, line, column, cell):
+    case = tmp_path / "case"
+    shutil.copytree(builtin_case_dir("ieee14"), case)
+    rows = [row.split(",") for row in (case / "buses.csv").read_text().splitlines()]
+    rows[line - 1][rows[0].index(column)] = cell
+    (case / "buses.csv").write_text("\n".join(",".join(row) for row in rows) + "\n")
+    with pytest.raises(CaseFileError) as exc_info:
+        load_case(case)
+    err = exc_info.value
+    assert (Path(err.file).name, err.line, err.column) == ("buses.csv", line, column)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
