@@ -82,6 +82,21 @@ def test_estimate_seeded_noise(capsys):
     assert len(payload["buses"]) == 14
 
 
+def test_estimate_truth_nonconvergence_exits_1(capsys, tmp_path):
+    """Loads x50 leave the truth power flow without a solution: exit 1, no JSON."""
+    case = tmp_path / "case"
+    shutil.copytree(builtin_case_dir("ieee14"), case)
+    lines = (case / "buses.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[4], row[5] = repr(50 * float(row[4])), repr(50 * float(row[5]))
+    (case / "buses.csv").write_text("\n".join([lines[0], *(",".join(r) for r in rows)]) + "\n")
+    code, out, err = run(capsys, ["estimate", "--case", str(case), "--seed", "7"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: truth power flow did not converge")
+
+
 def test_snapshots_byte_identical(capsys, tmp_path):
     args = ["snapshots", "--case", "ieee14", "--count", "2", "--load-scale", "1.0,0.98", "--seed", "11"]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

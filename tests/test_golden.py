@@ -70,6 +70,7 @@ def assert_json_close(got, want, where="$"):
     "golden, argv",
     [
         ("estimate_ieee14_seed7.json", ["estimate", "--case", "ieee14", "--seed", "7"]),
+        ("estimate_ieee14_seed7_noise_off.json", ["estimate", "--case", "ieee14", "--seed", "7", "--noise-off"]),
         ("pf_ieee14.json", ["pf", "--case", "ieee14"]),
     ],
 )
@@ -79,10 +80,18 @@ def test_json_output_matches_golden(capsys, golden, argv):
     assert_json_close(got, want)
 
 
+SNAPSHOTS_ARGV = ["snapshots", "--case", "ieee14", "--count", "3", "--load-scale", "1.0,0.98,1.02", "--seed", "7"]
+
+
 def test_snapshots_csv_matches_golden_bytes(capsys):
-    out = run_stdout(capsys, ["snapshots", "--case", "ieee14", "--count", "3",
-                              "--load-scale", "1.0,0.98,1.02", "--seed", "7"])
+    out = run_stdout(capsys, SNAPSHOTS_ARGV)
     assert out == (GOLDEN / "snapshots_ieee14_seed7.csv").read_text()
+
+
+def test_snapshots_json_matches_golden(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_stdout(capsys, [*SNAPSHOTS_ARGV, "--out", str(out)]) == ""
+    assert_json_close(json.loads(out.read_text()), json.loads((GOLDEN / "snapshots_ieee14_seed7.json").read_text()))
 
 
 @pytest.mark.parametrize("name", sorted(CONTROLLER_CONFIGS))
