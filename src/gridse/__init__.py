@@ -47,7 +47,6 @@ from .measurements import (
 )
 from .estimator import (
     EstimationResult,
-    EstimatorConfig,
     SingularGain,
     estimate,
     gain_matrix,
@@ -57,6 +56,7 @@ from .estimator import (
 from .controller import (
     GridOracle,
     MaxSweepsExceeded,
+    NoInteriorPoints,
     NonAffineResidual,
     QuadraticValue,
     SimulationResult,
@@ -81,6 +81,7 @@ from .scenario import (
     SnapshotPlan,
     SnapshotRecord,
     SnapshotReport,
+    TruthNotConverged,
     derive_snapshot_seed,
     load_case,
     load_switched_system,
@@ -89,6 +90,7 @@ from .scenario import (
     render_report_csv,
     render_report_json,
     resolve_case_dir,
+    run_estimation,
     run_snapshots,
     write_measurements_csv,
 )

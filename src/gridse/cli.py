@@ -21,6 +21,7 @@ from .controller import (
     MAX_GRID_POINTS,
     MAX_STEPS,
     MaxSweepsExceeded,
+    NoInteriorPoints,
     NonAffineResidual,
     SingularP,
     UnstableSystem,
@@ -30,23 +31,24 @@ from .controller import (
     solve_quadratic_value,
     switching_function,
 )
-from .estimator import EstimatorConfig, SingularGain, estimate
+from .estimator import SingularGain
 from .measurements import (
     DEFAULT_SIGMA_FLOW,
     DEFAULT_SIGMA_INJ,
     DEFAULT_SIGMA_V,
     full_measurement_plan,
-    generate_measurements,
 )
 from .powerflow import SingularJacobian, solve_power_flow
 from .scenario import (
     CaseFileError,
     SnapshotPlan,
+    TruthNotConverged,
     load_case,
     load_switched_system,
     render_report_csv,
     render_report_json,
     resolve_case_dir,
+    run_estimation,
     run_snapshots,
 )
 
@@ -106,24 +108,16 @@ def cmd_pf(args) -> int:
 
 def cmd_estimate(args) -> int:
     bundle = load_case(resolve_case_dir(args.case))
-    network = bundle.network
-    pf = solve_power_flow(network, tol=1e-8, max_iter=20)
-    if not pf.converged:
-        print(f"error: truth power flow did not converge (mismatch {pf.max_mismatch:.3e})", file=sys.stderr)
-        return 1
-    plan = full_measurement_plan(network, args.sigma_v, args.sigma_inj, args.sigma_flow)
-    mset = generate_measurements(
-        pf.state, plan, args.seed, network, network.ybus, noise=not args.noise_off
-    )
-    result = estimate(network, mset, EstimatorConfig())
+    plan = full_measurement_plan(bundle.network, args.sigma_v, args.sigma_inj, args.sigma_flow)
+    truth, result = run_estimation(bundle.network, plan, args.seed, noise=not args.noise_off)
     payload = {
         "converged": result.converged,
         "iterations": result.iterations,
         "objective": result.objective,
         "gain_condition": result.gain_condition,
-        "measurement_count": len(mset),
+        "measurement_count": len(plan),
         "objective_history": list(result.objective_history),
-        "buses": _state_rows(result.state, truth=pf.state),
+        "buses": _state_rows(result.state, truth=truth),
     }
     _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if result.converged else 1
@@ -211,7 +205,7 @@ def cmd_controller_oracle(args) -> int:
             "mean_gap_v1": cmp.mean_gap_v1,
             "points": cmp.points,
         }
-    except (UnstableSystem, SingularP) as exc:
+    except (UnstableSystem, SingularP, NoInteriorPoints) as exc:
         report["quadratic_comparison"] = {"unavailable": str(exc)}
     if args.out:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
@@ -307,7 +301,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MaxSweepsExceeded, NonAffineResidual) as exc:
+    except (MaxSweepsExceeded, NonAffineResidual, TruthNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

@@ -41,6 +41,10 @@ class MaxSweepsExceeded(RuntimeError):
     """Grid value iteration did not reach tolerance within max_sweeps."""
 
 
+class NoInteriorPoints(ValueError):
+    """No oracle grid point lies in the interior third of the box."""
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -97,8 +101,10 @@ def discretize(a_continuous, b_continuous, dt: float) -> tuple:
     a = np.atleast_2d(np.asarray(a_continuous, dtype=float))
     b = np.reshape(np.asarray(b_continuous, dtype=float), (-1,))
     n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError("a must be square and b of matching length")
+    if a.shape != (n, n):
+        raise ValueError("a must be a square matrix")
+    if b.shape != (n,):
+        raise ValueError(f"b must have {n} entries, got {b.size}")
     return np.eye(n) + a * dt, b * dt
 
 
@@ -259,35 +265,27 @@ def _grid_points(lower: np.ndarray, upper: np.ndarray, resolution: int) -> np.nd
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _interp_coords(points: np.ndarray, lower: np.ndarray, upper: np.ndarray, resolution: int):
-    """Per-dimension lower cell indices and weights for multilinear interpolation."""
-    steps = (upper - lower) / (resolution - 1)
-    idx, wts = [], []
-    for d in range(points.shape[1]):
-        pos = (points[:, d] - lower[d]) / steps[d]
-        i0 = np.clip(np.floor(pos).astype(int), 0, resolution - 2)
-        idx.append(i0)
-        wts.append(pos - i0)
-    return idx, wts
+def _interp_stencil(points: np.ndarray, lower: np.ndarray, upper: np.ndarray, resolution: int) -> list:
+    """Multilinear interpolation at `points` on the grid: one (flat grid index,
+    per-dimension weight factors) pair per cell corner, corners in row-major
+    order. The value at the points is then sum over corners of
+    table[index] * factor_1 * ... * factor_n, evaluated left to right."""
+    pos = (points - lower) / ((upper - lower) / (resolution - 1))
+    i0 = np.clip(np.floor(pos).astype(int), 0, resolution - 2)
+    w = (pos - i0).T
+    strides = resolution ** np.arange(points.shape[1])[::-1]
+    return [((i0 + corner) @ strides, [w[d] if c else 1 - w[d] for d, c in enumerate(corner)])
+            for corner in np.ndindex((2,) * points.shape[1])]
 
 
-def _interp_apply(flat_table: np.ndarray, idx: list, wts: list, resolution: int) -> np.ndarray:
-    if len(idx) == 1:
-        i0, w = idx[0], wts[0]
-        return flat_table[i0] * (1.0 - w) + flat_table[i0 + 1] * w
-    ix, iy = idx
-    wx, wy = wts
-    base = ix * resolution + iy
-    v00 = flat_table[base]
-    v01 = flat_table[base + 1]
-    v10 = flat_table[base + resolution]
-    v11 = flat_table[base + resolution + 1]
-    return (
-        v00 * (1 - wx) * (1 - wy)
-        + v01 * (1 - wx) * wy
-        + v10 * wx * (1 - wy)
-        + v11 * wx * wy
-    )
+def _interpolate(flat_table: np.ndarray, stencil: list) -> np.ndarray:
+    total = None
+    for index, factors in stencil:
+        term = flat_table[index]
+        for f in factors:
+            term = term * f
+        total = term if total is None else total + term
+    return total
 
 
 def bellman_value_iteration(
@@ -325,20 +323,20 @@ def bellman_value_iteration(
     q_vals = np.einsum("ij,jk,ik->i", d, system.Q, d)
 
     clamped = False
-    interp = {}
+    stencils = []
     for u in (0, 1):
         succ = points @ system.A.T + u * system.b
         clipped = np.clip(succ, lower, upper)
         clamped = clamped or bool(np.any(clipped != succ))
-        interp[u] = _interp_coords(clipped, lower, upper, resolution)
+        stencils.append(_interp_stencil(clipped, lower, upper, resolution))
 
     alpha, beta = system.alpha, system.beta
     v0 = np.zeros(points.shape[0])
     v1 = np.zeros(points.shape[0])
     residuals = []
     for _ in range(max_sweeps):
-        ev0 = _interp_apply(v0, *interp[0], resolution)  # V0 at successors under u=0
-        ev1 = _interp_apply(v1, *interp[1], resolution)  # V1 at successors under u=1
+        ev0 = _interpolate(v0, stencils[0])  # V0 at successors under u=0
+        ev1 = _interpolate(v1, stencils[1])  # V1 at successors under u=1
         new_v0 = q_vals + np.minimum(alpha * ev0, beta + alpha * ev1)
         new_v1 = q_vals + np.minimum(beta + alpha * ev0, alpha * ev1)
         resid = max(float(np.max(np.abs(new_v0 - v0))), float(np.max(np.abs(new_v1 - v1))))
@@ -379,6 +377,8 @@ def compare_value_functions(oracle: GridOracle, qv: QuadraticValue) -> ValueComp
     span = oracle.upper - oracle.lower
     points = oracle.points
     inner = np.all((points >= oracle.lower + span / 3.0) & (points <= oracle.upper - span / 3.0), axis=1)
+    if not np.any(inner):
+        raise NoInteriorPoints("no grid point in the interior third of the box")
     points = points[inner]
     v0 = oracle.v0.reshape(-1)[inner]
     v1 = oracle.v1.reshape(-1)[inner]

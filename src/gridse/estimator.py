@@ -3,12 +3,13 @@
 Minimizes J(x) = sum_i (z_i - h_i(x))^2 / sigma_i^2 by repeatedly solving the
 normal equations G dx = H^T R^-1 (z - h(x)) with gain matrix G = H^T R^-1 H,
 factorized as symmetric positive definite rather than inverted. Iteration
-stops when max|dx| drops below the configured tolerance. h(x) is evaluated
-once per iterate: its residual gives both that iterate's objective and the
-right-hand side of the next step. A gain matrix whose condition estimate
-exceeds CONDITION_LIMIT signals an unobservable measurement set and
-raises SingularGain; a step that leaves a non-finite entry or a magnitude
-<= 0 stops the iteration with converged=False at the last physical iterate.
+stops when max|dx| drops below STEP_TOL, or after MAX_ITER steps with
+converged=False. h(x) is evaluated once per iterate: its residual gives both
+that iterate's objective and the right-hand side of the next step. A gain
+matrix whose condition estimate exceeds CONDITION_LIMIT signals an
+unobservable measurement set and raises SingularGain; a step that leaves a
+non-finite entry or a magnitude <= 0 stops the iteration with converged=False
+at the last physical iterate.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from .network import Network
 from .powerflow import StateVector, flat_start
 
 CONDITION_LIMIT = 1e12  # gain condition above which the state counts as unobservable
+STEP_TOL = 1e-6         # converged once max|dx| (pu / rad) drops below this
+MAX_ITER = 50           # Gauss-Newton iterations before giving up with converged=False
 
 
 class SingularGain(RuntimeError):
@@ -39,19 +42,6 @@ class SingularGain(RuntimeError):
     def __init__(self, condition: float):
         super().__init__(f"gain matrix condition estimate {condition:.3e} exceeds limit")
         self.condition = condition
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    tol: float = 1e-6           # step infinity-norm threshold (pu / rad)
-    max_iter: int = 50
-    start: Optional[StateVector] = None  # warm start; None means flat start
-
-    def __post_init__(self):
-        if not (0 < self.tol < np.inf):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -106,9 +96,9 @@ def solve_normal_equations(h_matrix: np.ndarray, sigmas: np.ndarray, residuals: 
     return dx, gain, condition
 
 
-def estimate(network: Network, mset: MeasurementSet, config: EstimatorConfig | None = None) -> EstimationResult:
-    """Iterated Gauss-Newton WLS estimate of the network state."""
-    config = config or EstimatorConfig()
+def estimate(network: Network, mset: MeasurementSet, start: Optional[StateVector] = None) -> EstimationResult:
+    """Iterated Gauss-Newton WLS estimate of the network state, warm-started
+    from `start` (flat start when None)."""
     n_state = state_size(network)
     if len(mset) < n_state:
         raise ValueError(
@@ -119,8 +109,7 @@ def estimate(network: Network, mset: MeasurementSet, config: EstimatorConfig | N
     check_columns(mset.columns, network)
 
     ybus = network.ybus
-    start = config.start if config.start is not None else flat_start(network)
-    x = state_to_vector(start, network)
+    x = state_to_vector(flat_start(network) if start is None else start, network)
     z, sigmas = mset.values, mset.sigmas
 
     state = vector_to_state(x, network)
@@ -129,7 +118,7 @@ def estimate(network: Network, mset: MeasurementSet, config: EstimatorConfig | N
     converged = False
     condition = float("nan")
     iterations = 0
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         h_matrix = jacobian_h(mset, state, network, ybus)
         dx, _, condition = solve_normal_equations(h_matrix, sigmas, r)
@@ -140,7 +129,7 @@ def estimate(network: Network, mset: MeasurementSet, config: EstimatorConfig | N
         state = vector_to_state(x, network)
         r = z - evaluate_h(mset, state, network, ybus)
         history.append(_weighted_sse(r, sigmas))
-        if float(np.max(np.abs(dx))) < config.tol:
+        if float(np.max(np.abs(dx))) < STEP_TOL:
             converged = True
             break
 

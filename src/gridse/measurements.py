@@ -61,26 +61,6 @@ class MeasurementKind:
         else:
             raise ValueError(f"unknown measurement quantity {self.quantity!r}")
 
-    @classmethod
-    def voltage_magnitude(cls, bus: int):
-        return cls(V_MAG, bus=bus)
-
-    @classmethod
-    def active_injection(cls, bus: int):
-        return cls(P_INJ, bus=bus)
-
-    @classmethod
-    def reactive_injection(cls, bus: int):
-        return cls(Q_INJ, bus=bus)
-
-    @classmethod
-    def active_flow(cls, branch: int, end: str = FROM):
-        return cls(P_FLOW, branch=branch, end=end)
-
-    @classmethod
-    def reactive_flow(cls, branch: int, end: str = FROM):
-        return cls(Q_FLOW, branch=branch, end=end)
-
 
 class MeasurementColumns(NamedTuple):
     """Read-only index columns of a measurement table, one entry per row."""

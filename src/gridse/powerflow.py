@@ -116,6 +116,11 @@ def solve_power_flow(
     p_spec = (network.p_gen - network.p_load) / network.base_mva
     q_spec = (network.q_gen - network.q_load) / network.base_mva
 
+    def mismatch_at(state: StateVector):
+        p_calc, q_calc = calc_injections(state, ybus)
+        mismatch = np.concatenate([(p_spec - p_calc)[non_slack], (q_spec - q_calc)[pq]])
+        return mismatch, float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
+
     start = flat_start(network)
     ang = np.array(start.angles)
     mag = np.array(start.magnitudes)
@@ -123,13 +128,10 @@ def solve_power_flow(
     n_ang = len(non_slack)
     iterations = 0
     converged = False
-    mm = np.inf
     for _ in range(max_iter):
         iterations += 1
         state = StateVector(angles=ang, magnitudes=mag)
-        p_calc, q_calc = calc_injections(state, ybus)
-        mismatch = np.concatenate([(p_spec - p_calc)[non_slack], (q_spec - q_calc)[pq]])
-        mm = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
+        mismatch, mm = mismatch_at(state)
         if mm < tol:
             converged = True
             break
@@ -154,8 +156,6 @@ def solve_power_flow(
 
     state = StateVector(angles=ang, magnitudes=mag)
     if not converged:
-        p_calc, q_calc = calc_injections(state, ybus)
-        mismatch = np.concatenate([(p_spec - p_calc)[non_slack], (q_spec - q_calc)[pq]])
-        mm = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
+        mm = mismatch_at(state)[1]
         converged = mm < tol
     return PowerFlowResult(state=state, iterations=iterations, max_mismatch=mm, converged=converged)

@@ -1,11 +1,12 @@
 """Case-file ingestion, snapshot experiments and report emission.
 
 Case bundles are directories holding buses.csv and lines.csv (headers below)
-plus an optional case.json with the MVA base, a format version tag and
-optional per-bus load weights. Snapshot runs scale the loads, solve a truth
-power flow, synthesize measurements from a per-snapshot derived seed and
-estimate with one-snapshot memory (each snapshot warm-starts from the
-latest converged estimate).
+plus an optional case.json with the MVA base and optional per-bus load
+weights (a "version" key there is accepted and ignored). One estimation run
+solves a truth power flow, synthesizes measurements from a seed and
+estimates; `estimate` runs it once, and snapshot runs scale the loads and run
+it per snapshot with a derived seed and one-snapshot memory (each snapshot
+warm-starts from the latest converged estimate).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .controller import SwitchedSystem, discretize
-from .estimator import EstimatorConfig, SingularGain, estimate
+from .estimator import estimate
 from .measurements import (
     FROM,
     TO,
@@ -40,7 +41,7 @@ from .network import (
     build_network,
     with_scaled_loads,
 )
-from .powerflow import SingularJacobian, StateVector, solve_power_flow
+from .powerflow import StateVector, solve_power_flow
 
 BUSES_FILE = "buses.csv"
 LINES_FILE = "lines.csv"
@@ -72,14 +73,13 @@ class CaseFileError(ValueError):
         super().__init__(f"{self.file}:{line}: column '{column}': {reason}")
 
 
+class TruthNotConverged(RuntimeError):
+    """The truth power flow of an estimation run did not converge."""
+
+
 @dataclass(frozen=True)
 class CaseBundle:
     network: Network
-    directory: str
-    buses_path: str
-    lines_path: str
-    case_path: Optional[str]
-    version: str
     bus_load_weights: dict
 
 
@@ -206,9 +206,9 @@ def load_case(dir_path) -> CaseBundle:
 
     case_path = directory / CASE_FILE
     if case_path.is_file():
-        base_mva, version, weights = _read_case_meta(case_path)
+        base_mva, weights = _read_case_meta(case_path)
     else:
-        case_path, base_mva, version, weights = None, 100.0, "1", {}
+        base_mva, weights = 100.0, {}
 
     try:
         network = build_network(buses, branches, base_mva=base_mva)
@@ -219,19 +219,11 @@ def load_case(dir_path) -> CaseBundle:
     for bus_id in weights:
         if not (1 <= bus_id <= network.n_buses):
             raise CaseFileError(case_path, 0, "bus_load_weights", f"bus {bus_id} does not exist")
-    return CaseBundle(
-        network=network,
-        directory=str(directory),
-        buses_path=str(buses_path),
-        lines_path=str(lines_path),
-        case_path=str(case_path) if case_path else None,
-        version=version,
-        bus_load_weights=weights,
-    )
+    return CaseBundle(network=network, bus_load_weights=weights)
 
 
 def _read_case_meta(path: Path):
-    """(base_mva, version, bus load weights) from a case.json file."""
+    """(base_mva, bus load weights) from a case.json file."""
     try:
         meta = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -254,7 +246,7 @@ def _read_case_meta(path: Path):
     if not isinstance(raw, dict) or not all(key.strip().isdecimal() for key in raw):
         raise CaseFileError(path, 0, "bus_load_weights", "expected an object of bus id -> weight")
     weights = {int(key): number(w, "bus_load_weights", positive=False) for key, w in raw.items()}
-    return base_mva, str(meta.get("version", "1")), weights
+    return base_mva, weights
 
 
 def write_measurements_csv(mset: MeasurementSet, path) -> None:
@@ -358,35 +350,40 @@ def derive_snapshot_seed(seed: int, snapshot: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(snapshot)]).generate_state(1, np.uint64)[0])
 
 
+def run_estimation(network: Network, plan: MeasurementSet, seed: int,
+                   start: Optional[StateVector] = None, noise: bool = True) -> tuple:
+    """One static estimation run: (truth state, EstimationResult).
+
+    Solves the truth power flow (raising TruthNotConverged when it does not
+    converge), meters `plan` at that truth with `seed`, and estimates
+    warm-started from `start` (flat start when None).
+    """
+    pf = solve_power_flow(network)
+    if not pf.converged:
+        raise TruthNotConverged(f"truth power flow did not converge (max mismatch {pf.max_mismatch:.3e})")
+    mset = generate_measurements(pf.state, plan, seed, network, network.ybus, noise=noise)
+    return pf.state, estimate(network, mset, start)
+
+
 def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
     """The multi-snapshot estimation loop with one-snapshot memory.
 
     Snapshot k scales all loads by plan.load_scale[k] (times any per-bus
-    weight from case.json), solves the truth power flow, meters the full
+    weight from case.json) and makes one estimation run on the full
     measurement plan (built once: the topology is fixed) with the seed derived
-    from (plan.seed, k), and estimates warm-started from the latest converged
-    estimate (flat start before the first). A snapshot whose solver fails is
-    recorded with an error, one whose estimate does not converge with
-    converged=False, and the run continues.
+    from (plan.seed, k), warm-started from the latest converged estimate
+    (flat start before the first). A snapshot whose solver fails is recorded
+    with an error, one whose estimate does not converge with converged=False,
+    and the run continues.
     """
     records = []
     previous: Optional[StateVector] = None
     meters = full_measurement_plan(bundle.network)
-    for k in range(plan.snapshot_count):
-        scale = plan.load_scale[k]
+    for k, scale in enumerate(plan.load_scale):
         try:
             net_k = with_scaled_loads(bundle.network, scale, bundle.bus_load_weights)
-            pf = solve_power_flow(net_k, tol=1e-8, max_iter=20)
-            if not pf.converged:
-                raise RuntimeError(
-                    f"truth power flow did not converge (max mismatch {pf.max_mismatch:.3e})"
-                )
-            mset = generate_measurements(
-                pf.state, meters, derive_snapshot_seed(plan.seed, k),
-                net_k, net_k.ybus, noise=plan.noise,
-            )
-            est = estimate(net_k, mset, EstimatorConfig(start=previous))
-        except (SingularGain, SingularJacobian, NetworkError, RuntimeError, np.linalg.LinAlgError) as exc:
+            truth, est = run_estimation(net_k, meters, derive_snapshot_seed(plan.seed, k), previous, plan.noise)
+        except (NetworkError, RuntimeError, np.linalg.LinAlgError) as exc:
             records.append(
                 SnapshotRecord(
                     index=k, load_scale=scale, truth=None, estimate=None,
@@ -400,7 +397,7 @@ def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
             SnapshotRecord(
                 index=k,
                 load_scale=scale,
-                truth=pf.state,
+                truth=truth,
                 estimate=est.state,
                 iterations=est.iterations,
                 objective=est.objective,
@@ -469,8 +466,8 @@ def load_switched_system(path):
     The config provides either A and b directly, or a continuous-time model
     {"continuous": {"a": ..., "b": ..., "dt": ...}} that is discretized by
     forward Euler. An optional "output" row gain y = gain . x is returned
-    alongside the system (None without one). A non-numeric or non-finite
-    value is a CaseFileError naming the key.
+    alongside the system (None without one). Every error is a CaseFileError
+    naming the file, and the key where one key is at fault.
     """
     path = Path(path)
     try:
@@ -480,7 +477,13 @@ def load_switched_system(path):
     if not isinstance(raw, dict):
         raise CaseFileError(path, 1, "-", "config must be a JSON object")
 
+    cont = raw.get("continuous", {})
+    if not isinstance(cont, dict):
+        raise CaseFileError(path, 0, "continuous", "expected an object")
+
     def finite(table: dict, key: str) -> np.ndarray:
+        if key not in table:
+            raise CaseFileError(path, 0, key, "missing config key")
         value = table[key]
         try:
             arr = np.asarray(value, dtype=float)
@@ -490,18 +493,24 @@ def load_switched_system(path):
             raise CaseFileError(path, 0, key, f"expected finite numbers, got {value!r}")
         return arr
 
+    def number(table: dict, key: str) -> float:
+        arr = finite(table, key)
+        if arr.size != 1:
+            raise CaseFileError(path, 0, key, f"expected one number, got {table[key]!r}")
+        return arr.item()
+
     try:
         if "continuous" in raw:
-            cont = raw["continuous"]
-            a_mat, b_vec = discretize(finite(cont, "a"), finite(cont, "b"), float(finite(cont, "dt")))
+            a_mat, b_vec = discretize(finite(cont, "a"), finite(cont, "b"), number(cont, "dt"))
         else:
             a_mat, b_vec = finite(raw, "A"), finite(raw, "b")
-        system = SwitchedSystem(A=a_mat, b=b_vec, alpha=float(finite(raw, "alpha")),
-                                beta=float(finite(raw, "beta")), Q=finite(raw, "Q"), r=finite(raw, "r"))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing config key {exc}") from exc
-    except TypeError as exc:  # "continuous" not an object, a non-scalar alpha or beta
-        raise CaseFileError(path, 0, "-", str(exc)) from exc
+        system = SwitchedSystem(A=a_mat, b=b_vec, alpha=number(raw, "alpha"), beta=number(raw, "beta"),
+                                Q=finite(raw, "Q"), r=finite(raw, "r"))
+    except CaseFileError:
+        raise
+    except (TypeError, ValueError) as exc:  # out of range: "<key> must be ..." names a single key
+        key = str(exc).partition(" must ")[0]
+        raise CaseFileError(path, 0, key if key in raw or key in cont else "-", str(exc)) from exc
     if "output" not in raw:
         return system, None
     gain = np.reshape(finite(raw, "output"), (-1,))

@@ -8,7 +8,7 @@ import pytest
 
 from gridse.network import Branch, Bus, build_ybus
 from gridse.powerflow import solve_power_flow
-from gridse.scenario import load_case, resolve_case_dir
+from gridse.scenario import builtin_case_dir, load_case, resolve_case_dir
 
 
 @pytest.fixture(scope="session")
@@ -22,13 +22,14 @@ def ieee14(ieee14_bundle):
 
 
 @pytest.fixture(scope="session")
-def ieee14_rows(ieee14_bundle):
+def ieee14_rows():
     """ieee14 as (Bus rows, Branch rows), for tests that build variant grids;
     the bus kinds are left to build_network's inference, as in the case file."""
-    with open(ieee14_bundle.buses_path, newline="") as fh:
+    case = builtin_case_dir("ieee14")
+    with open(case / "buses.csv", newline="") as fh:
         buses = tuple(Bus(int(r["bus"]), float(r["vsp_pu"]), float(r["pg_mw"]), float(r["qg_mvar"]),
                           float(r["pl_mw"]), float(r["ql_mvar"])) for r in csv.DictReader(fh))
-    with open(ieee14_bundle.lines_path, newline="") as fh:
+    with open(case / "lines.csv", newline="") as fh:
         branches = tuple(Branch(int(r["from_bus"]), int(r["to_bus"]), float(r["r_pu"]), float(r["x_pu"]),
                                 float(r["b_half_pu"])) for r in csv.DictReader(fh))
     return buses, branches

@@ -19,7 +19,7 @@ from gridse.controller import (
     solve_quadratic_value,
     switching_function,
 )
-from gridse.estimator import EstimatorConfig, estimate
+from gridse.estimator import estimate
 from gridse.measurements import (
     evaluate_h,
     full_measurement_plan,
@@ -60,7 +60,7 @@ def test_criterion_02_zero_noise_recovery(ieee14, ieee14_truth, ieee14_ybus):
     plan = full_measurement_plan(ieee14)
     assert len(plan) == 122
     mset = generate_measurements(ieee14_truth, plan, 0, ieee14, ieee14_ybus, noise=False)
-    result = estimate(ieee14, mset, EstimatorConfig())
+    result = estimate(ieee14, mset)
     elapsed = time.perf_counter() - t0
     dv = float(np.max(np.abs(result.state.magnitudes - ieee14_truth.magnitudes)))
     dth = float(np.max(np.abs(result.state.angles - ieee14_truth.angles)))
@@ -105,7 +105,7 @@ def test_criterion_04_chi_square_consistency(ieee14, ieee14_truth, ieee14_ybus):
     objectives = []
     for seed in range(200):
         mset = generate_measurements(ieee14_truth, plan, seed, ieee14, ieee14_ybus)
-        result = estimate(ieee14, mset, EstimatorConfig())
+        result = estimate(ieee14, mset)
         assert result.converged
         objectives.append(result.objective)
     elapsed = time.perf_counter() - t0
@@ -142,7 +142,7 @@ def test_criterion_06_snapshot_memory_no_regressions(ieee14_bundle):
         report = run_snapshots(ieee14_bundle, plan)
         warm_iters = report.records[1].iterations
         mset = generate_measurements(truth1, mplan, derive_snapshot_seed(seed, 1), net1, ybus1)
-        flat = estimate(net1, mset, EstimatorConfig())
+        flat = estimate(net1, mset)
         if warm_iters > flat.iterations:
             regressions.append((seed, warm_iters, flat.iterations))
     assert not regressions, f"warm start took more iterations than flat start: {regressions}"

@@ -234,6 +234,27 @@ def test_controller_non_finite_config_exits_2(capsys, tmp_path, config, command)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config, column, reason", [
+    ({**_SCALAR, "alpha": 1.5}, "alpha", "alpha must be in (0, 1), got 1.5"),
+    ({**_SCALAR, "alpha": [0.5, 0.2]}, "alpha", "expected one number"),
+    ({**_SCALAR, "beta": -1.0}, "beta", "beta must be >= 0"),
+    ({**_SCALAR, "A": [[0.9, 0.1]]}, "A", "A must be a square matrix"),
+    ({**_SCALAR, "Q": [[-1.0]]}, "Q", "Q must be positive semidefinite"),
+    ({**_SCALAR, "b": [0.2, 0.1]}, "-", "b, r must have length n"),
+    ({k: v for k, v in _SCALAR.items() if k != "r"}, "r", "missing config key"),
+    ({**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [2.0], "dt": 0}}, "dt", "dt must be finite and > 0"),
+    ({**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [2.0, 1.0], "dt": 0.1}}, "b", "b must have 1 entries"),
+    ({**_CONTINUOUS, "continuous": [1.0]}, "continuous", "expected an object"),
+])
+def test_controller_config_out_of_range_names_file_and_key(capsys, tmp_path, config, column, reason):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, ["controller", "solve", "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith(f"error: {cfg}:0: column '{column}': ") and reason in err
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("x0", ["nan", "inf", "1e999"])
 def test_controller_simulate_non_finite_x0_exits_2(capsys, x0):
     code, out, err = run(capsys, [
@@ -363,6 +384,20 @@ def test_controller_oracle(capsys, tmp_path):
     lines = grid.read_text().strip().split("\n")
     assert lines[0] == "x1,v0,v1"
     assert len(lines) == 202
+
+
+def test_controller_oracle_without_interior_points_exits_0(capsys, tmp_path):
+    """At resolution 2 no grid point lies in the interior third of the box:
+    the comparison is reported unavailable, as for an unstable system."""
+    grid = tmp_path / "grid.csv"
+    code, out, err = run(capsys, [
+        "controller", "oracle", "--config", SCALAR_CONFIG,
+        "--box", "-0.5,2.5", "--resolution", "2", "--out", str(grid),
+    ])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["quadratic_comparison"] == {"unavailable": "no grid point in the interior third of the box"}
+    assert len(grid.read_text().strip().split("\n")) == 3
 
 
 def test_controller_oracle_bad_box(capsys):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from gridse.estimator import (
-    EstimatorConfig,
+    MAX_ITER,
     SingularGain,
     estimate,
     gain_matrix,
@@ -11,6 +11,7 @@ from gridse.estimator import (
     solve_normal_equations,
 )
 from gridse.measurements import (
+    V_MAG,
     MeasurementColumns,
     MeasurementKind,
     MeasurementSet,
@@ -42,7 +43,7 @@ def test_objective_zero_at_exact_fit(ieee14, ieee14_truth, ieee14_ybus):
 
 
 def test_objective_single_measurement(ieee14, ieee14_truth, ieee14_ybus):
-    kinds = [MeasurementKind.voltage_magnitude(3)]
+    kinds = [MeasurementKind(V_MAG, bus=3)]
     h = evaluate_h(MeasurementSet.from_kinds(kinds, [0.0], [0.01]), ieee14_truth, ieee14, ieee14_ybus)[0]
     mset = MeasurementSet.from_kinds(kinds, [h + 0.02], [0.01])
     assert objective_j(mset, ieee14_truth, ieee14, ieee14_ybus) == pytest.approx(4.0, rel=1e-12)
@@ -146,13 +147,13 @@ def test_zero_noise_recovery(ieee14, ieee14_truth, ieee14_ybus):
 
 def test_warm_start_at_truth_converges_in_one_iteration(ieee14, ieee14_truth, ieee14_ybus):
     mset = _noise_free_set(ieee14, ieee14_truth, ieee14_ybus)
-    result = estimate(ieee14, mset, EstimatorConfig(start=ieee14_truth))
+    result = estimate(ieee14, mset, start=ieee14_truth)
     assert result.converged
     assert result.iterations == 1
 
 
 def test_voltage_only_plan_is_unobservable(ieee14, ieee14_truth, ieee14_ybus):
-    kinds = [MeasurementKind.voltage_magnitude(i) for i in range(1, 15)]
+    kinds = [MeasurementKind(V_MAG, bus=i) for i in range(1, 15)]
     # pad with duplicates to satisfy m >= n while keeping angles unobservable
     plan = MeasurementSet.from_kinds(kinds * 2, np.full(28, np.nan), np.full(28, 0.004))
     mset = generate_measurements(ieee14_truth, plan, 3, ieee14, ieee14_ybus)
@@ -176,9 +177,9 @@ def test_divergent_step_returns_last_physical_iterate(ieee14, ieee14_truth, ieee
     # from magnitudes of 0.2 pu a Gauss-Newton step drives some magnitude <= 0
     mset = generate_measurements(ieee14_truth, full_measurement_plan(ieee14), 7, ieee14, ieee14_ybus)
     start = StateVector(angles=np.zeros(14), magnitudes=np.full(14, 0.2))
-    result = estimate(ieee14, mset, EstimatorConfig(start=start))
+    result = estimate(ieee14, mset, start=start)
     assert not result.converged
-    assert result.iterations < EstimatorConfig().max_iter
+    assert result.iterations < MAX_ITER
     assert np.all(result.state.magnitudes > 0)
     assert np.all(np.isfinite(result.state.angles))
     # the reported objective and residuals belong to the returned state
@@ -230,9 +231,11 @@ def test_chi_square_sanity_band(ieee14, ieee14_truth, ieee14_ybus):
     assert 0.7 * 95 < mean < 1.3 * 95
 
 
-def test_config_validation():
-    for tol in (0.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            EstimatorConfig(tol=tol)
-    with pytest.raises(ValueError):
-        EstimatorConfig(max_iter=0)
+def test_iteration_cap_returns_not_converged(ieee14, ieee14_truth, ieee14_ybus, monkeypatch):
+    import gridse.estimator
+
+    monkeypatch.setattr(gridse.estimator, "MAX_ITER", 2)
+    mset = generate_measurements(ieee14_truth, full_measurement_plan(ieee14), 7, ieee14, ieee14_ybus)
+    result = estimate(ieee14, mset)
+    assert not result.converged
+    assert result.iterations == 2 and len(result.objective_history) == 3

@@ -70,8 +70,8 @@ def assert_json_close(got, want, where="$"):
     "golden, argv",
     [
         ("estimate_ieee14_seed7.json", ["estimate", "--case", "ieee14", "--seed", "7"]),
-        ("estimate_ieee14_seed7_noise_off.json", ["estimate", "--case", "ieee14", "--seed", "7", "--noise-off"]),
         ("pf_ieee14.json", ["pf", "--case", "ieee14"]),
+        ("estimate_ieee14_seed7_noise_off.json", ["estimate", "--case", "ieee14", "--seed", "7", "--noise-off"]),
     ],
 )
 def test_json_output_matches_golden(capsys, golden, argv):

@@ -17,6 +17,7 @@ from gridse.measurements import (
     FROM,
     P_FLOW,
     P_INJ,
+    Q_FLOW,
     Q_INJ,
     TO,
     V_MAG,
@@ -164,15 +165,15 @@ def _slack_partial_kinds(network):
     """To-end and from-end flows of every branch touching the slack bus, plus
     the slack bus's own voltage and injections and one far injection."""
     slack_id = network.slack_index + 1
-    kinds = [MeasurementKind.voltage_magnitude(slack_id),
-             MeasurementKind.active_injection(slack_id),
-             MeasurementKind.reactive_injection(network.n_buses)]
+    kinds = [MeasurementKind(V_MAG, bus=slack_id),
+             MeasurementKind(P_INJ, bus=slack_id),
+             MeasurementKind(Q_INJ, bus=network.n_buses)]
     br = network.branch_arrays
     for idx, ends in enumerate(zip(br.from_idx.tolist(), br.to_idx.tolist())):
         if network.slack_index in ends:
-            kinds += [MeasurementKind.active_flow(idx, TO), MeasurementKind.reactive_flow(idx, TO),
-                      MeasurementKind.reactive_flow(idx, FROM)]
-    kinds.append(MeasurementKind.active_flow(network.n_branches - 1, TO))
+            kinds += [MeasurementKind(P_FLOW, branch=idx, end=TO), MeasurementKind(Q_FLOW, branch=idx, end=TO),
+                      MeasurementKind(Q_FLOW, branch=idx, end=FROM)]
+    kinds.append(MeasurementKind(P_FLOW, branch=network.n_branches - 1, end=TO))
     return kinds
 
 

@@ -55,7 +55,7 @@ def _random_state(rng, n, slack=0):
 
 def test_voltage_measurement_is_identity(ieee14, ieee14_ybus):
     state = StateVector(angles=np.zeros(14), magnitudes=np.ones(14))
-    h = evaluate_h(_mset([MeasurementKind.voltage_magnitude(5)]), state, ieee14, ieee14_ybus)
+    h = evaluate_h(_mset([MeasurementKind(V_MAG, bus=5)]), state, ieee14, ieee14_ybus)
     assert h[0] == 1.0
 
 
@@ -63,7 +63,7 @@ def test_two_bus_flow_closed_form():
     net = _two_bus_net()
     ybus = build_ybus(net)
     state = StateVector(angles=np.array([0.0, -0.1]), magnitudes=np.array([1.0, 1.0]))
-    kinds = [MeasurementKind.active_flow(0, FROM), MeasurementKind.active_injection(1)]
+    kinds = [MeasurementKind(P_FLOW, branch=0, end=FROM), MeasurementKind(P_INJ, bus=1)]
     h = evaluate_h(_mset(kinds), state, net, ybus)
     assert h[0] == pytest.approx(10.0 * np.sin(0.1), abs=1e-12)
     assert h[0] == pytest.approx(h[1], abs=1e-12)  # flow equals injection on a 2-bus net
@@ -73,7 +73,7 @@ def test_lossless_branch_flows_cancel():
     net = _two_bus_net(r=0.0, x=0.1)
     ybus = build_ybus(net)
     state = StateVector(angles=np.array([0.0, -0.17]), magnitudes=np.array([1.02, 0.97]))
-    kinds = [MeasurementKind.active_flow(0, FROM), MeasurementKind.active_flow(0, TO)]
+    kinds = [MeasurementKind(P_FLOW, branch=0, end=FROM), MeasurementKind(P_FLOW, branch=0, end=TO)]
     h = evaluate_h(_mset(kinds), state, net, ybus)
     assert h[0] + h[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -84,7 +84,7 @@ def test_branch_loss_is_nonnegative_and_matches_i2r(ieee14, ieee14_rows, ieee14_
         state = _random_state(rng, 14)
         v = state.magnitudes * np.exp(1j * state.angles)
         for idx, br in enumerate(ieee14_rows[1]):
-            kinds = [MeasurementKind.active_flow(idx, FROM), MeasurementKind.active_flow(idx, TO)]
+            kinds = [MeasurementKind(P_FLOW, branch=idx, end=FROM), MeasurementKind(P_FLOW, branch=idx, end=TO)]
             h = evaluate_h(_mset(kinds), state, ieee14, ieee14_ybus)
             f, t = br.from_bus - 1, br.to_bus - 1
             i_series = (v[f] - v[t]) / complex(br.resistance, br.reactance)
@@ -96,8 +96,8 @@ def test_branch_loss_is_nonnegative_and_matches_i2r(ieee14, ieee14_rows, ieee14_
 def test_injection_measurements_equal_calc_injections(ieee14, ieee14_ybus):
     rng = np.random.default_rng(2)
     state = _random_state(rng, 14)
-    kinds = [MeasurementKind.active_injection(i) for i in range(1, 15)]
-    kinds += [MeasurementKind.reactive_injection(i) for i in range(1, 15)]
+    kinds = [MeasurementKind(P_INJ, bus=i) for i in range(1, 15)]
+    kinds += [MeasurementKind(Q_INJ, bus=i) for i in range(1, 15)]
     h = evaluate_h(_mset(kinds), state, ieee14, ieee14_ybus)
     p, q = calc_injections(state, ieee14_ybus)
     assert np.array_equal(h[:14], p)
@@ -106,29 +106,29 @@ def test_injection_measurements_equal_calc_injections(ieee14, ieee14_ybus):
 
 def test_kind_validation(ieee14):
     with pytest.raises(ValueError):
-        MeasurementKind.voltage_magnitude(None)
+        MeasurementKind(V_MAG, bus=None)
     with pytest.raises(ValueError):
-        MeasurementKind.active_flow(0, "sideways")
+        MeasurementKind(P_FLOW, branch=0, end="sideways")
     with pytest.raises(ValueError):
         MeasurementKind(quantity="volts", bus=1)
     with pytest.raises(ValueError, match="bus 99 does not exist"):
-        check_columns(_mset([MeasurementKind.voltage_magnitude(99)]).columns, ieee14)
+        check_columns(_mset([MeasurementKind(V_MAG, bus=99)]).columns, ieee14)
     with pytest.raises(ValueError, match="measurement 1: branch index 77 does not exist"):
-        check_columns(_mset([MeasurementKind.voltage_magnitude(1),
-                             MeasurementKind.active_flow(77, FROM)]).columns, ieee14)
+        check_columns(_mset([MeasurementKind(V_MAG, bus=1),
+                             MeasurementKind(P_FLOW, branch=77, end=FROM)]).columns, ieee14)
     with pytest.raises(ValueError, match="bus 0 does not exist"):
-        check_columns(_mset([MeasurementKind.voltage_magnitude(0)]).columns, ieee14)
+        check_columns(_mset([MeasurementKind(V_MAG, bus=0)]).columns, ieee14)
     check_columns(full_measurement_plan(ieee14).columns, ieee14)
 
 
 def test_sigma_must_be_positive():
     for sigma in (0.0, -0.01, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            MeasurementSet.from_kinds([MeasurementKind.voltage_magnitude(1)], [1.0], [sigma])
+            MeasurementSet.from_kinds([MeasurementKind(V_MAG, bus=1)], [1.0], [sigma])
 
 
 def test_set_needs_one_entry_per_row():
-    kinds = [MeasurementKind.voltage_magnitude(1), MeasurementKind.voltage_magnitude(2)]
+    kinds = [MeasurementKind(V_MAG, bus=1), MeasurementKind(V_MAG, bus=2)]
     with pytest.raises(ValueError):
         MeasurementSet.from_kinds(kinds, [1.0], [0.01, 0.01])
     with pytest.raises(ValueError):
@@ -145,7 +145,7 @@ def test_set_needs_one_entry_per_row():
 def test_voltage_rows_are_unit_vectors(ieee14, ieee14_ybus):
     rng = np.random.default_rng(4)
     state = _random_state(rng, 14)
-    mset = _mset([MeasurementKind.voltage_magnitude(k) for k in (1, 5, 14)])
+    mset = _mset([MeasurementKind(V_MAG, bus=k) for k in (1, 5, 14)])
     h_mat = jacobian_h(mset, state, ieee14, ieee14_ybus)
     n = 14
     for row, bus in zip(h_mat, (1, 5, 14)):
@@ -202,7 +202,7 @@ def meshed_cases(draw):
               for q in (P_FLOW, Q_FLOW) for k in range(len(branches)) for end in (FROM, TO)]
     k_to = draw(st.integers(0, len(branches) - 1))
     kinds = draw(st.lists(st.sampled_from(every), min_size=1, max_size=3 * n, unique=True))
-    kinds += [k for k in (MeasurementKind.active_flow(k_to, TO), MeasurementKind.reactive_flow(k_to, TO))
+    kinds += [k for k in (MeasurementKind(P_FLOW, branch=k_to, end=TO), MeasurementKind(Q_FLOW, branch=k_to, end=TO))
               if k not in kinds]
 
     angles = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n)))
@@ -240,7 +240,7 @@ def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14_rows):
     net = build_network(buses, [Branch(b.from_bus, b.to_bus, b.resistance, b.reactance, 0.0) for b in branches])
     ybus = build_ybus(net)
     state = StateVector(angles=np.zeros(14), magnitudes=np.ones(14))
-    mset = _mset([MeasurementKind.active_injection(i) for i in range(1, 15)])
+    mset = _mset([MeasurementKind(P_INJ, bus=i) for i in range(1, 15)])
     h_mat = jacobian_h(mset, state, net, ybus)
     dp_dv = h_mat[:, 13:]
     assert np.max(np.abs(dp_dv - ybus.real)) < 1e-12
@@ -261,7 +261,7 @@ def test_measurement_set_arrays_are_stored_read_only(ieee14, ieee14_truth, ieee1
 
 def test_set_does_not_freeze_caller_arrays():
     values, sigmas = np.ones(2), np.full(2, 0.01)
-    mset = MeasurementSet.from_kinds([MeasurementKind.voltage_magnitude(1)] * 2, values, sigmas)
+    mset = MeasurementSet.from_kinds([MeasurementKind(V_MAG, bus=1)] * 2, values, sigmas)
     assert values.flags.writeable and sigmas.flags.writeable
     values[0] = 5.0
     assert mset.values[0] == 1.0
@@ -321,7 +321,7 @@ def test_noise_statistics():
     net = _two_bus_net()
     ybus = build_ybus(net)
     truth = StateVector(angles=np.zeros(2), magnitudes=np.ones(2))
-    plan = MeasurementSet.from_kinds([MeasurementKind.voltage_magnitude(1)], [np.nan], [0.01])
+    plan = MeasurementSet.from_kinds([MeasurementKind(V_MAG, bus=1)], [np.nan], [0.01])
     vals = np.array(
         [generate_measurements(truth, plan, seed, net, ybus).values[0] for seed in range(10000)]
     )
@@ -359,12 +359,12 @@ def test_plan_sigma_validation(ieee14):
 def test_full_plan_is_unmetered_in_row_order(ieee14):
     """Voltages, then P and Q injections bus by bus, then per branch P from,
     P to, Q from, Q to; values NaN."""
-    kinds = [MeasurementKind.voltage_magnitude(i) for i in range(1, 15)]
-    kinds += [MeasurementKind.active_injection(i) for i in range(1, 15)]
-    kinds += [MeasurementKind.reactive_injection(i) for i in range(1, 15)]
+    kinds = [MeasurementKind(V_MAG, bus=i) for i in range(1, 15)]
+    kinds += [MeasurementKind(P_INJ, bus=i) for i in range(1, 15)]
+    kinds += [MeasurementKind(Q_INJ, bus=i) for i in range(1, 15)]
     for idx in range(ieee14.n_branches):
-        kinds += [MeasurementKind.active_flow(idx, FROM), MeasurementKind.active_flow(idx, TO),
-                  MeasurementKind.reactive_flow(idx, FROM), MeasurementKind.reactive_flow(idx, TO)]
+        kinds += [MeasurementKind(P_FLOW, branch=idx, end=FROM), MeasurementKind(P_FLOW, branch=idx, end=TO),
+                  MeasurementKind(Q_FLOW, branch=idx, end=FROM), MeasurementKind(Q_FLOW, branch=idx, end=TO)]
     sigmas = [0.004] * 14 + [0.01] * 28 + [0.008] * 80
     plan = full_measurement_plan(ieee14)
     assert plan == MeasurementSet.from_kinds(kinds, np.full(122, np.nan), sigmas)

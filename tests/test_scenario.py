@@ -6,13 +6,11 @@ import json
 import shutil
 from pathlib import Path
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import gridse.scenario
-from gridse.estimator import EstimatorConfig, estimate
+from gridse.estimator import estimate
 from gridse.measurements import full_measurement_plan, generate_measurements
 from gridse.network import NetworkError, build_ybus, with_scaled_loads
 from gridse.powerflow import StateVector, solve_power_flow
@@ -41,7 +39,6 @@ LINES_SHA256 = "de36204737c7ad8a9963e457ede92bbc8746469c297ab2af9ab0ac9333a5b503
 def test_shipped_bundle_loads(ieee14_bundle):
     assert ieee14_bundle.network.n_buses == 14
     assert ieee14_bundle.network.n_branches == 20
-    assert ieee14_bundle.version == "1"
     assert ieee14_bundle.network.base_mva == 100.0
 
 
@@ -56,10 +53,10 @@ def test_unknown_case_dir():
         resolve_case_dir("definitely_not_a_case")
 
 
-def test_header_only_lines_file(tmp_path, ieee14_bundle):
+def test_header_only_lines_file(tmp_path):
     case = tmp_path / "case"
     case.mkdir()
-    (case / "buses.csv").write_text(Path(ieee14_bundle.buses_path).read_text())
+    (case / "buses.csv").write_text((builtin_case_dir("ieee14") / "buses.csv").read_text())
     (case / "lines.csv").write_text("from_bus,to_bus,r_pu,x_pu,b_half_pu\n")
     with pytest.raises(CaseFileError) as info:  # disconnected graph, not a parse error
         load_case(case)
@@ -120,15 +117,13 @@ def test_explicit_kind_column(tmp_path):
     assert kinds == ["slack", "pv", "pq"]  # pv would be inferred pq (vsp = 1.0)
 
 
-def test_case_json_base_and_weights(tmp_path, ieee14_bundle):
+def test_case_json_base_and_weights(tmp_path):
+    """A "version" key in case.json is accepted and ignored."""
     case = tmp_path / "case"
-    case.mkdir()
-    (case / "buses.csv").write_text(Path(ieee14_bundle.buses_path).read_text())
-    (case / "lines.csv").write_text(Path(ieee14_bundle.lines_path).read_text())
+    shutil.copytree(builtin_case_dir("ieee14"), case)
     (case / "case.json").write_text('{"base_mva": 50.0, "version": "2", "bus_load_weights": {"3": 1.5}}')
     bundle = load_case(case)
     assert bundle.network.base_mva == 50.0
-    assert bundle.version == "2"
     assert bundle.bus_load_weights == {3: 1.5}
 
 
@@ -250,7 +245,7 @@ def test_warm_start_not_worse_than_flat(ieee14_bundle):
     mset = generate_measurements(
         truth1, full_measurement_plan(net1), derive_snapshot_seed(3, 1), net1, build_ybus(net1)
     )
-    flat = estimate(net1, mset, EstimatorConfig())
+    flat = estimate(net1, mset)
     assert warm_iters <= flat.iterations
 
 
@@ -259,11 +254,11 @@ def test_divergent_estimate_recorded_and_run_continues(ieee14_bundle, monkeypatc
     # steps to a magnitude <= 0; later snapshots do not warm-start from it
     calls = []
 
-    def estimate_bad_first(network, mset, config):
+    def estimate_bad_first(network, mset, start):
         if not calls:
-            config = replace(config, start=StateVector(np.zeros(14), np.full(14, 0.2)))
-        calls.append(config.start)
-        return estimate(network, mset, config)
+            start = StateVector(np.zeros(14), np.full(14, 0.2))
+        calls.append(start)
+        return estimate(network, mset, start)
 
     monkeypatch.setattr(gridse.scenario, "estimate", estimate_bad_first)
     plan = SnapshotPlan(snapshot_count=3, load_scale=(1.0, 0.98, 1.02), seed=7)
