@@ -68,8 +68,12 @@ class SwitchedSystem:
         b = _readonly(np.reshape(self.b, (-1,)))
         q = _readonly(self.Q)
         r = _readonly(np.reshape(self.r, (-1,)))
-        if b.shape != (n,) or r.shape != (n,) or q.shape != (n, n):
-            raise ValueError("b, r must have length n and Q must be n x n")
+        if b.shape != (n,):
+            raise ValueError(f"b must have length n = {n}, got shape {b.shape}")
+        if r.shape != (n,):
+            raise ValueError(f"r must have length n = {n}, got shape {r.shape}")
+        if q.shape != (n, n):
+            raise ValueError(f"Q must be n x n with n = {n}, got shape {q.shape}")
         if not all(np.all(np.isfinite(v)) for v in (a, b, q, r, self.alpha, self.beta)):
             raise ValueError("A, b, Q, r, alpha and beta must be finite")
         if not (0 < self.alpha < 1):

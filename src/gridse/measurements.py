@@ -13,6 +13,9 @@ magnitudes, so the Jacobian has shape (m, 2*n_buses - 1).
 Synthetic measurements are drawn from independent per-measurement PCG64
 streams keyed by (seed, measurement index), so generation is a pure function
 of its inputs and adding a measurement never perturbs the draws of others.
+Each stream is the one `np.random.default_rng([seed, index])` gives; the
+SeedSequence hash that seeds them runs once over the whole index column, as
+uint32 array arithmetic equal to numpy's, instead of once per measurement.
 """
 from __future__ import annotations
 
@@ -20,6 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .network import Network
 from .powerflow import StateVector, calc_injections, injection_jacobian
@@ -238,17 +243,105 @@ def generate_measurements(
     """Synthetic z = h(truth) + e for the rows and sigmas of a plan.
 
     Errors are zero-mean normal draws, one per measurement, from PCG64
-    streams seeded with (seed, index). With noise=False the values equal
-    h(truth) exactly. The plan's own values are ignored.
+    streams seeded with (seed, index), so a plan has fewer than 2**32 rows.
+    With noise=False the values equal h(truth) exactly. The plan's own values
+    are ignored.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     check_columns(plan.columns, network)
     values = evaluate_h(plan, truth, network, ybus)
     if noise:
-        for i, sigma in enumerate(plan.sigmas.tolist()):
-            values[i] += sigma * np.random.default_rng([seed, i]).standard_normal()
+        draws = [Generator(PCG64(_StreamSeed(words))).standard_normal()
+                 for words in _stream_state_words(seed, len(plan))]
+        values += plan.sigmas * np.array(draws, dtype=float)
     return MeasurementSet(plan.columns, values, plan.sigmas)
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _seed_words(seed: int) -> list:
+    """The little-endian uint32 words of a non-negative int; 0 gives [0]."""
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def _multiplier_chain(init: int, mult: int, length: int) -> np.ndarray:
+    """numpy's hash_const before and after each of `length` hash steps (init,
+    init*mult, ... mod 2**32) as a uint32 column. It does not depend on the
+    data, so it is computed once up front."""
+    chain = [init]
+    for _ in range(length):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, chain: np.ndarray, step: int, count: int) -> np.ndarray:
+    """numpy's hashmix at the `count` hash steps from `step`: row k of the
+    result is row k of value (or value itself, broadcast) hashed at step + k."""
+    value = (value ^ chain[step:step + count]) * chain[step + 1:step + count + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _stream_state_words(seed: int, m: int) -> np.ndarray:
+    """Row i equals np.random.SeedSequence([seed, i]).generate_state(4, np.uint64),
+    for i < m, from one pass of numpy's pool hash over the index column.
+
+    All arithmetic is on uint32 arrays, which wrap without warning.
+    """
+    if m >= 2**32:
+        raise ValueError(f"a plan has at most 2**32 - 1 rows for its stream index, got {m}")
+    words = _seed_words(seed)
+    entropy = np.empty((max(len(words) + 1, _POOL_SIZE), m), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(m, dtype=np.uint32)
+    entropy[len(words) + 1:] = 0  # a short entropy runs the hash out on zeros
+    n_extra = len(entropy) - _POOL_SIZE
+    chain = _multiplier_chain(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + n_extra))
+
+    pool = _hashmix(entropy[:_POOL_SIZE], chain, 0, _POOL_SIZE)
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):  # mix all bits together so late bits affect earlier ones
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain, step, len(dst)))
+        step += len(dst)
+    for word in entropy[_POOL_SIZE:]:  # entropy beyond the pool: each word into every pool word
+        pool = _mix(pool, _hashmix(word, chain, step, _POOL_SIZE))
+        step += _POOL_SIZE
+
+    # generate_state(4, np.uint64): 8 uint32 words cycling over the pool, paired little-endian
+    n_words = 2 * _POOL_SIZE
+    state = _hashmix(np.tile(pool, (2, 1)), _multiplier_chain(_INIT_B, _MULT_B, n_words), 0, n_words)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _StreamSeed(ISeedSequence):
+    """Hands PCG64 one precomputed row of _stream_state_words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (_POOL_SIZE, np.uint64):
+            raise ValueError("a stream seed holds the 4 uint64 words PCG64 asks for, nothing else")
+        return self.words
 
 
 def full_measurement_plan(

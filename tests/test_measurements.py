@@ -1,4 +1,6 @@
 """Measurement functions, analytic Jacobian vs finite differences, metering."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from gridse.measurements import (
     MeasurementColumns,
     MeasurementKind,
     MeasurementSet,
+    _stream_state_words,
     check_columns,
     evaluate_h,
     full_measurement_plan,
@@ -328,6 +331,42 @@ def test_noise_statistics():
     noise = vals - 1.0
     assert abs(noise.std(ddof=1) - 0.01) < 0.0005
     assert abs(noise.mean()) < 0.0005
+
+
+# seeds at every word-count boundary of numpy's uint32 seed coercion; 2**96 and
+# above give 4+ seed words, so [seed, index] overflows the 4-word pool
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1, 2**96 - 1, 2**96, 2**128, 2**200 + 12345]
+_SEEDS = st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**64), st.integers(2**96, 2**256))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(seed=_SEEDS, indices=st.lists(st.integers(0, 121), min_size=1, max_size=8))
+def test_metering_streams_equal_numpy_seed_sequence(ieee14, ieee14_truth, ieee14_ybus, seed, indices):
+    plan = full_measurement_plan(ieee14)
+    assert len(plan) == 122
+    words = _stream_state_words(seed, len(plan))
+    assert words.shape == (122, 4) and words.dtype == np.uint64
+    mset = generate_measurements(ieee14_truth, plan, seed, ieee14, ieee14_ybus)
+    h = evaluate_h(plan, ieee14_truth, ieee14, ieee14_ybus)
+    for i in indices:
+        assert np.array_equal(words[i], np.random.SeedSequence([seed, i]).generate_state(4, np.uint64))
+        draw = np.random.default_rng([seed, i]).standard_normal()
+        assert mset.values[i] == h[i] + plan.sigmas[i] * draw
+
+
+def test_stream_index_must_fit_one_word():
+    assert _stream_state_words(7, 0).shape == (0, 4)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _stream_state_words(7, 2**32)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 1, 2**130 + 3])
+def test_metering_raises_no_overflow_warning(ieee14, ieee14_truth, ieee14_ybus, seed):
+    plan = full_measurement_plan(ieee14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate_measurements(ieee14_truth, plan, seed, ieee14, ieee14_ybus)
+        generate_measurements(ieee14_truth, _head(plan, 1), seed, ieee14, ieee14_ybus)
 
 
 def test_negative_seed_rejected(ieee14, ieee14_truth, ieee14_ybus):
