@@ -241,12 +241,12 @@ def test_controller_non_finite_config_exits_2(capsys, tmp_path, config, command)
     ({**_SCALAR, "A": [[0.9, 0.1]]}, "A", "A must be a square matrix"),
     ({**_SCALAR, "Q": [[-1.0]]}, "Q", "Q must be positive semidefinite"),
     ({**_SCALAR, "b": [0.2, 0.1]}, "b", "b must have length n = 1, got shape (2,)"),
-    ({**_SCALAR, "r": [0.0, 1.0]}, "r", "r must have length n = 1, got shape (2,)"),
-    ({**_SCALAR, "Q": [[1.0, 0.0], [0.0, 1.0]]}, "Q", "Q must be n x n with n = 1, got shape (2, 2)"),
     ({k: v for k, v in _SCALAR.items() if k != "r"}, "r", "missing config key"),
     ({**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [2.0], "dt": 0}}, "dt", "dt must be finite and > 0"),
     ({**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [2.0, 1.0], "dt": 0.1}}, "b", "b must have 1 entries"),
     ({**_CONTINUOUS, "continuous": [1.0]}, "continuous", "expected an object"),
+    ({**_SCALAR, "r": [0.0, 1.0]}, "r", "r must have length n = 1, got shape (2,)"),
+    ({**_SCALAR, "Q": [[1.0, 0.0], [0.0, 1.0]]}, "Q", "Q must be n x n with n = 1, got shape (2, 2)"),
 ])
 def test_controller_config_out_of_range_names_file_and_key(capsys, tmp_path, config, column, reason):
     cfg = tmp_path / "system.json"
