@@ -78,9 +78,7 @@ from .controller import (
 from .scenario import (
     CaseBundle,
     CaseFileError,
-    SnapshotPlan,
     SnapshotRecord,
-    SnapshotReport,
     TruthNotConverged,
     derive_snapshot_seed,
     load_case,

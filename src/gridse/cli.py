@@ -41,7 +41,6 @@ from .measurements import (
 from .powerflow import SingularJacobian, solve_power_flow
 from .scenario import (
     CaseFileError,
-    SnapshotPlan,
     TruthNotConverged,
     load_case,
     load_switched_system,
@@ -72,10 +71,21 @@ def _write_table(header: list, columns: list, out_path) -> None:
 
 def _floats(text: str, flag: str) -> list:
     """A comma-separated list flag of finite numbers."""
-    values = [float(s) for s in text.split(",") if s.strip()]
+    try:
+        values = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{flag} values must be finite, got {text!r}")
     return values
+
+
+def _write_summary(summary: dict, out_path) -> None:
+    """A run summary: indented on stdout when the table went to --out, else compact on stderr."""
+    if out_path:
+        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    else:
+        print(json.dumps(summary), file=sys.stderr)
 
 
 def _state_rows(state, truth=None):
@@ -126,14 +136,15 @@ def cmd_estimate(args) -> int:
 def cmd_snapshots(args) -> int:
     bundle = load_case(resolve_case_dir(args.case))
     scales = _floats(args.load_scale, "--load-scale")
-    plan = SnapshotPlan(snapshot_count=args.count, load_scale=tuple(scales), seed=args.seed)
-    report = run_snapshots(bundle, plan)
+    if args.count != len(scales):
+        raise ValueError(f"--count {args.count} does not match the {len(scales)} --load-scale entries")
+    records = run_snapshots(bundle, scales, args.seed)
     as_json = args.out is not None and str(args.out).endswith(".json")
-    _write_or_print(render_report_json(report) if as_json else render_report_csv(report), args.out)
-    for rec in report.records:
-        if rec.failed:
-            print(f"error: snapshot {rec.index} failed: {rec.error}", file=sys.stderr)
-    return 0 if (not report.any_failed and report.all_converged) else 1
+    _write_or_print(render_report_json(records) if as_json else render_report_csv(records), args.out)
+    for k, rec in enumerate(records):
+        if rec.error is not None:
+            print(f"error: snapshot {k} failed: {rec.error}", file=sys.stderr)
+    return 0 if all(rec.result is not None and rec.result.converged for rec in records) else 1
 
 
 def cmd_controller_solve(args) -> int:
@@ -169,24 +180,16 @@ def cmd_controller_simulate(args) -> int:
         header.append("y")
         columns.append(sim.outputs)
     _write_table(header, columns, args.out)
-    summary = {"discounted_total": sim.discounted_total, "switch_count": sim.switch_count}
-    if args.out:
-        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    else:
-        print(json.dumps(summary), file=sys.stderr)
+    _write_summary({"discounted_total": sim.discounted_total, "switch_count": sim.switch_count}, args.out)
     return 0
 
 
 def cmd_controller_oracle(args) -> int:
     system, _ = load_switched_system(args.config)
     bounds = _floats(args.box, "--box")
-    if len(bounds) == 2:
-        lower, upper = [bounds[0]] * system.n, [bounds[1]] * system.n
-    elif len(bounds) == 2 * system.n:
-        lower, upper = bounds[0::2], bounds[1::2]
-    else:
+    if len(bounds) not in (2, 2 * system.n):
         raise ValueError(f"--box needs LO,HI (or one LO,HI pair per dimension), got {args.box!r}")
-    oracle = bellman_value_iteration(system, (lower, upper), args.resolution)
+    oracle = bellman_value_iteration(system, (bounds[0::2], bounds[1::2]), args.resolution)
     _write_table([f"x{i + 1}" for i in range(system.n)] + ["v0", "v1"],
                  [*oracle.points.T, oracle.v0.reshape(-1), oracle.v1.reshape(-1)], args.out)
 
@@ -207,10 +210,7 @@ def cmd_controller_oracle(args) -> int:
         }
     except (UnstableSystem, SingularP, NoInteriorPoints) as exc:
         report["quadratic_comparison"] = {"unavailable": str(exc)}
-    if args.out:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    else:
-        print(json.dumps(report), file=sys.stderr)
+    _write_summary(report, args.out)
     return 0
 
 

@@ -88,7 +88,8 @@ def _read_only(x, dtype) -> np.ndarray:
 class MeasurementSet:
     """A measurement table: index `columns`, `values` z and `sigmas`, all
     read-only arrays with one entry per row. A plan is a set whose values are
-    NaN, meaning not yet metered."""
+    NaN, meaning not yet metered. Every row's bus, branch and to_end entries
+    take the form MeasurementColumns states for its quantity."""
 
     columns: MeasurementColumns
     values: np.ndarray
@@ -103,6 +104,15 @@ class MeasurementSet:
             raise ValueError("measurement sigmas must be finite and > 0")
         if not np.all((columns.quantity >= 0) & (columns.quantity < len(QUANTITIES))):
             raise ValueError("unknown measurement quantity code")
+        quantity, bus, branch, to_end = columns
+        is_flow = quantity >= _PF
+        bad = np.flatnonzero(np.where(is_flow, (bus != -1) | (branch < 0) | ((to_end != 0) & (to_end != 1)),
+                                      (bus < 0) | (branch != -1) | (to_end != 0)))
+        if bad.size:
+            i = int(bad[0])
+            need = "bus -1, branch >= 0, to_end 0 or 1" if is_flow[i] else "bus >= 0, branch -1, to_end 0"
+            raise ValueError(f"measurement {i}: a {QUANTITIES[quantity[i]]} row needs {need}, "
+                             f"got bus {bus[i]}, branch {branch[i]}, to_end {to_end[i]}")
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sigmas", sigmas)
@@ -140,8 +150,8 @@ class MeasurementSet:
 def check_columns(columns: MeasurementColumns, network: Network) -> None:
     """Raise ValueError naming the first row whose bus or branch is not in the network."""
     is_flow = columns.quantity >= _PF
-    index = np.where(is_flow, columns.branch, columns.bus)
-    bad = np.flatnonzero((index < 0) | (index >= np.where(is_flow, network.n_branches, network.n_buses)))
+    index = np.where(is_flow, columns.branch, columns.bus)  # >= 0: MeasurementSet checks the row shape
+    bad = np.flatnonzero(index >= np.where(is_flow, network.n_branches, network.n_buses))
     if bad.size:
         i = int(bad[0])
         what = f"branch index {index[i]}" if is_flow[i] else f"bus {index[i] + 1}"

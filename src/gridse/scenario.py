@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .controller import SwitchedSystem, discretize
-from .estimator import estimate
+from .estimator import EstimationResult, estimate
 from .measurements import (
     FROM,
     TO,
@@ -295,54 +295,13 @@ def read_plan_csv(path) -> MeasurementSet:
 
 
 @dataclass(frozen=True)
-class SnapshotPlan:
-    snapshot_count: int
-    load_scale: tuple          # one finite multiplier > 0 per snapshot
-    seed: int
-    noise: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "load_scale", tuple(float(s) for s in self.load_scale))
-        if self.snapshot_count < 1:
-            raise ValueError(f"snapshot_count must be >= 1, got {self.snapshot_count}")
-        if len(self.load_scale) != self.snapshot_count:
-            raise ValueError(
-                f"load_scale has {len(self.load_scale)} entries for {self.snapshot_count} snapshots"
-            )
-        if not all(0 < s < math.inf for s in self.load_scale):
-            raise ValueError(f"load_scale entries must be finite and > 0, got {self.load_scale}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-
-@dataclass(frozen=True)
 class SnapshotRecord:
-    index: int
-    load_scale: float
+    """One snapshot of a run: its truth state and EstimationResult, or the
+    error that stopped it (truth and result None)."""
+
     truth: Optional[StateVector]
-    estimate: Optional[StateVector]
-    iterations: int
-    objective: float
-    converged: bool
+    result: Optional[EstimationResult]
     error: Optional[str] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
-@dataclass(frozen=True)
-class SnapshotReport:
-    records: tuple
-    bus_ids: tuple
-
-    @property
-    def any_failed(self) -> bool:
-        return any(r.failed for r in self.records)
-
-    @property
-    def all_converged(self) -> bool:
-        return all(r.converged for r in self.records if not r.failed)
 
 
 def derive_snapshot_seed(seed: int, snapshot: int) -> int:
@@ -365,81 +324,75 @@ def run_estimation(network: Network, plan: MeasurementSet, seed: int,
     return pf.state, estimate(network, mset, start)
 
 
-def run_snapshots(bundle: CaseBundle, plan: SnapshotPlan) -> SnapshotReport:
-    """The multi-snapshot estimation loop with one-snapshot memory.
+def run_snapshots(bundle: CaseBundle, load_scale, seed: int) -> tuple:
+    """The multi-snapshot estimation loop with one-snapshot memory: one
+    SnapshotRecord per entry of `load_scale`, in order.
 
-    Snapshot k scales all loads by plan.load_scale[k] (times any per-bus
-    weight from case.json) and makes one estimation run on the full
-    measurement plan (built once: the topology is fixed) with the seed derived
-    from (plan.seed, k), warm-started from the latest converged estimate
-    (flat start before the first). A snapshot whose solver fails is recorded
-    with an error, one whose estimate does not converge with converged=False,
-    and the run continues.
+    Snapshot k scales all loads by load_scale[k] (times any per-bus weight
+    from case.json) and makes one estimation run on the full measurement plan
+    (built once: the topology is fixed) with the seed derived from (seed, k),
+    warm-started from the latest converged estimate (flat start before the
+    first). A snapshot whose solver fails is recorded with an error, one
+    whose estimate does not converge with result.converged False, and the
+    run continues.
     """
+    scales = tuple(float(s) for s in load_scale)
+    if not scales:
+        raise ValueError("load_scale needs at least one entry")
+    if not all(0 < s < math.inf for s in scales):
+        raise ValueError(f"load_scale entries must be finite and > 0, got {scales}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     records = []
     previous: Optional[StateVector] = None
     meters = full_measurement_plan(bundle.network)
-    for k, scale in enumerate(plan.load_scale):
+    for k, scale in enumerate(scales):
         try:
             net_k = with_scaled_loads(bundle.network, scale, bundle.bus_load_weights)
-            truth, est = run_estimation(net_k, meters, derive_snapshot_seed(plan.seed, k), previous, plan.noise)
+            truth, result = run_estimation(net_k, meters, derive_snapshot_seed(seed, k), previous)
         except (NetworkError, RuntimeError, np.linalg.LinAlgError) as exc:
-            records.append(
-                SnapshotRecord(
-                    index=k, load_scale=scale, truth=None, estimate=None,
-                    iterations=0, objective=float("nan"), converged=False, error=str(exc),
-                )
-            )
+            records.append(SnapshotRecord(truth=None, result=None, error=str(exc)))
             continue
-        if est.converged:
-            previous = est.state
-        records.append(
-            SnapshotRecord(
-                index=k,
-                load_scale=scale,
-                truth=truth,
-                estimate=est.state,
-                iterations=est.iterations,
-                objective=est.objective,
-                converged=est.converged,
-            )
-        )
-    bus_ids = tuple(range(1, bundle.network.n_buses + 1))
-    return SnapshotReport(records=tuple(records), bus_ids=bus_ids)
+        if result.converged:
+            previous = result.state
+        records.append(SnapshotRecord(truth=truth, result=result))
+    return tuple(records)
 
 
-def report_rows(report: SnapshotReport) -> list:
-    """Flattened per-bus rows for emission; failed snapshots contribute none.
+def report_rows(records) -> list:
+    """Flattened per-bus rows for emission, bus ids 1..n; failed snapshots
+    contribute none.
 
     Voltages and angles are rounded to the 4 decimals the report format
     prints, so CSV and JSON emissions agree field-for-field.
     """
     rows = []
-    for rec in report.records:
-        if rec.failed:
+    for k, rec in enumerate(records):
+        if rec.result is None:
             continue
-        for i, bus_id in enumerate(report.bus_ids):
+        truth, est = rec.truth, rec.result.state
+        for i in range(truth.n_buses):
             rows.append(
                 {
-                    "snapshot": rec.index,
-                    "bus": bus_id,
-                    "v_true_pu": round(float(rec.truth.magnitudes[i]), 4),
-                    "v_est_pu": round(float(rec.estimate.magnitudes[i]), 4),
-                    "angle_true_deg": round(float(np.degrees(rec.truth.angles[i])), 4),
-                    "angle_est_deg": round(float(np.degrees(rec.estimate.angles[i])), 4),
-                    "iterations": rec.iterations,
-                    "objective": round(float(rec.objective), 6),
-                    "converged": bool(rec.converged),
+                    "snapshot": k,
+                    "bus": i + 1,
+                    "v_true_pu": round(float(truth.magnitudes[i]), 4),
+                    "v_est_pu": round(float(est.magnitudes[i]), 4),
+                    "angle_true_deg": round(float(np.degrees(truth.angles[i])), 4),
+                    "angle_est_deg": round(float(np.degrees(est.angles[i])), 4),
+                    "iterations": rec.result.iterations,
+                    "objective": round(float(rec.result.objective), 6),
+                    "converged": bool(rec.result.converged),
                 }
             )
     return rows
 
 
-def render_report_csv(report: SnapshotReport) -> str:
+def render_report_csv(records) -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(REPORT_COLUMNS)
-    for row in report_rows(report):
+    for row in report_rows(records):
         w.writerow(
             [
                 row["snapshot"],
@@ -456,8 +409,8 @@ def render_report_csv(report: SnapshotReport) -> str:
     return out.getvalue()
 
 
-def render_report_json(report: SnapshotReport) -> str:
-    return json.dumps({"rows": report_rows(report)}, indent=2) + "\n"
+def render_report_json(records) -> str:
+    return json.dumps({"rows": report_rows(records)}, indent=2) + "\n"
 
 
 def load_switched_system(path):

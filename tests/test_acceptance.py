@@ -30,7 +30,7 @@ from gridse.measurements import (
 )
 from gridse.network import build_ybus, with_scaled_loads
 from gridse.powerflow import StateVector, solve_power_flow
-from gridse.scenario import SnapshotPlan, derive_snapshot_seed, run_snapshots
+from gridse.scenario import derive_snapshot_seed, run_snapshots
 
 # scalar acceptance system: A and Q and alpha are pinned by criterion 7; the
 # remaining parameters are frozen choices (see README) that make the policy a
@@ -116,12 +116,11 @@ def test_criterion_04_chi_square_consistency(ieee14, ieee14_truth, ieee14_ybus):
 
 
 def test_criterion_05_qualitative_angle_pattern(ieee14_bundle):
-    plan = SnapshotPlan(snapshot_count=2, load_scale=(1.0, 1.0), seed=2026)
-    report = run_snapshots(ieee14_bundle, plan)
-    assert len(report.records) == 2
-    for rec in report.records:
-        assert not rec.failed and rec.converged
-        for state in (rec.truth, rec.estimate):
+    records = run_snapshots(ieee14_bundle, (1.0, 1.0), 2026)
+    assert len(records) == 2
+    for rec in records:
+        assert rec.error is None and rec.result.converged
+        for state in (rec.truth, rec.result.state):
             ang = np.degrees(state.angles)
             assert ang[0] == 0.0
             assert f"{ang[0]:.4f}" == "0.0000"
@@ -138,9 +137,7 @@ def test_criterion_06_snapshot_memory_no_regressions(ieee14_bundle):
     mplan = full_measurement_plan(net1)
     regressions = []
     for seed in range(20):
-        plan = SnapshotPlan(snapshot_count=2, load_scale=(1.0, 0.98), seed=seed)
-        report = run_snapshots(ieee14_bundle, plan)
-        warm_iters = report.records[1].iterations
+        warm_iters = run_snapshots(ieee14_bundle, (1.0, 0.98), seed)[1].result.iterations
         mset = generate_measurements(truth1, mplan, derive_snapshot_seed(seed, 1), net1, ybus1)
         flat = estimate(net1, mset)
         if warm_iters > flat.iterations:

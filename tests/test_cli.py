@@ -131,7 +131,8 @@ def test_snapshots_scale_count_mismatch(capsys):
         "snapshots", "--case", "ieee14", "--count", "3", "--load-scale", "1.0,0.98", "--seed", "0",
     ])
     assert code == 2
-    assert "error" in err
+    assert err == "error: --count 3 does not match the 2 --load-scale entries\n"
+    assert out == ""
 
 
 def test_snapshots_failed_snapshot_exits_1(capsys):
@@ -286,6 +287,18 @@ def test_snapshots_non_finite_load_scale_exits_2(capsys, scales):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--x0", ["controller", "simulate", "--config", SCALAR_CONFIG, "--steps", "5", "--x0", "abc", "--z0", "0"]),
+    ("--box", ["controller", "oracle", "--config", SCALAR_CONFIG, "--box", "a,b", "--resolution", "11"]),
+    ("--load-scale", ["snapshots", "--case", "ieee14", "--count", "2", "--load-scale", "1.0,x", "--seed", "0"]),
+])
+def test_non_numeric_list_entry_names_the_flag(capsys, flag, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: ")
+    assert out == ""
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
 def test_pf_bad_tol_exits_2(capsys, tol):
     code, out, err = run(capsys, ["pf", "--case", "ieee14", "--tol", tol])
@@ -408,6 +421,20 @@ def test_controller_oracle_bad_box(capsys):
         "--box", "1,2,3", "--resolution", "11",
     ])
     assert code == 2
+    assert "--box" in err
+
+
+def test_controller_oracle_one_box_pair_covers_every_dimension(capsys, tmp_path):
+    config = str(Path(__file__).parent / "golden" / "controller_2d.json")
+    outputs = []
+    for box in ("-1,1.5", "-1,1.5,-1,1.5"):
+        grid = tmp_path / "grid.csv"
+        code, out, err = run(capsys, [
+            "controller", "oracle", "--config", config, "--box", box, "--resolution", "11", "--out", str(grid),
+        ])
+        assert code == 0
+        outputs.append((grid.read_text(), out))
+    assert outputs[0] == outputs[1]
 
 
 def test_help_exits_zero(capsys):

@@ -119,8 +119,8 @@ def test_kind_validation(ieee14):
     with pytest.raises(ValueError, match="measurement 1: branch index 77 does not exist"):
         check_columns(_mset([MeasurementKind(V_MAG, bus=1),
                              MeasurementKind(P_FLOW, branch=77, end=FROM)]).columns, ieee14)
-    with pytest.raises(ValueError, match="bus 0 does not exist"):
-        check_columns(_mset([MeasurementKind(V_MAG, bus=0)]).columns, ieee14)
+    with pytest.raises(ValueError, match="measurement 0: a v_mag row needs bus >= 0"):
+        _mset([MeasurementKind(V_MAG, bus=0)])
     check_columns(full_measurement_plan(ieee14).columns, ieee14)
 
 
@@ -141,6 +141,22 @@ def test_set_needs_one_entry_per_row():
         MeasurementSet(columns._replace(bus=columns.bus[:1]), [1.0, 1.0], [0.01, 0.01])
     with pytest.raises(ValueError):
         MeasurementSet(columns._replace(quantity=np.array([0, len(QUANTITIES)])), [1.0, 1.0], [0.01, 0.01])
+
+
+@pytest.mark.parametrize("row, reason", [
+    ((QUANTITIES.index(P_FLOW), 5, 0, 7), "a p_flow row needs bus -1, branch >= 0, to_end 0 or 1, got bus 5"),
+    ((QUANTITIES.index(Q_FLOW), -1, -1, 0), "a q_flow row needs bus -1, branch >= 0"),
+    ((QUANTITIES.index(P_FLOW), -1, 2, 2), "got bus -1, branch 2, to_end 2"),
+    ((QUANTITIES.index(V_MAG), 2, 9, 3), "a v_mag row needs bus >= 0, branch -1, to_end 0, got bus 2, branch 9"),
+    ((QUANTITIES.index(P_INJ), -1, -1, 0), "a p_inj row needs bus >= 0"),
+    ((QUANTITIES.index(Q_INJ), 0, -1, 1), "got bus 0, branch -1, to_end 1"),
+])
+def test_set_rejects_a_row_of_the_wrong_shape(row, reason):
+    good = _mset([MeasurementKind(V_MAG, bus=1), MeasurementKind(P_FLOW, branch=0, end=TO)]).columns
+    columns = MeasurementColumns(*(np.append(c, x) for c, x in zip(good, row)))
+    with pytest.raises(ValueError, match="^measurement 2: ") as info:
+        MeasurementSet(columns, [1.0, 1.0, 1.0], [0.01, 0.01, 0.01])
+    assert reason in str(info.value)
 
 
 # ---- Jacobian ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from gridse.network import NetworkError, build_ybus, with_scaled_loads
 from gridse.powerflow import StateVector, solve_power_flow
 from gridse.scenario import (
     CaseFileError,
-    SnapshotPlan,
     builtin_case_dir,
     derive_snapshot_seed,
     load_case,
@@ -26,6 +25,7 @@ from gridse.scenario import (
     render_report_csv,
     render_report_json,
     resolve_case_dir,
+    run_estimation,
     run_snapshots,
     write_measurements_csv,
 )
@@ -219,27 +219,28 @@ def test_plan_csv_round_trip(tmp_path, ieee14):
 # ---- snapshot runs ----------------------------------------------------------
 
 def test_noise_off_snapshots_recover_truth(ieee14_bundle):
-    plan = SnapshotPlan(snapshot_count=3, load_scale=(1.0, 0.98, 1.02), seed=7, noise=False)
-    report = run_snapshots(ieee14_bundle, plan)
-    assert len(report.records) == 3
-    for rec in report.records:
-        assert rec.converged and not rec.failed
-        assert np.max(np.abs(rec.estimate.magnitudes - rec.truth.magnitudes)) < 1e-6
-        assert np.max(np.abs(rec.estimate.angles - rec.truth.angles)) < 1e-6
+    """The snapshot chain by hand, unmetered: each warm-started run recovers its truth."""
+    plan = full_measurement_plan(ieee14_bundle.network)
+    previous = None
+    for k, scale in enumerate((1.0, 0.98, 1.02)):
+        net = with_scaled_loads(ieee14_bundle.network, scale)
+        truth, result = run_estimation(net, plan, derive_snapshot_seed(7, k), previous, noise=False)
+        assert result.converged
+        assert np.max(np.abs(result.state.magnitudes - truth.magnitudes)) < 1e-6
+        assert np.max(np.abs(result.state.angles - truth.angles)) < 1e-6
+        previous = result.state
 
 
 def test_snapshots_deterministic(ieee14_bundle):
-    plan = SnapshotPlan(snapshot_count=2, load_scale=(1.0, 0.98), seed=17)
-    a = run_snapshots(ieee14_bundle, plan)
-    b = run_snapshots(ieee14_bundle, plan)
+    a = run_snapshots(ieee14_bundle, (1.0, 0.98), 17)
+    b = run_snapshots(ieee14_bundle, (1.0, 0.98), 17)
     assert render_report_csv(a) == render_report_csv(b)
     assert render_report_json(a) == render_report_json(b)
 
 
 def test_warm_start_not_worse_than_flat(ieee14_bundle):
-    plan = SnapshotPlan(snapshot_count=2, load_scale=(1.0, 0.98), seed=3)
-    report = run_snapshots(ieee14_bundle, plan)
-    warm_iters = report.records[1].iterations
+    records = run_snapshots(ieee14_bundle, (1.0, 0.98), 3)
+    warm_iters = records[1].result.iterations
     net1 = with_scaled_loads(ieee14_bundle.network, 0.98)
     truth1 = solve_power_flow(net1, tol=1e-8, max_iter=20).state
     mset = generate_measurements(
@@ -261,44 +262,46 @@ def test_divergent_estimate_recorded_and_run_continues(ieee14_bundle, monkeypatc
         return estimate(network, mset, start)
 
     monkeypatch.setattr(gridse.scenario, "estimate", estimate_bad_first)
-    plan = SnapshotPlan(snapshot_count=3, load_scale=(1.0, 0.98, 1.02), seed=7)
-    report = run_snapshots(ieee14_bundle, plan)
-    first, *rest = report.records
-    assert not first.failed and not first.converged
-    assert first.estimate is not None and np.all(first.estimate.magnitudes > 0)
+    records = run_snapshots(ieee14_bundle, (1.0, 0.98, 1.02), 7)
+    first, *rest = records
+    assert first.error is None and not first.result.converged
+    assert np.all(first.result.state.magnitudes > 0)
     assert calls[1] is None  # flat start after a non-converged snapshot
     for rec in rest:
-        assert rec.converged and not rec.failed
-    rows = json.loads(render_report_json(report))["rows"]
+        assert rec.error is None and rec.result.converged
+    rows = json.loads(render_report_json(records))["rows"]
     assert {r["snapshot"] for r in rows} == {0, 1, 2}
 
 
 def test_failed_snapshot_marked_and_run_continues(ieee14_bundle):
     # an absurd load multiplier makes the truth power flow diverge
-    plan = SnapshotPlan(snapshot_count=2, load_scale=(1.0, 50.0), seed=5)
-    report = run_snapshots(ieee14_bundle, plan)
-    assert not report.records[0].failed
-    assert report.records[1].failed
-    assert report.any_failed
-    rows = json.loads(render_report_json(report))["rows"]
+    records = run_snapshots(ieee14_bundle, (1.0, 50.0), 5)
+    assert len(records) == 2
+    assert records[0].error is None and records[0].result is not None
+    assert records[1].error.startswith("truth power flow did not converge")
+    assert records[1].truth is None and records[1].result is None
+    rows = json.loads(render_report_json(records))["rows"]
     assert {r["snapshot"] for r in rows} == {0}
 
 
-def test_snapshot_plan_validation():
-    with pytest.raises(ValueError):
-        SnapshotPlan(snapshot_count=0, load_scale=(), seed=1)
-    with pytest.raises(ValueError):
-        SnapshotPlan(snapshot_count=2, load_scale=(1.0,), seed=1)
-    with pytest.raises(ValueError):
-        SnapshotPlan(snapshot_count=1, load_scale=(0.0,), seed=1)
-    with pytest.raises(ValueError):
-        SnapshotPlan(snapshot_count=1, load_scale=(1.0,), seed=-4)
+def test_snapshot_plan_validation(ieee14_bundle, monkeypatch):
+    """run_snapshots checks its scales and seed before the first snapshot."""
+    def no_run(*args):
+        raise AssertionError("validation must come before the first snapshot")
+
+    monkeypatch.setattr(gridse.scenario, "run_estimation", no_run)
+    with pytest.raises(ValueError, match="at least one entry"):
+        run_snapshots(ieee14_bundle, (), 1)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        run_snapshots(ieee14_bundle, (1.0, 0.0), 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_snapshots(ieee14_bundle, (1.0,), -4)
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
-def test_snapshot_plan_rejects_non_finite_scale(scale):
+def test_snapshot_plan_rejects_non_finite_scale(ieee14_bundle, scale):
     with pytest.raises(ValueError, match="finite and > 0"):
-        SnapshotPlan(snapshot_count=2, load_scale=(1.0, scale), seed=1)
+        run_snapshots(ieee14_bundle, (1.0, scale), 1)
 
 
 def test_derived_seeds_differ():
@@ -311,8 +314,7 @@ def test_derived_seeds_differ():
 
 @pytest.fixture(scope="module")
 def small_report(ieee14_bundle):
-    plan = SnapshotPlan(snapshot_count=3, load_scale=(1.0, 0.98, 1.02), seed=7)
-    return run_snapshots(ieee14_bundle, plan)
+    return run_snapshots(ieee14_bundle, (1.0, 0.98, 1.02), 7)
 
 
 def test_report_row_count_and_header(small_report):
