@@ -54,8 +54,11 @@ from .scenario import (
 
 def _write_or_print(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"--out: cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -78,6 +81,33 @@ def _floats(text: str, flag: str) -> list:
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{flag} values must be finite, got {text!r}")
     return values
+
+
+def _checked(kind, name: str, rule: str, ok):
+    """An argparse type: `kind` parsed from the flag's text, with ok(value)
+    required; argparse names the flag in front of either message."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+def _non_negative_int(name: str):
+    return _checked(int, name, ">= 0", lambda v: v >= 0)
+
+
+def _positive_int(name: str, high: float = math.inf):
+    rule = ">= 1" if high == math.inf else f"in 1..{high}"
+    return _checked(int, name, rule, lambda v: 1 <= v <= high)
+
+
+def _positive_float(name: str):
+    return _checked(float, name, "finite and > 0", lambda v: 0 < v < math.inf)
 
 
 def _write_summary(summary: dict, out_path) -> None:
@@ -136,6 +166,8 @@ def cmd_estimate(args) -> int:
 def cmd_snapshots(args) -> int:
     bundle = load_case(resolve_case_dir(args.case))
     scales = _floats(args.load_scale, "--load-scale")
+    if not all(s > 0 for s in scales):
+        raise ValueError(f"--load-scale entries must be > 0, got {args.load_scale!r}")
     if args.count != len(scales):
         raise ValueError(f"--count {args.count} does not match the {len(scales)} --load-scale entries")
     records = run_snapshots(bundle, scales, args.seed)
@@ -223,26 +255,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pf = sub.add_parser("pf", help="solve the power flow for a case")
     p_pf.add_argument("--case", required=True, help="case directory or shipped case name (e.g. ieee14)")
-    p_pf.add_argument("--tol", type=float, default=1e-8)
-    p_pf.add_argument("--max-iter", type=int, default=20)
+    p_pf.add_argument("--tol", type=_positive_float("tol"), default=1e-8)
+    p_pf.add_argument("--max-iter", type=_positive_int("max_iter"), default=20)
     p_pf.add_argument("--out", default=None)
     p_pf.set_defaults(func=cmd_pf)
 
     p_est = sub.add_parser("estimate", help="one seeded estimation run against the power-flow truth")
     p_est.add_argument("--case", required=True)
-    p_est.add_argument("--seed", type=int, required=True)
-    p_est.add_argument("--sigma-v", type=float, default=DEFAULT_SIGMA_V)
-    p_est.add_argument("--sigma-inj", type=float, default=DEFAULT_SIGMA_INJ)
-    p_est.add_argument("--sigma-flow", type=float, default=DEFAULT_SIGMA_FLOW)
+    p_est.add_argument("--seed", type=_non_negative_int("seed"), required=True)
+    p_est.add_argument("--sigma-v", type=_positive_float("sigma_v"), default=DEFAULT_SIGMA_V)
+    p_est.add_argument("--sigma-inj", type=_positive_float("sigma_inj"), default=DEFAULT_SIGMA_INJ)
+    p_est.add_argument("--sigma-flow", type=_positive_float("sigma_flow"), default=DEFAULT_SIGMA_FLOW)
     p_est.add_argument("--noise-off", action="store_true")
     p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=cmd_estimate)
 
     p_snap = sub.add_parser("snapshots", help="multi-snapshot run with one-snapshot memory")
     p_snap.add_argument("--case", required=True)
-    p_snap.add_argument("--count", type=int, required=True)
+    p_snap.add_argument("--count", type=_positive_int("count"), required=True)
     p_snap.add_argument("--load-scale", required=True, help="comma-separated multiplier per snapshot")
-    p_snap.add_argument("--seed", type=int, required=True)
+    p_snap.add_argument("--seed", type=_non_negative_int("seed"), required=True)
     p_snap.add_argument("--out", default=None, help="report path; .json extension selects JSON")
     p_snap.set_defaults(func=cmd_snapshots)
 
@@ -256,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = ctl_sub.add_parser("simulate", help="closed-loop rollout under the hysteresis policy")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--steps", type=int, required=True, help=f"rollout length, 1..{MAX_STEPS}")
+    p_sim.add_argument("--steps", type=_positive_int("steps", MAX_STEPS), required=True,
+                       help=f"rollout length, 1..{MAX_STEPS}")
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
     p_sim.add_argument("--z0", type=int, choices=(0, 1), required=True)
     p_sim.add_argument("--out", default=None)

@@ -5,11 +5,21 @@ normal equations G dx = H^T R^-1 (z - h(x)) with gain matrix G = H^T R^-1 H,
 factorized as symmetric positive definite rather than inverted. Iteration
 stops when max|dx| drops below STEP_TOL, or after MAX_ITER steps with
 converged=False. h(x) is evaluated once per iterate: its residual gives both
-that iterate's objective and the right-hand side of the next step. A gain
-matrix whose condition estimate exceeds CONDITION_LIMIT signals an
-unobservable measurement set and raises SingularGain; a step that leaves a
-non-finite entry or a magnitude <= 0 stops the iteration with converged=False
-at the last physical iterate.
+that iterate's objective and the right-hand side of the next step. A step
+that leaves a non-finite entry or a magnitude <= 0 stops the iteration with
+converged=False at the last physical iterate.
+
+Observability gate: a gain matrix whose 2-norm condition exceeds
+CONDITION_LIMIT signals an unobservable measurement set and raises
+SingularGain. Each step reads LAPACK dpocon's 1-norm condition estimate from
+the Cholesky factor it solves with, O(n^2) on top of the factorization (Hager
+1984; Higham 1988). The estimate is not a bound on the 2-norm condition (it
+can fall below it by a factor of about 2), so only a step whose estimate
+exceeds CONDITION_LIMIT / ESTIMATE_SLACK, or whose gain fails to factorize,
+pays for the exact 2-norm condition (a full SVD); that exact value decides,
+and a failed factorization always raises. After the last step the exact
+2-norm condition of the final gain is computed once, gated again, and
+reported as gain_condition.
 """
 from __future__ import annotations
 
@@ -18,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
 from .measurements import (
     MeasurementSet,
@@ -32,6 +43,7 @@ from .network import Network
 from .powerflow import StateVector, flat_start
 
 CONDITION_LIMIT = 1e12  # gain condition above which the state counts as unobservable
+ESTIMATE_SLACK = 10.0   # a step whose condition estimate exceeds CONDITION_LIMIT / this is checked exactly
 STEP_TOL = 1e-6         # converged once max|dx| (pu / rad) drops below this
 MAX_ITER = 50           # Gauss-Newton iterations before giving up with converged=False
 
@@ -81,19 +93,35 @@ def gain_matrix(h_matrix: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def solve_normal_equations(h_matrix: np.ndarray, sigmas: np.ndarray, residuals: np.ndarray):
-    """Solve G dx = H^T R^-1 r via Cholesky; returns (dx, G, condition estimate)."""
-    gain = gain_matrix(h_matrix, sigmas)
+def _exact_condition(gain: np.ndarray) -> float:
+    """The 2-norm condition of `gain`; raises SingularGain above CONDITION_LIMIT."""
     condition = float(np.linalg.cond(gain))
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+    if not condition <= CONDITION_LIMIT:
         raise SingularGain(condition)
+    return condition
+
+
+def solve_normal_equations(h_matrix: np.ndarray, sigmas: np.ndarray, residuals: np.ndarray):
+    """Solve G dx = H^T R^-1 r via Cholesky; returns (dx, G, condition estimate).
+
+    The condition estimate is dpocon's 1-norm estimate from the Cholesky
+    factor. When it exceeds CONDITION_LIMIT / ESTIMATE_SLACK, or the
+    factorization fails, the exact 2-norm condition decides: SingularGain
+    carries that exact value, and a failed factorization raises even below
+    the limit.
+    """
+    gain = gain_matrix(h_matrix, sigmas)
+    try:
+        factor = cho_factor(gain)
+    except np.linalg.LinAlgError:
+        raise SingularGain(float(np.linalg.cond(gain))) from None
+    rcond, _ = dpocon(factor[0], np.linalg.norm(gain, 1))
+    condition = 1.0 / rcond if rcond > 0 else float("inf")
+    if not condition <= CONDITION_LIMIT / ESTIMATE_SLACK:
+        _exact_condition(gain)
     w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
     rhs = h_matrix.T @ (w * residuals)
-    try:
-        dx = cho_solve(cho_factor(gain), rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - caught by cond check
-        raise SingularGain(condition) from exc
-    return dx, gain, condition
+    return cho_solve(factor, rhs), gain, condition
 
 
 def estimate(network: Network, mset: MeasurementSet, start: Optional[StateVector] = None) -> EstimationResult:
@@ -116,12 +144,11 @@ def estimate(network: Network, mset: MeasurementSet, start: Optional[StateVector
     r = z - evaluate_h(mset, state, network, ybus)
     history = [_weighted_sse(r, sigmas)]
     converged = False
-    condition = float("nan")
     iterations = 0
     for _ in range(MAX_ITER):
         iterations += 1
         h_matrix = jacobian_h(mset, state, network, ybus)
-        dx, _, condition = solve_normal_equations(h_matrix, sigmas, r)
+        dx, gain, _ = solve_normal_equations(h_matrix, sigmas, r)
         new_x = x + dx
         if not (np.all(np.isfinite(new_x)) and np.all(new_x[network.n_buses - 1 :] > 0)):
             break  # diverged; keep the last physical iterate
@@ -140,5 +167,5 @@ def estimate(network: Network, mset: MeasurementSet, start: Optional[StateVector
         objective_history=tuple(history),
         residuals=r,
         converged=converged,
-        gain_condition=condition,
+        gain_condition=_exact_condition(gain),
     )

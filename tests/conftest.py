@@ -6,7 +6,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import pytest
 
-from gridse.network import Branch, Bus, build_ybus
+from gridse.network import Branch, Bus, BusKind, build_ybus
 from gridse.powerflow import solve_power_flow
 from gridse.scenario import builtin_case_dir, load_case, resolve_case_dir
 
@@ -33,6 +33,31 @@ def ieee14_rows():
         branches = tuple(Branch(int(r["from_bus"]), int(r["to_bus"]), float(r["r_pu"]), float(r["x_pu"]),
                                 float(r["b_half_pu"])) for r in csv.DictReader(fh))
     return buses, branches
+
+
+@pytest.fixture(scope="session")
+def tiled_rows(ieee14_rows):
+    """tiled_rows(tiles): Bus and Branch rows of `tiles` copies of ieee14
+    chained by one tie line each; the first copy's bus 1 stays the slack,
+    later copies' are PV."""
+    buses, branches = ieee14_rows
+    n = len(buses)
+
+    def build(tiles):
+        tiled_buses, tiled_branches = [], []
+        for t in range(tiles):
+            for bus in buses:
+                kind = BusKind.PV if (t and bus.id == 1) else bus.kind
+                tiled_buses.append(Bus(id=bus.id + t * n, kind=kind, v_setpoint=bus.v_setpoint, p_gen=bus.p_gen,
+                                       q_gen=bus.q_gen, p_load=bus.p_load, q_load=bus.q_load))
+            for br in branches:
+                tiled_branches.append(Branch(br.from_bus + t * n, br.to_bus + t * n, br.resistance,
+                                             br.reactance, br.half_charging))
+            if t:
+                tiled_branches.append(Branch(t * n, t * n + 4, 0.02, 0.12, 0.015))
+        return tiled_buses, tiled_branches
+
+    return build
 
 
 @pytest.fixture(scope="session")

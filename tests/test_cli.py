@@ -339,6 +339,22 @@ def test_snapshots_unwritable_out_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--seed", ["snapshots", "--case", "ieee14", "--count", "1", "--load-scale", "1.0", "--seed", "-1"]),
+    ("--load-scale", ["snapshots", "--case", "ieee14", "--count", "1", "--load-scale", "0", "--seed", "0"]),
+    ("--seed", ["estimate", "--case", "ieee14", "--seed", "-3"]),
+    ("--max-iter", ["pf", "--case", "ieee14", "--max-iter", "0"]),
+    ("--tol", ["pf", "--case", "ieee14", "--tol", "0"]),
+    ("--steps", ["controller", "simulate", "--config", SCALAR_CONFIG, "--steps", "0", "--x0", "0", "--z0", "0"]),
+    ("--out", ["pf", "--case", "ieee14", "--out", "/nonexistent/x.json"]),
+])
+def test_out_of_range_flag_exits_2_naming_the_flag(capsys, flag, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert flag in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_controller_simulate_steps_past_cap_exits_2(capsys):
     code, out, err = run(capsys, [
         "controller", "simulate", "--config", SCALAR_CONFIG,

@@ -1,8 +1,12 @@
 """Gauss-Newton WLS estimator: objective, gain matrix, steps, recovery."""
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
+import gridse.estimator
 from gridse.estimator import (
+    CONDITION_LIMIT,
+    ESTIMATE_SLACK,
     MAX_ITER,
     SingularGain,
     estimate,
@@ -21,7 +25,9 @@ from gridse.measurements import (
     jacobian_h,
     state_to_vector,
 )
+from gridse.network import build_network
 from gridse.powerflow import StateVector
+from gridse.scenario import run_estimation
 
 
 def _rows(mset, rows):
@@ -239,3 +245,76 @@ def test_iteration_cap_returns_not_converged(ieee14, ieee14_truth, ieee14_ybus, 
     result = estimate(ieee14, mset)
     assert not result.converged
     assert result.iterations == 2 and len(result.objective_history) == 3
+
+
+# ---- observability gate -----------------------------------------------------
+
+def _random_sub_plans(network, seed, count):
+    """(H rows, sigmas) of `count` seeded random sub-plans of the full plan,
+    each of n..3n rows, with H taken at a seeded random state."""
+    rng = np.random.default_rng(seed)
+    n_bus = network.n_buses
+    state = StateVector(np.r_[0.0, rng.uniform(-0.3, 0.0, n_bus - 1)], rng.uniform(0.95, 1.05, n_bus))
+    plan = full_measurement_plan(network)
+    h_full = jacobian_h(plan, state, network, network.ybus)
+    m, n = h_full.shape
+    for _ in range(count):
+        rows = np.sort(rng.choice(m, rng.integers(n, min(m, 3 * n) + 1), replace=False))
+        yield h_full[rows], plan.sigmas[rows]
+
+
+@pytest.mark.parametrize("grid", ["ieee14", "tiled56"])
+def test_gate_rejects_exactly_the_plans_whose_exact_condition_exceeds_the_limit(ieee14, tiled_rows, grid):
+    network = ieee14 if grid == "ieee14" else build_network(*tiled_rows(4))
+    observable = rejected = 0
+    for h, sigmas in _random_sub_plans(network, 12, 200):
+        gain = gain_matrix(h, sigmas)
+        exact = float(np.linalg.cond(gain))
+        if exact > CONDITION_LIMIT:
+            with pytest.raises(SingularGain) as info:
+                solve_normal_equations(h, sigmas, np.zeros(len(sigmas)))
+            assert info.value.condition == exact
+            rejected += 1
+            continue
+        _, _, estimate_1 = solve_normal_equations(h, sigmas, np.zeros(len(sigmas)))
+        # dpocon's estimate never exceeds the exact 1-norm condition (up to rounding),
+        # and falls below the 2-norm condition by less than the gate's slack
+        assert exact / ESTIMATE_SLACK <= estimate_1 <= np.linalg.cond(gain, 1) * (1 + 1e-6)
+        observable += 1
+    assert observable >= 50 and rejected >= 30
+
+
+def test_unmeasured_angle_raises_singular_gain_not_linalg_error(ieee14, ieee14_truth, ieee14_ybus):
+    # drop every row that sees bus 5's angle: H gets an all-zero column
+    plan = full_measurement_plan(ieee14)
+    h_full = jacobian_h(plan, ieee14_truth, ieee14, ieee14_ybus)
+    rows = h_full[:, 3] == 0.0
+    h, sigmas = h_full[rows], plan.sigmas[rows]
+    assert not np.any(h[:, 3]) and len(sigmas) >= h.shape[1]
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(gain_matrix(h, sigmas))
+    with pytest.raises(SingularGain):
+        solve_normal_equations(h, sigmas, np.zeros(len(sigmas)))
+
+
+def test_gain_condition_is_the_exact_condition_of_the_last_gain(ieee14, monkeypatch):
+    gains = []
+
+    def recording(h_matrix, sigmas, residuals):
+        dx, gain, condition = solve_normal_equations(h_matrix, sigmas, residuals)
+        gains.append(gain)
+        return dx, gain, condition
+
+    monkeypatch.setattr(gridse.estimator, "solve_normal_equations", recording)
+    _, result = run_estimation(ieee14, full_measurement_plan(ieee14), 7)
+    assert result.converged and len(gains) == result.iterations
+    assert result.gain_condition == float(np.linalg.cond(gains[-1]))
+
+
+def test_converged_estimate_runs_one_exact_condition(ieee14, monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: calls.append(1) or cond(*a, **k))
+    _, result = run_estimation(ieee14, full_measurement_plan(ieee14), 7)
+    assert result.converged and result.iterations > 1
+    assert len(calls) == 1

@@ -27,7 +27,7 @@ from gridse.measurements import (
     full_measurement_plan,
     jacobian_h,
 )
-from gridse.network import Branch, Bus, BusKind, build_network, build_ybus
+from gridse.network import Branch, Bus, build_network, build_ybus
 from gridse.powerflow import StateVector, calc_injections, injection_jacobian
 
 RTOL = 1e-12
@@ -177,33 +177,14 @@ def _slack_partial_kinds(network):
     return kinds
 
 
-def _tiled_rows(rows, tiles):
-    """Bus and branch rows of `tiles` copies of a grid chained by one tie line
-    each; the first copy's bus 1 stays the slack, later copies' are PV."""
-    buses, branches = rows
-    n = len(buses)
-    tiled_buses, tiled_branches = [], []
-    for t in range(tiles):
-        for bus in buses:
-            kind = BusKind.PV if (t and bus.id == 1) else bus.kind
-            tiled_buses.append(Bus(id=bus.id + t * n, kind=kind, v_setpoint=bus.v_setpoint, p_gen=bus.p_gen,
-                                   q_gen=bus.q_gen, p_load=bus.p_load, q_load=bus.q_load))
-        for br in branches:
-            tiled_branches.append(Branch(br.from_bus + t * n, br.to_bus + t * n, br.resistance,
-                                         br.reactance, br.half_charging))
-        if t:
-            tiled_branches.append(Branch(t * n, t * n + 4, 0.02, 0.12, 0.015))
-    return tiled_buses, tiled_branches
-
-
-def _case(ieee14, ieee14_rows, name):
+def _case(ieee14, tiled_rows, name):
     """(network, kinds, perturbed state) of a named case."""
     rng = np.random.default_rng(2024)
     if name == "ieee14-full":
         return ieee14, full_measurement_plan(ieee14).kinds, _perturbed_state(rng, ieee14)
     if name == "ieee14-slack-partial":
         return ieee14, _slack_partial_kinds(ieee14), _perturbed_state(rng, ieee14)
-    tiled = build_network(*_tiled_rows(ieee14_rows, 4))
+    tiled = build_network(*tiled_rows(4))
     assert tiled.n_buses == 56
     return tiled, full_measurement_plan(tiled).kinds, _perturbed_state(rng, tiled)
 
@@ -214,8 +195,8 @@ def _assert_close(got, want):
 
 
 @pytest.mark.parametrize("name", ["ieee14-full", "ieee14-slack-partial", "tiled56-full"])
-def test_columnar_h_and_jacobian_match_loop_reference(ieee14, ieee14_rows, name):
-    network, kinds, state = _case(ieee14, ieee14_rows, name)
+def test_columnar_h_and_jacobian_match_loop_reference(ieee14, tiled_rows, name):
+    network, kinds, state = _case(ieee14, tiled_rows, name)
     ybus = build_ybus(network)
     mset = _mset(kinds)
     _assert_close(evaluate_h(mset, state, network, ybus), evaluate_kinds_loop(kinds, state, network, ybus))
@@ -223,16 +204,16 @@ def test_columnar_h_and_jacobian_match_loop_reference(ieee14, ieee14_rows, name)
 
 
 @pytest.mark.parametrize("name", ["ieee14-full", "tiled56-full"])
-def test_broadcast_injection_jacobian_matches_diag_formula(ieee14, ieee14_rows, name):
-    network, _, state = _case(ieee14, ieee14_rows, name)
+def test_broadcast_injection_jacobian_matches_diag_formula(ieee14, tiled_rows, name):
+    network, _, state = _case(ieee14, tiled_rows, name)
     ybus = build_ybus(network)
     for got, want in zip(injection_jacobian(state, ybus), injection_jacobian_diag(state, ybus)):
         _assert_close(got, want)
 
 
 @pytest.mark.parametrize("tiles", [1, 4])
-def test_ybus_matches_loop_reference(ieee14_rows, tiles):
-    buses, branches = _tiled_rows(ieee14_rows, tiles)
+def test_ybus_matches_loop_reference(tiled_rows, tiles):
+    buses, branches = tiled_rows(tiles)
     network = build_network(buses, branches)
     assert network.n_buses == 14 * tiles
     assert np.array_equal(network.ybus, ybus_loop(buses, branches))
