@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -221,31 +223,23 @@ def cmd_controller_oracle(args) -> int:
     bounds = _floats(args.box, "--box")
     if len(bounds) not in (2, 2 * system.n):
         raise ValueError(f"--box needs LO,HI (or one LO,HI pair per dimension), got {args.box!r}")
+    if not (args.resolution >= 2 and args.resolution**system.n <= MAX_GRID_POINTS):
+        raise ValueError(f"--resolution: resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}, "
+                         f"got {args.resolution}**{system.n}")
     oracle = bellman_value_iteration(system, (bounds[0::2], bounds[1::2]), args.resolution)
     _write_table([f"x{i + 1}" for i in range(system.n)] + ["v0", "v1"],
                  [*oracle.points.T, oracle.v0.reshape(-1), oracle.v1.reshape(-1)], args.out)
 
-    report = {
-        "sweeps": oracle.sweeps,
-        "final_residual": oracle.residuals[-1],
-        "clamped": oracle.clamped,
-    }
+    report = {"sweeps": oracle.sweeps, "final_residual": oracle.residuals[-1], "clamped": oracle.clamped}
     try:
-        qv = solve_quadratic_value(system)
-        cmp = compare_value_functions(oracle, qv)
-        report["quadratic_comparison"] = {
-            "max_gap_v0": cmp.max_gap_v0,
-            "mean_gap_v0": cmp.mean_gap_v0,
-            "max_gap_v1": cmp.max_gap_v1,
-            "mean_gap_v1": cmp.mean_gap_v1,
-            "points": cmp.points,
-        }
+        report["quadratic_comparison"] = asdict(compare_value_functions(oracle, solve_quadratic_value(system)))
     except (UnstableSystem, SingularP, NoInteriorPoints) as exc:
         report["quadratic_comparison"] = {"unavailable": str(exc)}
     _write_summary(report, args.out)
     return 0
 
 
+@functools.cache  # built on the first dispatch, not at import, then reused: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridse",
@@ -327,9 +321,8 @@ def _join_list_values(argv: list) -> list:
 
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_list_values(list(argv)))
+        args = build_parser().parse_args(_join_list_values(list(argv)))
     except SystemExit as exc:  # argparse already printed usage / message
         return int(exc.code or 0)
     try:

@@ -269,27 +269,27 @@ def _grid_points(lower: np.ndarray, upper: np.ndarray, resolution: int) -> np.nd
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _interp_stencil(points: np.ndarray, lower: np.ndarray, upper: np.ndarray, resolution: int) -> list:
-    """Multilinear interpolation at `points` on the grid: one (flat grid index,
-    per-dimension weight factors) pair per cell corner, corners in row-major
-    order. The value at the points is then sum over corners of
-    table[index] * factor_1 * ... * factor_n, evaluated left to right."""
+def _interp_stencil(points: np.ndarray, lower: np.ndarray, upper: np.ndarray, resolution: int) -> tuple:
+    """Multilinear interpolation at `points` on the grid: flat grid indices and
+    per-dimension weight factors, each with one row per cell corner, corners
+    in row-major order. The value at the points is then the sum over corners,
+    in that order, of table[index] * factor_1 * ... * factor_n, evaluated
+    left to right."""
     pos = (points - lower) / ((upper - lower) / (resolution - 1))
     i0 = np.clip(np.floor(pos).astype(int), 0, resolution - 2)
     w = (pos - i0).T
     strides = resolution ** np.arange(points.shape[1])[::-1]
-    return [((i0 + corner) @ strides, [w[d] if c else 1 - w[d] for d, c in enumerate(corner)])
-            for corner in np.ndindex((2,) * points.shape[1])]
+    corners = np.array(list(np.ndindex((2,) * points.shape[1])))
+    factors = [np.where(corners[:, d, None], w[d], 1 - w[d]) for d in range(points.shape[1])]
+    return (i0 + corners[:, None]) @ strides, factors
 
 
-def _interpolate(flat_table: np.ndarray, stencil: list) -> np.ndarray:
-    total = None
-    for index, factors in stencil:
-        term = flat_table[index]
-        for f in factors:
-            term = term * f
-        total = term if total is None else total + term
-    return total
+def _interpolate(flat_table: np.ndarray, stencil: tuple) -> np.ndarray:
+    index, factors = stencil
+    terms = flat_table.take(index)
+    for f in factors:
+        terms *= f
+    return np.add.reduce(terms)  # row by row: ((corner 0 + corner 1) + corner 2) + ...
 
 
 def bellman_value_iteration(
@@ -303,7 +303,10 @@ def bellman_value_iteration(
 
     Successor states A x + b u are evaluated by multilinear interpolation
     with clamping at the box boundary; sweeps run until the sup-norm change
-    drops below tol. Desk-scale only: n must be 1 or 2.
+    drops below tol. V0 and V1 share one stacked table [V0; V1] and one
+    stencil, so a sweep is one interpolation; every operation keeps the
+    operands and order of separate V0 and V1 sweeps, so the tables and
+    residuals are theirs bit for bit. Desk-scale only: n must be 1 or 2.
     """
     n = system.n
     if n > 2:
@@ -313,6 +316,8 @@ def bellman_value_iteration(
                          f"got {resolution}**{n}")
     if not (tol > 0):
         raise ValueError("tol must be > 0")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
 
     lower = np.reshape(np.asarray(box[0], dtype=float), (-1,))
     upper = np.reshape(np.asarray(box[1], dtype=float), (-1,))
@@ -323,29 +328,29 @@ def bellman_value_iteration(
         raise ValueError("box must provide finite lower < upper bounds per dimension")
 
     points = _grid_points(lower, upper, resolution)
+    size = points.shape[0]
     d = points - system.r
-    q_vals = np.einsum("ij,jk,ik->i", d, system.Q, d)
+    q_vals = np.tile(np.einsum("ij,jk,ik->i", d, system.Q, d), 2)
 
-    clamped = False
-    stencils = []
-    for u in (0, 1):
-        succ = points @ system.A.T + u * system.b
-        clipped = np.clip(succ, lower, upper)
-        clamped = clamped or bool(np.any(clipped != succ))
-        stencils.append(_interp_stencil(clipped, lower, upper, resolution))
+    succ = np.concatenate([points @ system.A.T + u * system.b for u in (0, 1)])
+    clipped = np.clip(succ, lower, upper)
+    clamped = bool(np.any(clipped != succ))
+    shift = np.repeat([0, size], size)  # successors under u = 1 read V1, the table's second half
+    index, factors = _interp_stencil(clipped, lower, upper, resolution)
+    stencil = (index + shift, factors)
 
     alpha, beta = system.alpha, system.beta
-    v0 = np.zeros(points.shape[0])
-    v1 = np.zeros(points.shape[0])
+    v = np.zeros(2 * size)
+    b = np.empty(2 * size)  # beta + a with its halves swapped
     residuals = []
     for _ in range(max_sweeps):
-        ev0 = _interpolate(v0, stencils[0])  # V0 at successors under u=0
-        ev1 = _interpolate(v1, stencils[1])  # V1 at successors under u=1
-        new_v0 = q_vals + np.minimum(alpha * ev0, beta + alpha * ev1)
-        new_v1 = q_vals + np.minimum(beta + alpha * ev0, alpha * ev1)
-        resid = max(float(np.max(np.abs(new_v0 - v0))), float(np.max(np.abs(new_v1 - v1))))
+        a = _interpolate(v, stencil) * alpha  # [alpha V0(A x); alpha V1(A x + b)]
+        np.add(beta, a[size:], out=b[:size])
+        np.add(beta, a[:size], out=b[size:])
+        new = np.add(q_vals, np.minimum(a, b, out=a), out=a)  # V0 = q + min(a0, b1), V1 = q + min(b0, a1)
+        resid = float(np.abs(np.subtract(v, new, out=v), out=v).max())
         residuals.append(resid)
-        v0, v1 = new_v0, new_v1
+        v = new
         if resid < tol:
             break
     else:
@@ -358,8 +363,8 @@ def bellman_value_iteration(
         lower=lower,
         upper=upper,
         resolution=resolution,
-        v0=v0.reshape(shape),
-        v1=v1.reshape(shape),
+        v0=v[:size].reshape(shape),
+        v1=v[size:].reshape(shape),
         sweeps=len(residuals),
         residuals=tuple(residuals),
         clamped=clamped,

@@ -368,6 +368,7 @@ def test_controller_simulate_steps_past_cap_exits_2(capsys):
 @pytest.mark.parametrize("config, resolution", [
     (SCALAR_CONFIG, MAX_GRID_POINTS + 1),
     ("tests/golden/controller_2d.json", math.isqrt(MAX_GRID_POINTS) + 1),
+    (SCALAR_CONFIG, 1),
 ])
 def test_controller_oracle_resolution_past_cap_exits_2(capsys, config, resolution):
     config = str(Path(__file__).resolve().parents[1] / config)
@@ -375,7 +376,7 @@ def test_controller_oracle_resolution_past_cap_exits_2(capsys, config, resolutio
         "controller", "oracle", "--config", config, "--box", "-0.5,2.5", "--resolution", str(resolution),
     ])
     assert code == 2
-    assert f"resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}" in err
+    assert f"--resolution: resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}" in err
     assert "Traceback" not in err and out == ""
 
 

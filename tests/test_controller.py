@@ -275,6 +275,12 @@ def test_value_iteration_max_sweeps():
         bellman_value_iteration(SCALAR, ([-0.5], [2.5]), 101, max_sweeps=5)
 
 
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+def test_value_iteration_rejects_fewer_than_one_sweep(max_sweeps):
+    with pytest.raises(ValueError, match=f"max_sweeps must be >= 1, got {max_sweeps}"):
+        bellman_value_iteration(SCALAR, ([-0.5], [2.5]), 101, max_sweeps=max_sweeps)
+
+
 def test_oracle_dimension_guard():
     sys3 = SwitchedSystem(A=np.eye(3) * 0.5, b=np.zeros(3), alpha=0.5, beta=0.0,
                           Q=np.eye(3), r=np.zeros(3))

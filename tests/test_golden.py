@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from gridse.cli import cli_dispatch
+from gridse.cli import build_parser, cli_dispatch
 from gridse.scenario import builtin_case_dir
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -112,3 +112,30 @@ def test_controller_csv_and_summary_match_golden(capsys, tmp_path, name, command
     stem = GOLDEN / f"controller_{name}_{command}"
     assert out.read_text() == stem.with_suffix(".csv").read_text()
     assert_json_close(json.loads(summary), json.loads(stem.with_suffix(".json").read_text()))
+
+
+def test_reused_parser_carries_no_flag_value_over(capsys, tmp_path):
+    """The CLI builds its parser once per process. Each call must parse from
+    the defaults: no flag given to one call may show up in the next."""
+    parser = build_parser()
+    # a usage error after --noise-off was parsed, then the noisy run
+    assert cli_dispatch(["estimate", "--case", "ieee14", "--seed", "7", "--noise-off", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    noisy = ["estimate", "--case", "ieee14", "--seed", "7"]
+    for argv, golden in [(noisy + ["--noise-off"], "estimate_ieee14_seed7_noise_off.json"),
+                         (noisy, "estimate_ieee14_seed7.json")]:
+        assert_json_close(json.loads(run_stdout(capsys, argv)), json.loads((GOLDEN / golden).read_text()))
+
+    config, flags, _ = CONTROLLER_CONFIGS["scalar"]
+    argv = ["controller", "simulate", "--config", str(config), *flags]
+    out = tmp_path / "out.csv"
+    summary = run_stdout(capsys, [*argv, "--out", str(out)])
+    assert_json_close(json.loads(summary), json.loads((GOLDEN / "controller_scalar_simulate.json").read_text()))
+    golden_csv = (GOLDEN / "controller_scalar_simulate.csv").read_text()
+    assert out.read_text() == golden_csv
+    out.unlink()
+    assert cli_dispatch(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden_csv and not out.exists()
+    assert_json_close(json.loads(captured.err), json.loads((GOLDEN / "controller_scalar_simulate.json").read_text()))
+    assert build_parser() is parser
