@@ -188,6 +188,27 @@ def test_bad_measurement_index_rejected(tmp_path, reader, column, cell):
     assert (Path(err.file).name, err.line, err.column) == ("m.csv", 3, column)
 
 
+@pytest.mark.parametrize("reader", [read_measurements_csv, read_plan_csv])
+@pytest.mark.parametrize("row, column", [
+    ("volts,1,,,1.0,0.004", "kind"),            # unknown kind
+    (",1,,,1.0,0.004", "kind"),                 # empty kind
+    ("p_flow,,0,,0.5,0.008", "kind"),           # a flow with no end, not a from-end meter
+    ("p_flow,2,0,from,0.5,0.008", "kind"),      # a flow with a bus
+    ("v_mag,1,0,,1.0,0.004", "kind"),           # v_mag with a branch
+    ("v_mag,1,,to,1.0,0.004", "kind"),          # v_mag with an end
+    ("p_inj,,,,0.1,0.01", "kind"),              # p_inj with no bus
+    ("p_flow,,0,sideways,0.5,0.008", "end"),
+])
+def test_malformed_measurement_row_names_its_line_and_column(tmp_path, reader, row, column):
+    path = tmp_path / "m.csv"
+    path.write_text(f"kind,bus,branch,end,value_pu,sigma_pu\nv_mag,1,,,1.0,0.004\n\n{row}\n"
+                    "q_flow,,1,to,0.2,0.008\n")
+    with pytest.raises(CaseFileError) as exc_info:
+        reader(path)
+    err = exc_info.value
+    assert (Path(err.file).name, err.line, err.column) == ("m.csv", 4, column)
+
+
 def test_oversized_csv_field_rejected(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("kind,bus,branch,end,value_pu,sigma_pu\nv_mag,1,,,1.0," + "9" * 200_000 + "\n")
