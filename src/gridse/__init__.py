@@ -35,7 +35,7 @@ from .measurements import (
     DEFAULT_SIGMA_FLOW,
     DEFAULT_SIGMA_INJ,
     DEFAULT_SIGMA_V,
-    MeasurementKind,
+    MeasurementRowError,
     MeasurementSet,
     evaluate_h,
     full_measurement_plan,

@@ -20,7 +20,7 @@ uint32 array arithmetic equal to numpy's, instead of once per measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -42,29 +42,21 @@ DEFAULT_SIGMA_V = 0.004
 DEFAULT_SIGMA_INJ = 0.01
 DEFAULT_SIGMA_FLOW = 0.008
 
-_BUS_QUANTITIES = (V_MAG, P_INJ, Q_INJ)
-_FLOW_QUANTITIES = (P_FLOW, Q_FLOW)
-# quantity codes of the compiled columns: index into QUANTITIES
-QUANTITIES = _BUS_QUANTITIES + _FLOW_QUANTITIES
+# quantity codes of the columns index QUANTITIES, bus quantities first; flow
+# rows' to_end codes index ENDS
+QUANTITIES = (V_MAG, P_INJ, Q_INJ, P_FLOW, Q_FLOW)
 _V, _P, _Q, _PF, _QF = range(len(QUANTITIES))
+ENDS = (FROM, TO)
 
 
-@dataclass(frozen=True)
-class MeasurementKind:
-    quantity: str
-    bus: Optional[int] = None     # 1-based bus id for bus quantities
-    branch: Optional[int] = None  # 0-based index into the branch list
-    end: Optional[str] = None     # FROM or TO for flow quantities
+class MeasurementRowError(ValueError):
+    """A measurement row whose bus, branch and to_end entries do not fit its
+    quantity. `row` is the 0-based index of the row at fault."""
 
-    def __post_init__(self):
-        if self.quantity in _BUS_QUANTITIES:
-            if self.bus is None or self.branch is not None or self.end is not None:
-                raise ValueError(f"{self.quantity} measurement must reference a bus only")
-        elif self.quantity in _FLOW_QUANTITIES:
-            if self.branch is None or self.end not in (FROM, TO) or self.bus is not None:
-                raise ValueError(f"{self.quantity} measurement must reference a branch and an end")
-        else:
-            raise ValueError(f"unknown measurement quantity {self.quantity!r}")
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"measurement {row}: {reason}")
+        self.row = row
+        self.reason = reason
 
 
 class MeasurementColumns(NamedTuple):
@@ -73,7 +65,7 @@ class MeasurementColumns(NamedTuple):
     quantity: np.ndarray  # code into QUANTITIES
     bus: np.ndarray       # 0-based bus index of bus quantities, -1 for flows
     branch: np.ndarray    # 0-based branch index of flows, -1 for bus quantities
-    to_end: np.ndarray    # 1 for flows measured at the branch's to end, else 0
+    to_end: np.ndarray    # flows: 0 measured at the from end, 1 at the to end; -1 for bus quantities
 
 
 def _read_only(x, dtype) -> np.ndarray:
@@ -89,7 +81,8 @@ class MeasurementSet:
     """A measurement table: index `columns`, `values` z and `sigmas`, all
     read-only arrays with one entry per row. A plan is a set whose values are
     NaN, meaning not yet metered. Every row's bus, branch and to_end entries
-    take the form MeasurementColumns states for its quantity."""
+    take the form MeasurementColumns states for its quantity; the first row
+    that does not raises MeasurementRowError."""
 
     columns: MeasurementColumns
     values: np.ndarray
@@ -107,25 +100,15 @@ class MeasurementSet:
         quantity, bus, branch, to_end = columns
         is_flow = quantity >= _PF
         bad = np.flatnonzero(np.where(is_flow, (bus != -1) | (branch < 0) | ((to_end != 0) & (to_end != 1)),
-                                      (bus < 0) | (branch != -1) | (to_end != 0)))
+                                      (bus < 0) | (branch != -1) | (to_end != -1)))
         if bad.size:
             i = int(bad[0])
-            need = "bus -1, branch >= 0, to_end 0 or 1" if is_flow[i] else "bus >= 0, branch -1, to_end 0"
-            raise ValueError(f"measurement {i}: a {QUANTITIES[quantity[i]]} row needs {need}, "
-                             f"got bus {bus[i]}, branch {branch[i]}, to_end {to_end[i]}")
+            need = "bus -1, branch >= 0, to_end 0 or 1" if is_flow[i] else "bus >= 0, branch -1, to_end -1"
+            raise MeasurementRowError(i, f"a {QUANTITIES[quantity[i]]} row needs {need}, "
+                                         f"got bus {bus[i]}, branch {branch[i]}, to_end {to_end[i]}")
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sigmas", sigmas)
-
-    @classmethod
-    def from_kinds(cls, kinds: Sequence[MeasurementKind], values, sigmas) -> "MeasurementSet":
-        table = np.array(
-            [(QUANTITIES.index(k.quantity), -1 if k.bus is None else k.bus - 1,
-              -1 if k.branch is None else k.branch, k.end == TO) for k in kinds],
-            dtype=np.intp,
-        ).reshape(-1, 4)
-        table.setflags(write=False)
-        return cls(MeasurementColumns(*table.T), values, sigmas)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -136,15 +119,6 @@ class MeasurementSet:
         return (all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
                 and np.array_equal(self.values, other.values, equal_nan=True)
                 and np.array_equal(self.sigmas, other.sigmas))
-
-    @property
-    def kinds(self) -> list:
-        """The rows as MeasurementKind objects, for CSV output."""
-        return [
-            MeasurementKind(QUANTITIES[q], bus=None if b < 0 else b + 1, branch=None if k < 0 else k,
-                            end=None if k < 0 else (TO if t else FROM))
-            for q, b, k, t in zip(*(c.tolist() for c in self.columns))
-        ]
 
 
 def check_columns(columns: MeasurementColumns, network: Network) -> None:
@@ -163,8 +137,14 @@ def state_size(network: Network) -> int:
     return 2 * network.n_buses - 1
 
 
+def _check_state_size(state: StateVector, network: Network, name: str) -> None:
+    if state.n_buses != network.n_buses:
+        raise ValueError(f"{name} has {state.n_buses} buses, the network has {network.n_buses}")
+
+
 def state_to_vector(state: StateVector, network: Network) -> np.ndarray:
     """Flatten a state into [theta at non-slack buses, all magnitudes]."""
+    _check_state_size(state, network, "state")
     return np.concatenate([np.delete(state.angles, network.slack_index), state.magnitudes])
 
 
@@ -259,6 +239,7 @@ def generate_measurements(
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_state_size(truth, network, "truth state")
     check_columns(plan.columns, network)
     values = evaluate_h(plan, truth, network, ybus)
     if noise:
@@ -370,7 +351,7 @@ def full_measurement_plan(
         quantity=np.concatenate([np.repeat([_V, _P, _Q], n), np.tile([_PF, _PF, _QF, _QF], nbr)]),
         bus=np.concatenate([np.tile(np.arange(n), 3), np.full(4 * nbr, -1)]),
         branch=np.concatenate([np.full(3 * n, -1), np.repeat(np.arange(nbr), 4)]),
-        to_end=np.concatenate([np.zeros(3 * n), np.tile([0, 1, 0, 1], nbr)]),
+        to_end=np.concatenate([np.full(3 * n, -1), np.tile([0, 1, 0, 1], nbr)]),
     )
     sigmas = np.repeat([sigma_v, sigma_inj, sigma_flow], [n, 2 * n, 4 * nbr])
     return MeasurementSet(columns, np.full(len(sigmas), np.nan), sigmas)

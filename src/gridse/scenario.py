@@ -23,9 +23,12 @@ import numpy as np
 from .controller import SwitchedSystem, discretize
 from .estimator import EstimationResult, estimate
 from .measurements import (
+    ENDS,
     FROM,
+    QUANTITIES,
     TO,
-    MeasurementKind,
+    MeasurementColumns,
+    MeasurementRowError,
     MeasurementSet,
     full_measurement_plan,
     generate_measurements,
@@ -250,40 +253,41 @@ def _read_case_meta(path: Path):
 
 
 def write_measurements_csv(mset: MeasurementSet, path) -> None:
-    """Write a set as CSV; NaN values (a plan) become empty value cells."""
+    """Write a set as CSV; -1 index entries become empty bus, branch and end
+    cells, and NaN values (a plan) empty value cells."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(MEASUREMENT_COLUMNS)
-        for k, value, sigma in zip(mset.kinds, mset.values.tolist(), mset.sigmas.tolist()):
-            w.writerow([k.quantity] + ["" if c is None else c for c in (k.bus, k.branch, k.end)]
-                       + ["" if math.isnan(value) else repr(value), repr(sigma)])
-
-
-def _kind_from_record(rec: dict, path, line_no: int) -> MeasurementKind:
-    quantity = rec["kind"]
-    bus = _parse_index(rec["bus"], path, line_no, "bus", 1) if rec["bus"] else None
-    branch = _parse_index(rec["branch"], path, line_no, "branch", 0) if rec["branch"] else None
-    end = rec["end"] or None
-    if end is not None and end not in (FROM, TO):
-        raise CaseFileError(path, line_no, "end", f"end must be '{FROM}' or '{TO}', got {end!r}")
-    try:
-        return MeasurementKind(quantity=quantity, bus=bus, branch=branch, end=end)
-    except ValueError as exc:
-        raise CaseFileError(path, line_no, "kind", str(exc)) from exc
+        for q, bus, branch, to_end, value, sigma in zip(*(c.tolist() for c in mset.columns),
+                                                         mset.values.tolist(), mset.sigmas.tolist()):
+            w.writerow([QUANTITIES[q], "" if bus < 0 else bus + 1, "" if branch < 0 else branch,
+                        "" if to_end < 0 else ENDS[to_end], "" if math.isnan(value) else repr(value), repr(sigma)])
 
 
 def _read_measurement_table(path, metered: bool) -> MeasurementSet:
-    """Rows of a measurement CSV; a plan (metered=False) takes NaN values."""
+    """Rows of a measurement CSV as one set; an empty bus, branch or end cell
+    is -1 in its column, and a plan (metered=False) takes NaN values."""
     path = Path(path)
-    kinds, values, sigmas = [], [], []
+    rows, line_nos, values, sigmas = [], [], [], []
     for line_no, rec in _read_rows(path, MEASUREMENT_COLUMNS):
-        kinds.append(_kind_from_record(rec, path, line_no))
+        bus = _parse_index(rec["bus"], path, line_no, "bus", 1) - 1 if rec["bus"] else -1
+        branch = _parse_index(rec["branch"], path, line_no, "branch", 0) if rec["branch"] else -1
+        if rec["end"] and rec["end"] not in ENDS:
+            raise CaseFileError(path, line_no, "end", f"end must be '{FROM}' or '{TO}', got {rec['end']!r}")
+        if rec["kind"] not in QUANTITIES:
+            raise CaseFileError(path, line_no, "kind", f"unknown measurement quantity {rec['kind']!r}")
+        rows.append((QUANTITIES.index(rec["kind"]), bus, branch, ENDS.index(rec["end"]) if rec["end"] else -1))
+        line_nos.append(line_no)
         if metered:
             if not rec["value_pu"]:
                 raise CaseFileError(path, line_no, "value_pu", "measurement value missing")
             values.append(_parse_float(rec["value_pu"], path, line_no, "value_pu"))
         sigmas.append(_parse_float(rec["sigma_pu"], path, line_no, "sigma_pu", positive=True))
-    return MeasurementSet.from_kinds(kinds, values if metered else np.full(len(kinds), np.nan), sigmas)
+    columns = MeasurementColumns(*np.array(rows, dtype=np.intp).reshape(-1, 4).T)
+    try:
+        return MeasurementSet(columns, values if metered else np.full(len(rows), np.nan), sigmas)
+    except MeasurementRowError as exc:
+        raise CaseFileError(path, line_nos[exc.row], "kind", exc.reason) from exc
 
 
 def read_measurements_csv(path) -> MeasurementSet:

@@ -4,11 +4,23 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np
 import pytest
 
+from gridse.measurements import QUANTITIES, MeasurementColumns, MeasurementSet
 from gridse.network import Branch, Bus, BusKind, build_ybus
 from gridse.powerflow import solve_power_flow
 from gridse.scenario import builtin_case_dir, load_case, resolve_case_dir
+
+
+def measurement_set(rows, values=None, sigmas=None):
+    """A MeasurementSet from (quantity name, bus, branch, to_end) rows in the
+    column encoding: 0-based indices, -1 where an entry does not apply.
+    Values default to zeros and sigmas to 0.01; MeasurementSet makes every check."""
+    table = np.array([(QUANTITIES.index(q), *index) for q, *index in rows], dtype=np.intp).reshape(-1, 4)
+    m = table.shape[0]
+    return MeasurementSet(MeasurementColumns(*table.T), np.zeros(m) if values is None else values,
+                          np.full(m, 0.01) if sigmas is None else sigmas)
 
 
 @pytest.fixture(scope="session")

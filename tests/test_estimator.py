@@ -4,6 +4,7 @@ import pytest
 from scipy.linalg import cho_factor
 
 import gridse.estimator
+from conftest import measurement_set
 from gridse.estimator import (
     CONDITION_LIMIT,
     ESTIMATE_SLACK,
@@ -17,7 +18,6 @@ from gridse.estimator import (
 from gridse.measurements import (
     V_MAG,
     MeasurementColumns,
-    MeasurementKind,
     MeasurementSet,
     evaluate_h,
     full_measurement_plan,
@@ -49,9 +49,9 @@ def test_objective_zero_at_exact_fit(ieee14, ieee14_truth, ieee14_ybus):
 
 
 def test_objective_single_measurement(ieee14, ieee14_truth, ieee14_ybus):
-    kinds = [MeasurementKind(V_MAG, bus=3)]
-    h = evaluate_h(MeasurementSet.from_kinds(kinds, [0.0], [0.01]), ieee14_truth, ieee14, ieee14_ybus)[0]
-    mset = MeasurementSet.from_kinds(kinds, [h + 0.02], [0.01])
+    rows = [(V_MAG, 2, -1, -1)]
+    h = evaluate_h(measurement_set(rows), ieee14_truth, ieee14, ieee14_ybus)[0]
+    mset = measurement_set(rows, [h + 0.02])
     assert objective_j(mset, ieee14_truth, ieee14, ieee14_ybus) == pytest.approx(4.0, rel=1e-12)
 
 
@@ -159,12 +159,20 @@ def test_warm_start_at_truth_converges_in_one_iteration(ieee14, ieee14_truth, ie
 
 
 def test_voltage_only_plan_is_unobservable(ieee14, ieee14_truth, ieee14_ybus):
-    kinds = [MeasurementKind(V_MAG, bus=i) for i in range(1, 15)]
+    rows = [(V_MAG, i, -1, -1) for i in range(14)]
     # pad with duplicates to satisfy m >= n while keeping angles unobservable
-    plan = MeasurementSet.from_kinds(kinds * 2, np.full(28, np.nan), np.full(28, 0.004))
+    plan = measurement_set(rows * 2, np.full(28, np.nan), np.full(28, 0.004))
     mset = generate_measurements(ieee14_truth, plan, 3, ieee14, ieee14_ybus)
     with pytest.raises(SingularGain):
         estimate(ieee14, mset)
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_start_of_the_wrong_size_rejected(ieee14, ieee14_truth, ieee14_ybus, n):
+    mset = _noise_free_set(ieee14, ieee14_truth, ieee14_ybus)
+    start = StateVector(angles=np.zeros(n), magnitudes=np.ones(n))
+    with pytest.raises(ValueError, match=f"^state has {n} buses, the network has 14$"):
+        estimate(ieee14, mset, start=start)
 
 
 def test_too_few_measurements_rejected(ieee14, ieee14_truth, ieee14_ybus):

@@ -9,20 +9,20 @@ must match bit for bit. h and H round differently in the last bits
 with diagonal matrices), so their agreement is required to 1e-12 times the
 largest entry.
 """
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import measurement_set
 from gridse.measurements import (
-    FROM,
     P_FLOW,
     P_INJ,
     Q_FLOW,
     Q_INJ,
-    TO,
+    QUANTITIES,
     V_MAG,
-    MeasurementKind,
-    MeasurementSet,
     evaluate_h,
     full_measurement_plan,
     jacobian_h,
@@ -31,6 +31,16 @@ from gridse.network import Branch, Bus, build_network, build_ybus
 from gridse.powerflow import StateVector, calc_injections, injection_jacobian
 
 RTOL = 1e-12
+
+
+class Row(NamedTuple):
+    """One measurement row in the column encoding: 0-based bus and branch,
+    to_end 1 for a flow metered at the to end, -1 where an entry does not apply."""
+
+    quantity: str
+    bus: int
+    branch: int
+    to_end: int
 
 
 # ---- loop references --------------------------------------------------------
@@ -62,34 +72,34 @@ def _branch_constants(network, branch_idx):
     return br.from_idx[k], br.to_idx[k], br.g[k], br.b[k], br.b_sh[k]
 
 
-def _flow_value(kind, state, network):
-    f, t, g, b, bsh = _branch_constants(network, kind.branch)
-    i, j = (f, t) if kind.end == FROM else (t, f)
+def _flow_value(row, state, network):
+    f, t, g, b, bsh = _branch_constants(network, row.branch)
+    i, j = (t, f) if row.to_end else (f, t)
     vi = state.magnitudes[i]
     vj = state.magnitudes[j]
     thij = state.angles[i] - state.angles[j]
     c, s = np.cos(thij), np.sin(thij)
-    if kind.quantity == P_FLOW:
+    if row.quantity == P_FLOW:
         return vi * vi * g - vi * vj * (g * c + b * s)
     return -vi * vi * (b + bsh) - vi * vj * (g * s - b * c)
 
 
-def evaluate_kinds_loop(kinds, state, network, ybus):
+def evaluate_rows_loop(rows, state, network, ybus):
     p_inj, q_inj = calc_injections(state, ybus)
-    out = np.empty(len(kinds))
-    for i, kind in enumerate(kinds):
-        if kind.quantity == V_MAG:
-            out[i] = state.magnitudes[kind.bus - 1]
-        elif kind.quantity == P_INJ:
-            out[i] = p_inj[kind.bus - 1]
-        elif kind.quantity == Q_INJ:
-            out[i] = q_inj[kind.bus - 1]
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        if row.quantity == V_MAG:
+            out[i] = state.magnitudes[row.bus]
+        elif row.quantity == P_INJ:
+            out[i] = p_inj[row.bus]
+        elif row.quantity == Q_INJ:
+            out[i] = q_inj[row.bus]
         else:
-            out[i] = _flow_value(kind, state, network)
+            out[i] = _flow_value(row, state, network)
     return out
 
 
-def jacobian_loop(kinds, state, network, ybus):
+def jacobian_loop(rows, state, network, ybus):
     n = network.n_buses
     slack = network.slack_index
     ang_col = np.full(n, -1, dtype=int)
@@ -100,27 +110,27 @@ def jacobian_loop(kinds, state, network, ybus):
             col += 1
     v_col0 = n - 1
     dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian_diag(state, ybus)
-    h_mat = np.zeros((len(kinds), 2 * n - 1))
+    h_mat = np.zeros((len(rows), 2 * n - 1))
     vm = state.magnitudes
     th = state.angles
-    for row, kind in enumerate(kinds):
-        if kind.quantity == V_MAG:
-            h_mat[row, v_col0 + kind.bus - 1] = 1.0
-        elif kind.quantity in (P_INJ, Q_INJ):
-            i = kind.bus - 1
-            dth = dp_dth[i] if kind.quantity == P_INJ else dq_dth[i]
-            dv = dp_dv[i] if kind.quantity == P_INJ else dq_dv[i]
+    for k, row in enumerate(rows):
+        if row.quantity == V_MAG:
+            h_mat[k, v_col0 + row.bus] = 1.0
+        elif row.quantity in (P_INJ, Q_INJ):
+            i = row.bus
+            dth = dp_dth[i] if row.quantity == P_INJ else dq_dth[i]
+            dv = dp_dv[i] if row.quantity == P_INJ else dq_dv[i]
             for j in range(n):
                 if j != slack:
-                    h_mat[row, ang_col[j]] = dth[j]
-                h_mat[row, v_col0 + j] = dv[j]
+                    h_mat[k, ang_col[j]] = dth[j]
+                h_mat[k, v_col0 + j] = dv[j]
         else:
-            f, t, g, b, bsh = _branch_constants(network, kind.branch)
-            i, j = (f, t) if kind.end == FROM else (t, f)
+            f, t, g, b, bsh = _branch_constants(network, row.branch)
+            i, j = (t, f) if row.to_end else (f, t)
             vi, vj = vm[i], vm[j]
             thij = th[i] - th[j]
             c, s = np.cos(thij), np.sin(thij)
-            if kind.quantity == P_FLOW:
+            if row.quantity == P_FLOW:
                 dth_i = vi * vj * (g * s - b * c)
                 dv_i = 2 * vi * g - vj * (g * c + b * s)
                 dv_j = -vi * (g * c + b * s)
@@ -129,11 +139,11 @@ def jacobian_loop(kinds, state, network, ybus):
                 dv_i = -2 * vi * (b + bsh) - vj * (g * s - b * c)
                 dv_j = -vi * (g * s - b * c)
             if i != slack:
-                h_mat[row, ang_col[i]] = dth_i
+                h_mat[k, ang_col[i]] = dth_i
             if j != slack:
-                h_mat[row, ang_col[j]] = -dth_i
-            h_mat[row, v_col0 + i] = dv_i
-            h_mat[row, v_col0 + j] = dv_j
+                h_mat[k, ang_col[j]] = -dth_i
+            h_mat[k, v_col0 + i] = dv_i
+            h_mat[k, v_col0 + j] = dv_j
     return h_mat
 
 
@@ -157,36 +167,35 @@ def _perturbed_state(rng, network):
     return StateVector(angles=ang, magnitudes=rng.uniform(0.9, 1.1, n))
 
 
-def _mset(kinds):
-    return MeasurementSet.from_kinds(kinds, np.zeros(len(kinds)), np.full(len(kinds), 0.01))
+def _plan_rows(network):
+    """The rows of the network's full measurement plan."""
+    columns = full_measurement_plan(network).columns
+    return [Row(QUANTITIES[q], *index) for q, *index in zip(*(c.tolist() for c in columns))]
 
 
-def _slack_partial_kinds(network):
+def _slack_partial_rows(network):
     """To-end and from-end flows of every branch touching the slack bus, plus
     the slack bus's own voltage and injections and one far injection."""
-    slack_id = network.slack_index + 1
-    kinds = [MeasurementKind(V_MAG, bus=slack_id),
-             MeasurementKind(P_INJ, bus=slack_id),
-             MeasurementKind(Q_INJ, bus=network.n_buses)]
+    slack = network.slack_index
+    rows = [Row(V_MAG, slack, -1, -1), Row(P_INJ, slack, -1, -1), Row(Q_INJ, network.n_buses - 1, -1, -1)]
     br = network.branch_arrays
     for idx, ends in enumerate(zip(br.from_idx.tolist(), br.to_idx.tolist())):
-        if network.slack_index in ends:
-            kinds += [MeasurementKind(P_FLOW, branch=idx, end=TO), MeasurementKind(Q_FLOW, branch=idx, end=TO),
-                      MeasurementKind(Q_FLOW, branch=idx, end=FROM)]
-    kinds.append(MeasurementKind(P_FLOW, branch=network.n_branches - 1, end=TO))
-    return kinds
+        if slack in ends:
+            rows += [Row(P_FLOW, -1, idx, 1), Row(Q_FLOW, -1, idx, 1), Row(Q_FLOW, -1, idx, 0)]
+    rows.append(Row(P_FLOW, -1, network.n_branches - 1, 1))
+    return rows
 
 
 def _case(ieee14, tiled_rows, name):
-    """(network, kinds, perturbed state) of a named case."""
+    """(network, rows, perturbed state) of a named case."""
     rng = np.random.default_rng(2024)
     if name == "ieee14-full":
-        return ieee14, full_measurement_plan(ieee14).kinds, _perturbed_state(rng, ieee14)
+        return ieee14, _plan_rows(ieee14), _perturbed_state(rng, ieee14)
     if name == "ieee14-slack-partial":
-        return ieee14, _slack_partial_kinds(ieee14), _perturbed_state(rng, ieee14)
+        return ieee14, _slack_partial_rows(ieee14), _perturbed_state(rng, ieee14)
     tiled = build_network(*tiled_rows(4))
     assert tiled.n_buses == 56
-    return tiled, full_measurement_plan(tiled).kinds, _perturbed_state(rng, tiled)
+    return tiled, _plan_rows(tiled), _perturbed_state(rng, tiled)
 
 
 def _assert_close(got, want):
@@ -196,11 +205,11 @@ def _assert_close(got, want):
 
 @pytest.mark.parametrize("name", ["ieee14-full", "ieee14-slack-partial", "tiled56-full"])
 def test_columnar_h_and_jacobian_match_loop_reference(ieee14, tiled_rows, name):
-    network, kinds, state = _case(ieee14, tiled_rows, name)
+    network, rows, state = _case(ieee14, tiled_rows, name)
     ybus = build_ybus(network)
-    mset = _mset(kinds)
-    _assert_close(evaluate_h(mset, state, network, ybus), evaluate_kinds_loop(kinds, state, network, ybus))
-    _assert_close(jacobian_h(mset, state, network, ybus), jacobian_loop(kinds, state, network, ybus))
+    mset = measurement_set(rows)
+    _assert_close(evaluate_h(mset, state, network, ybus), evaluate_rows_loop(rows, state, network, ybus))
+    _assert_close(jacobian_h(mset, state, network, ybus), jacobian_loop(rows, state, network, ybus))
 
 
 @pytest.mark.parametrize("name", ["ieee14-full", "tiled56-full"])

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import measurement_set
 from gridse.measurements import (
-    FROM,
     P_FLOW,
     P_INJ,
     Q_FLOW,
     Q_INJ,
     QUANTITIES,
-    TO,
     V_MAG,
     MeasurementColumns,
-    MeasurementKind,
+    MeasurementRowError,
     MeasurementSet,
     _stream_state_words,
     check_columns,
@@ -39,10 +38,6 @@ def _two_bus_net(r=0.0, x=0.1):
     return build_network(buses, [Branch(1, 2, r, x, 0.0)])
 
 
-def _mset(kinds, sigma=0.01):
-    return MeasurementSet.from_kinds(kinds, np.zeros(len(kinds)), np.full(len(kinds), sigma))
-
-
 def _head(mset, m):
     """The first m rows of a set."""
     return MeasurementSet(MeasurementColumns(*(c[:m] for c in mset.columns)), mset.values[:m], mset.sigmas[:m])
@@ -58,7 +53,7 @@ def _random_state(rng, n, slack=0):
 
 def test_voltage_measurement_is_identity(ieee14, ieee14_ybus):
     state = StateVector(angles=np.zeros(14), magnitudes=np.ones(14))
-    h = evaluate_h(_mset([MeasurementKind(V_MAG, bus=5)]), state, ieee14, ieee14_ybus)
+    h = evaluate_h(measurement_set([(V_MAG, 4, -1, -1)]), state, ieee14, ieee14_ybus)
     assert h[0] == 1.0
 
 
@@ -66,8 +61,7 @@ def test_two_bus_flow_closed_form():
     net = _two_bus_net()
     ybus = build_ybus(net)
     state = StateVector(angles=np.array([0.0, -0.1]), magnitudes=np.array([1.0, 1.0]))
-    kinds = [MeasurementKind(P_FLOW, branch=0, end=FROM), MeasurementKind(P_INJ, bus=1)]
-    h = evaluate_h(_mset(kinds), state, net, ybus)
+    h = evaluate_h(measurement_set([(P_FLOW, -1, 0, 0), (P_INJ, 0, -1, -1)]), state, net, ybus)
     assert h[0] == pytest.approx(10.0 * np.sin(0.1), abs=1e-12)
     assert h[0] == pytest.approx(h[1], abs=1e-12)  # flow equals injection on a 2-bus net
 
@@ -76,8 +70,7 @@ def test_lossless_branch_flows_cancel():
     net = _two_bus_net(r=0.0, x=0.1)
     ybus = build_ybus(net)
     state = StateVector(angles=np.array([0.0, -0.17]), magnitudes=np.array([1.02, 0.97]))
-    kinds = [MeasurementKind(P_FLOW, branch=0, end=FROM), MeasurementKind(P_FLOW, branch=0, end=TO)]
-    h = evaluate_h(_mset(kinds), state, net, ybus)
+    h = evaluate_h(measurement_set([(P_FLOW, -1, 0, 0), (P_FLOW, -1, 0, 1)]), state, net, ybus)
     assert h[0] + h[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -87,8 +80,8 @@ def test_branch_loss_is_nonnegative_and_matches_i2r(ieee14, ieee14_rows, ieee14_
         state = _random_state(rng, 14)
         v = state.magnitudes * np.exp(1j * state.angles)
         for idx, br in enumerate(ieee14_rows[1]):
-            kinds = [MeasurementKind(P_FLOW, branch=idx, end=FROM), MeasurementKind(P_FLOW, branch=idx, end=TO)]
-            h = evaluate_h(_mset(kinds), state, ieee14, ieee14_ybus)
+            rows = [(P_FLOW, -1, idx, 0), (P_FLOW, -1, idx, 1)]
+            h = evaluate_h(measurement_set(rows), state, ieee14, ieee14_ybus)
             f, t = br.from_bus - 1, br.to_bus - 1
             i_series = (v[f] - v[t]) / complex(br.resistance, br.reactance)
             loss = abs(i_series) ** 2 * br.resistance
@@ -99,9 +92,8 @@ def test_branch_loss_is_nonnegative_and_matches_i2r(ieee14, ieee14_rows, ieee14_
 def test_injection_measurements_equal_calc_injections(ieee14, ieee14_ybus):
     rng = np.random.default_rng(2)
     state = _random_state(rng, 14)
-    kinds = [MeasurementKind(P_INJ, bus=i) for i in range(1, 15)]
-    kinds += [MeasurementKind(Q_INJ, bus=i) for i in range(1, 15)]
-    h = evaluate_h(_mset(kinds), state, ieee14, ieee14_ybus)
+    rows = [(P_INJ, i, -1, -1) for i in range(14)] + [(Q_INJ, i, -1, -1) for i in range(14)]
+    h = evaluate_h(measurement_set(rows), state, ieee14, ieee14_ybus)
     p, q = calc_injections(state, ieee14_ybus)
     assert np.array_equal(h[:14], p)
     assert np.array_equal(h[14:], q)
@@ -109,28 +101,27 @@ def test_injection_measurements_equal_calc_injections(ieee14, ieee14_ybus):
 
 def test_kind_validation(ieee14):
     with pytest.raises(ValueError, match="bus 99 does not exist"):
-        check_columns(_mset([MeasurementKind(V_MAG, bus=99)]).columns, ieee14)
+        check_columns(measurement_set([(V_MAG, 98, -1, -1)]).columns, ieee14)
     with pytest.raises(ValueError, match="measurement 1: branch index 77 does not exist"):
-        check_columns(_mset([MeasurementKind(V_MAG, bus=1),
-                             MeasurementKind(P_FLOW, branch=77, end=FROM)]).columns, ieee14)
+        check_columns(measurement_set([(V_MAG, 0, -1, -1), (P_FLOW, -1, 77, 0)]).columns, ieee14)
     with pytest.raises(ValueError, match="measurement 0: a v_mag row needs bus >= 0"):
-        _mset([MeasurementKind(V_MAG, bus=0)])
+        measurement_set([(V_MAG, -1, -1, -1)])
     check_columns(full_measurement_plan(ieee14).columns, ieee14)
 
 
 def test_sigma_must_be_positive():
     for sigma in (0.0, -0.01, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            MeasurementSet.from_kinds([MeasurementKind(V_MAG, bus=1)], [1.0], [sigma])
+            measurement_set([(V_MAG, 0, -1, -1)], [1.0], [sigma])
 
 
 def test_set_needs_one_entry_per_row():
-    kinds = [MeasurementKind(V_MAG, bus=1), MeasurementKind(V_MAG, bus=2)]
+    rows = [(V_MAG, 0, -1, -1), (V_MAG, 1, -1, -1)]
     with pytest.raises(ValueError):
-        MeasurementSet.from_kinds(kinds, [1.0], [0.01, 0.01])
+        measurement_set(rows, [1.0], [0.01, 0.01])
     with pytest.raises(ValueError):
-        MeasurementSet.from_kinds(kinds, [1.0, 1.0], [0.01])
-    columns = _mset(kinds).columns
+        measurement_set(rows, [1.0, 1.0], [0.01])
+    columns = measurement_set(rows).columns
     with pytest.raises(ValueError):
         MeasurementSet(columns._replace(bus=columns.bus[:1]), [1.0, 1.0], [0.01, 0.01])
     with pytest.raises(ValueError):
@@ -141,16 +132,19 @@ def test_set_needs_one_entry_per_row():
     ((QUANTITIES.index(P_FLOW), 5, 0, 7), "a p_flow row needs bus -1, branch >= 0, to_end 0 or 1, got bus 5"),
     ((QUANTITIES.index(Q_FLOW), -1, -1, 0), "a q_flow row needs bus -1, branch >= 0"),
     ((QUANTITIES.index(P_FLOW), -1, 2, 2), "got bus -1, branch 2, to_end 2"),
-    ((QUANTITIES.index(V_MAG), 2, 9, 3), "a v_mag row needs bus >= 0, branch -1, to_end 0, got bus 2, branch 9"),
+    ((QUANTITIES.index(V_MAG), 2, 9, 3), "a v_mag row needs bus >= 0, branch -1, to_end -1, got bus 2, branch 9"),
     ((QUANTITIES.index(P_INJ), -1, -1, 0), "a p_inj row needs bus >= 0"),
     ((QUANTITIES.index(Q_INJ), 0, -1, 1), "got bus 0, branch -1, to_end 1"),
+    ((QUANTITIES.index(V_MAG), 1, -1, 0), "a v_mag row needs bus >= 0, branch -1, to_end -1, got bus 1, branch -1, "
+                                          "to_end 0"),
 ])
 def test_set_rejects_a_row_of_the_wrong_shape(row, reason):
-    good = _mset([MeasurementKind(V_MAG, bus=1), MeasurementKind(P_FLOW, branch=0, end=TO)]).columns
+    good = measurement_set([(V_MAG, 0, -1, -1), (P_FLOW, -1, 0, 1)]).columns
     columns = MeasurementColumns(*(np.append(c, x) for c, x in zip(good, row)))
-    with pytest.raises(ValueError, match="^measurement 2: ") as info:
+    with pytest.raises(MeasurementRowError, match="^measurement 2: ") as info:
         MeasurementSet(columns, [1.0, 1.0, 1.0], [0.01, 0.01, 0.01])
     assert reason in str(info.value)
+    assert (info.value.row, info.value.reason) == (2, str(info.value).removeprefix("measurement 2: "))
 
 
 # ---- Jacobian ---------------------------------------------------------------
@@ -158,7 +152,7 @@ def test_set_rejects_a_row_of_the_wrong_shape(row, reason):
 def test_voltage_rows_are_unit_vectors(ieee14, ieee14_ybus):
     rng = np.random.default_rng(4)
     state = _random_state(rng, 14)
-    mset = _mset([MeasurementKind(V_MAG, bus=k) for k in (1, 5, 14)])
+    mset = measurement_set([(V_MAG, k - 1, -1, -1) for k in (1, 5, 14)])
     h_mat = jacobian_h(mset, state, ieee14, ieee14_ybus)
     n = 14
     for row, bus in zip(h_mat, (1, 5, 14)):
@@ -192,7 +186,7 @@ def test_jacobian_matches_central_differences(ieee14, ieee14_ybus):
 
 @st.composite
 def meshed_cases(draw):
-    """(network, kinds, state): a random connected meshed network with random
+    """(network, rows, state): a random connected meshed network with random
     r/x/b_sh, a partial plan holding at least one to-end flow pair, and a
     perturbed state with the slack angle at zero."""
     n = draw(st.integers(3, 9))
@@ -210,25 +204,23 @@ def meshed_cases(draw):
                  p_gen=0, q_gen=0, p_load=0, q_load=0) for i in range(n)]
     network = build_network(buses, branches)
 
-    every = [MeasurementKind(quantity=q, bus=i + 1) for q in (V_MAG, P_INJ, Q_INJ) for i in range(n)]
-    every += [MeasurementKind(quantity=q, branch=k, end=end)
-              for q in (P_FLOW, Q_FLOW) for k in range(len(branches)) for end in (FROM, TO)]
+    every = [(q, i, -1, -1) for q in (V_MAG, P_INJ, Q_INJ) for i in range(n)]
+    every += [(q, -1, k, to_end) for q in (P_FLOW, Q_FLOW) for k in range(len(branches)) for to_end in (0, 1)]
     k_to = draw(st.integers(0, len(branches) - 1))
-    kinds = draw(st.lists(st.sampled_from(every), min_size=1, max_size=3 * n, unique=True))
-    kinds += [k for k in (MeasurementKind(P_FLOW, branch=k_to, end=TO), MeasurementKind(Q_FLOW, branch=k_to, end=TO))
-              if k not in kinds]
+    rows = draw(st.lists(st.sampled_from(every), min_size=1, max_size=3 * n, unique=True))
+    rows += [row for row in ((P_FLOW, -1, k_to, 1), (Q_FLOW, -1, k_to, 1)) if row not in rows]
 
     angles = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n)))
     angles[slack] = 0.0
     magnitudes = np.array(draw(st.lists(st.floats(0.85, 1.15), min_size=n, max_size=n)))
-    return network, kinds, StateVector(angles=angles, magnitudes=magnitudes)
+    return network, rows, StateVector(angles=angles, magnitudes=magnitudes)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(meshed_cases())
 def test_jacobian_matches_central_differences_on_random_meshed_networks(case):
-    network, kinds, state = case
-    mset = _mset(kinds)
+    network, rows, state = case
+    mset = measurement_set(rows)
     ybus = build_ybus(network)
     h_analytic = jacobian_h(mset, state, network, ybus)
     x = state_to_vector(state, network)
@@ -253,7 +245,7 @@ def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14_rows):
     net = build_network(buses, [Branch(b.from_bus, b.to_bus, b.resistance, b.reactance, 0.0) for b in branches])
     ybus = build_ybus(net)
     state = StateVector(angles=np.zeros(14), magnitudes=np.ones(14))
-    mset = _mset([MeasurementKind(P_INJ, bus=i) for i in range(1, 15)])
+    mset = measurement_set([(P_INJ, i, -1, -1) for i in range(14)])
     h_mat = jacobian_h(mset, state, net, ybus)
     dp_dv = h_mat[:, 13:]
     assert np.max(np.abs(dp_dv - ybus.real)) < 1e-12
@@ -261,27 +253,20 @@ def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14_rows):
 
 def test_measurement_set_arrays_are_stored_read_only(ieee14, ieee14_truth, ieee14_ybus):
     mset = generate_measurements(ieee14_truth, full_measurement_plan(ieee14), 7, ieee14, ieee14_ybus)
-    cols = mset.columns
-    for column in (mset.values, mset.sigmas, *cols):
+    for column in (mset.values, mset.sigmas, *mset.columns):
         assert not column.flags.writeable
-    kinds = mset.kinds
-    assert [QUANTITIES[c] for c in cols.quantity] == [k.quantity for k in kinds]
-    assert list(cols.to_end) == [k.end == TO for k in kinds]
-    assert list(cols.bus) == [-1 if k.bus is None else k.bus - 1 for k in kinds]
-    assert list(cols.branch) == [-1 if k.branch is None else k.branch for k in kinds]
-    assert MeasurementSet.from_kinds(kinds, mset.values, mset.sigmas) == mset
 
 
 def test_set_does_not_freeze_caller_arrays():
     values, sigmas = np.ones(2), np.full(2, 0.01)
-    mset = MeasurementSet.from_kinds([MeasurementKind(V_MAG, bus=1)] * 2, values, sigmas)
+    mset = measurement_set([(V_MAG, 0, -1, -1)] * 2, values, sigmas)
     assert values.flags.writeable and sigmas.flags.writeable
     values[0] = 5.0
     assert mset.values[0] == 1.0
 
 
 def test_empty_measurement_set_has_empty_columns():
-    mset = MeasurementSet.from_kinds([], [], [])
+    mset = measurement_set([], [], [])
     assert len(mset) == 0
     assert mset.values.shape == (0,)
     assert all(column.shape == (0,) for column in mset.columns)
@@ -334,7 +319,7 @@ def test_noise_statistics():
     net = _two_bus_net()
     ybus = build_ybus(net)
     truth = StateVector(angles=np.zeros(2), magnitudes=np.ones(2))
-    plan = MeasurementSet.from_kinds([MeasurementKind(V_MAG, bus=1)], [np.nan], [0.01])
+    plan = measurement_set([(V_MAG, 0, -1, -1)], [np.nan], [0.01])
     vals = np.array(
         [generate_measurements(truth, plan, seed, net, ybus).values[0] for seed in range(10000)]
     )
@@ -379,6 +364,13 @@ def test_metering_raises_no_overflow_warning(ieee14, ieee14_truth, ieee14_ybus, 
         generate_measurements(ieee14_truth, _head(plan, 1), seed, ieee14, ieee14_ybus)
 
 
+@pytest.mark.parametrize("n", [5, 20])
+def test_truth_of_the_wrong_size_rejected(ieee14, ieee14_ybus, n):
+    truth = StateVector(angles=np.zeros(n), magnitudes=np.ones(n))
+    with pytest.raises(ValueError, match=f"^truth state has {n} buses, the network has 14$"):
+        generate_measurements(truth, full_measurement_plan(ieee14), 7, ieee14, ieee14_ybus)
+
+
 def test_negative_seed_rejected(ieee14, ieee14_truth, ieee14_ybus):
     plan = _head(full_measurement_plan(ieee14), 1)
     with pytest.raises(ValueError):
@@ -407,17 +399,12 @@ def test_plan_sigma_validation(ieee14):
 
 def test_full_plan_is_unmetered_in_row_order(ieee14):
     """Voltages, then P and Q injections bus by bus, then per branch P from,
-    P to, Q from, Q to; values NaN."""
-    kinds = [MeasurementKind(V_MAG, bus=i) for i in range(1, 15)]
-    kinds += [MeasurementKind(P_INJ, bus=i) for i in range(1, 15)]
-    kinds += [MeasurementKind(Q_INJ, bus=i) for i in range(1, 15)]
-    for idx in range(ieee14.n_branches):
-        kinds += [MeasurementKind(P_FLOW, branch=idx, end=FROM), MeasurementKind(P_FLOW, branch=idx, end=TO),
-                  MeasurementKind(Q_FLOW, branch=idx, end=FROM), MeasurementKind(Q_FLOW, branch=idx, end=TO)]
+    P to, Q from, Q to; values NaN. Bus rows have branch and to_end -1, flow rows bus -1."""
+    rows = [(q, i, -1, -1) for q in (V_MAG, P_INJ, Q_INJ) for i in range(14)]
+    rows += [(q, -1, idx, to_end) for idx in range(ieee14.n_branches) for q in (P_FLOW, Q_FLOW) for to_end in (0, 1)]
     sigmas = [0.004] * 14 + [0.01] * 28 + [0.008] * 80
     plan = full_measurement_plan(ieee14)
-    assert plan == MeasurementSet.from_kinds(kinds, np.full(122, np.nan), sigmas)
-    assert plan.kinds == kinds
+    assert plan == measurement_set(rows, np.full(122, np.nan), sigmas)
     assert np.all(np.isnan(plan.values))
 
 

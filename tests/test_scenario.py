@@ -8,10 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gridse.scenario
+from conftest import measurement_set
 from gridse.estimator import estimate
-from gridse.measurements import full_measurement_plan, generate_measurements
+from gridse.measurements import (
+    P_FLOW,
+    P_INJ,
+    Q_FLOW,
+    Q_INJ,
+    V_MAG,
+    MeasurementSet,
+    full_measurement_plan,
+    generate_measurements,
+)
 from gridse.network import NetworkError, build_ybus, with_scaled_loads
 from gridse.powerflow import StateVector, solve_power_flow
 from gridse.scenario import (
@@ -235,6 +246,33 @@ def test_plan_csv_round_trip(tmp_path, ieee14):
     assert all(line.split(",")[4] == "" for line in path.read_text().splitlines()[1:])
     back = read_plan_csv(path)
     assert back == plan
+
+
+_INDEX = st.integers(0, 2**62)
+# (row in the column encoding, value, sigma)
+_CSV_ROWS = st.tuples(
+    st.tuples(st.sampled_from([V_MAG, P_INJ, Q_INJ]), _INDEX, st.just(-1), st.just(-1))
+    | st.tuples(st.sampled_from([P_FLOW, Q_FLOW]), st.just(-1), _INDEX, st.sampled_from([0, 1])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(table=st.lists(_CSV_ROWS, max_size=12), metered=st.booleans())
+@example(table=[], metered=True)
+@example(table=[], metered=False)
+def test_measurement_csv_round_trip_on_random_sets(tmp_path_factory, table, metered):
+    """A metered set comes back from read_measurements_csv, and read_plan_csv
+    gives the same rows with NaN values; a plan comes back from read_plan_csv."""
+    rows = [row for row, _, _ in table]
+    values = [value if metered else np.nan for _, value, _ in table]
+    mset = measurement_set(rows, values, [sigma for _, _, sigma in table])
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    write_measurements_csv(mset, path)
+    if metered:
+        assert read_measurements_csv(path) == mset
+    assert read_plan_csv(path) == MeasurementSet(mset.columns, np.full(len(mset), np.nan), mset.sigmas)
 
 
 # ---- snapshot runs ----------------------------------------------------------
