@@ -8,9 +8,7 @@ invocations produce identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import re
@@ -66,12 +64,11 @@ def _write_or_print(text: str, out_path) -> None:
 
 
 def _write_table(header: list, columns: list, out_path) -> None:
-    """CSV with one column per array; csv writes floats with repr, so values round-trip."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
-    _write_or_print(out.getvalue(), out_path)
+    """CSV with one column per array, each entry its repr, as csv.writer
+    writes them: floats round-trip, and no header or number needs quoting."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    _write_or_print("\n".join(lines) + "\n", out_path)
 
 
 def _floats(text: str, flag: str) -> list:

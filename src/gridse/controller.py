@@ -123,8 +123,7 @@ class QuadraticValue:
         object.__setattr__(self, "theta", _readonly(np.reshape(self.theta, (-1,))))
 
     def evaluate(self, x) -> float:
-        d = np.asarray(x, dtype=float) - self.theta
-        return float(d @ self.P @ d + self.v)
+        return float(_quadratic_forms(np.atleast_2d(x), self.theta, self.P)[0] + self.v)
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,20 @@ class SwitchingFunction:
         return float(self.delta @ np.asarray(x, dtype=float) + self.zeta)
 
 
+def _quadratic_forms(points, center: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """(p - center)^T weight (p - center) for each row p of `points`.
+
+    Each row's last product is a 1x1 matmul, which numpy computes with the
+    same BLAS dot as the one-point d @ weight @ d, so the two round alike; an
+    einsum or an elementwise row sum does not, since that dot fuses multiply
+    and add."""
+    d = np.asarray(points, dtype=float) - center
+    return ((d @ weight)[:, None, :] @ d[:, :, None])[:, 0, 0]
+
+
 def stage_cost(x, z: int, u: int, system: SwitchedSystem) -> float:
     """(x - r)^T Q (x - r), plus the switching charge beta when u != z."""
-    d = np.asarray(x, dtype=float) - system.r
-    cost = float(d @ system.Q @ d)
+    cost = float(_quadratic_forms(np.atleast_2d(x), system.r, system.Q)[0])
     if u != z:
         cost += system.beta
     return cost
@@ -391,7 +400,7 @@ def compare_value_functions(oracle: GridOracle, qv: QuadraticValue) -> ValueComp
     points = points[inner]
     v0 = oracle.v0.reshape(-1)[inner]
     v1 = oracle.v1.reshape(-1)[inner]
-    quad = np.array([qv.evaluate(p) for p in points])
+    quad = _quadratic_forms(points, qv.theta, qv.P) + qv.v
     gap0 = np.abs(quad - v0)
     gap1 = np.abs(quad - v1)
     return ValueComparison(
@@ -417,7 +426,12 @@ def _rollout(system: SwitchedSystem, x0, z0: int, steps: int, sf: Optional[Switc
              u_const: int = 0) -> SimulationResult:
     """Rollout from (x0, z0): the hysteresis policy when sf is given, else
     u = u_const held at every step (one switching charge at step 0 if it
-    differs from z0)."""
+    differs from z0).
+
+    The loop computes only what the next step depends on: the decision and
+    the state recursion, which stays a numpy matvec because its rounding is
+    pinned by the 2-d simulate golden. Switches and stage costs are then
+    computed from the stored states and inputs in one batch."""
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be in 1..{MAX_STEPS}, got {steps}")
     if z0 not in (0, 1):
@@ -427,22 +441,22 @@ def _rollout(system: SwitchedSystem, x0, z0: int, steps: int, sf: Optional[Switc
     z = int(z0)
     states = np.empty((steps, n))
     inputs = np.empty(steps, dtype=int)
-    costs = np.empty(steps)
-    switch_count = 0
+    b_u = (system.b * 0, system.b * 1)  # system.b * u, with b * 0's signed zeros
     for k in range(steps):
         u = u_const if sf is None else policy_decide(x, z, system, sf)
         states[k] = x
         inputs[k] = u
-        costs[k] = stage_cost(x, z, u, system)
-        switch_count += u != z
-        x = system.A @ x + system.b * u
+        x = system.A @ x + b_u[u]
         z = u
+    switched = inputs != np.concatenate(([z0], inputs[:-1]))
+    costs = _quadratic_forms(states, system.r, system.Q)
+    costs[switched] += system.beta
     return SimulationResult(
         states=states,
         inputs=inputs,
         stage_costs=costs,
         discounted_total=float(np.sum(system.alpha ** np.arange(steps) * costs)),
-        switch_count=switch_count,
+        switch_count=int(np.count_nonzero(switched)),
     )
 
 

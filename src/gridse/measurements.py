@@ -76,6 +76,20 @@ def _read_only(x, dtype) -> np.ndarray:
     return a
 
 
+def _index_column(name: str, x) -> np.ndarray:
+    """A read-only intp column. An entry the cast would change (a fraction,
+    NaN, an infinity, a value out of range) raises a ValueError naming the
+    column; an integer column costs only the dtype test."""
+    a = np.asarray(x)
+    if not np.can_cast(a.dtype, np.intp):
+        f = a.astype(float)
+        bad = np.flatnonzero(~((f == np.trunc(f)) & (np.abs(f) < 2.0**63)))
+        if bad.size:
+            raise ValueError(f"measurement {name} column needs integer entries, "
+                             f"got {a.flat[bad[0]]} at row {bad[0]}")
+    return _read_only(a, np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """A measurement table: index `columns`, `values` z and `sigmas`, all
@@ -89,7 +103,7 @@ class MeasurementSet:
     sigmas: np.ndarray
 
     def __post_init__(self):
-        columns = MeasurementColumns(*(_read_only(c, np.intp) for c in self.columns))
+        columns = MeasurementColumns(*map(_index_column, MeasurementColumns._fields, self.columns))
         values, sigmas = _read_only(self.values, float), _read_only(self.sigmas, float)
         if values.ndim != 1 or any(a.shape != values.shape for a in (*columns, sigmas)):
             raise ValueError("measurement columns, values and sigmas need one entry per row")

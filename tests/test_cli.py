@@ -1,12 +1,18 @@
 """CLI surface: subcommands, exit codes, output formats, determinism."""
+import contextlib
+import csv
+import io
 import json
 import math
 import shutil
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridse.cli import cli_dispatch
+from gridse.cli import _write_table, cli_dispatch
 from gridse.controller import MAX_GRID_POINTS, MAX_STEPS
 from gridse.scenario import builtin_case_dir
 
@@ -457,6 +463,42 @@ def test_controller_oracle_one_box_pair_covers_every_dimension(capsys, tmp_path)
 def test_help_exits_zero(capsys):
     code, out, err = run(capsys, ["--help"])
     assert code == 0
+
+
+# ---- table writer -------------------------------------------------------------
+
+INT_COLUMNS = st.lists(st.one_of(st.sampled_from([0, -1, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]),
+                                 st.integers(-(2**63), 2**63 - 1)), min_size=1, max_size=20)
+FLOAT_COLUMNS = st.lists(st.one_of(st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308,
+                                                    -1e308, 0.1, 1 / 3]), st.floats()), min_size=1, max_size=20)
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): one to five int64 or float64 columns of one length."""
+    lists = draw(st.lists(st.one_of(INT_COLUMNS.map(lambda c: np.array(c, dtype=np.int64)),
+                                    FLOAT_COLUMNS.map(lambda c: np.array(c, dtype=float))),
+                          min_size=1, max_size=5))
+    rows = min(len(c) for c in lists)
+    return [f"c{i}" for i in range(len(lists))], [c[:rows] for c in lists]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tables())
+def test_write_table_matches_csv_writer(table):
+    header, columns = table
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(c.tolist() for c in columns)))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        _write_table(header, columns, None)
+    assert stdout.getvalue() == expected.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        _write_table(header, columns, str(path))
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 # ---- malformed case files -----------------------------------------------------

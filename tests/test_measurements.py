@@ -1,4 +1,5 @@
 """Measurement functions, analytic Jacobian vs finite differences, metering."""
+import re
 import warnings
 
 import numpy as np
@@ -145,6 +146,30 @@ def test_set_rejects_a_row_of_the_wrong_shape(row, reason):
         MeasurementSet(columns, [1.0, 1.0, 1.0], [0.01, 0.01, 0.01])
     assert reason in str(info.value)
     assert (info.value.row, info.value.reason) == (2, str(info.value).removeprefix("measurement 2: "))
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("bus", 2.7),            # would meter bus 2
+    ("quantity", 0.9),       # would become v_mag
+    ("bus", float("nan")),   # numpy's cast message names no column
+    ("branch", float("-inf")),
+    ("to_end", 1e300),       # out of intp range
+])
+def test_set_rejects_a_non_integral_index_entry(field, entry):
+    good = measurement_set([(V_MAG, 0, -1, -1), (P_INJ, 2, -1, -1)]).columns
+    column = getattr(good, field).astype(float)
+    column[1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"measurement {field} column needs integer entries, got {entry} at row 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementSet(good._replace(**{field: column}), [1.0, 1.0], [0.01, 0.01])
+
+
+def test_set_takes_integral_floats_as_indices():
+    rows = [(V_MAG, 0, -1, -1), (P_FLOW, -1, 3, 1)]
+    as_floats = MeasurementColumns(*(c.astype(float) for c in measurement_set(rows).columns))
+    assert MeasurementSet(as_floats, [1.0, 1.0], [0.01, 0.01]) == measurement_set(rows, [1.0, 1.0], [0.01, 0.01])
 
 
 # ---- Jacobian ---------------------------------------------------------------
