@@ -72,7 +72,6 @@ from .controller import (
     policy_decide,
     simulate,
     solve_quadratic_value,
-    stage_cost,
     switching_function,
 )
 from .scenario import (

@@ -22,6 +22,8 @@ from scipy.linalg import solve_discrete_lyapunov
 
 
 MAX_STEPS = 1_000_000        # rollout length cap, checked before allocating (n + 2 numbers a step)
+SWEEP_TOL = 1e-8             # oracle sweeps stop once one changes V by less than this (sup norm)
+MAX_SWEEPS = 10_000          # oracle sweeps before MaxSweepsExceeded
 MAX_GRID_POINTS = 1_000_000  # oracle cap on resolution**n, checked before allocating the grid
 
 
@@ -38,7 +40,7 @@ class NonAffineResidual(RuntimeError):
 
 
 class MaxSweepsExceeded(RuntimeError):
-    """Grid value iteration did not reach tolerance within max_sweeps."""
+    """Grid value iteration did not reach SWEEP_TOL within MAX_SWEEPS sweeps."""
 
 
 class NoInteriorPoints(ValueError):
@@ -160,14 +162,6 @@ def _quadratic_forms(points, center: np.ndarray, weight: np.ndarray) -> np.ndarr
     and add."""
     d = np.asarray(points, dtype=float) - center
     return ((d @ weight)[:, None, :] @ d[:, :, None])[:, 0, 0]
-
-
-def stage_cost(x, z: int, u: int, system: SwitchedSystem) -> float:
-    """(x - r)^T Q (x - r), plus the switching charge beta when u != z."""
-    cost = float(_quadratic_forms(np.atleast_2d(x), system.r, system.Q)[0])
-    if u != z:
-        cost += system.beta
-    return cost
 
 
 def solve_quadratic_value(system: SwitchedSystem) -> QuadraticValue:
@@ -305,14 +299,12 @@ def bellman_value_iteration(
     system: SwitchedSystem,
     box,
     resolution: int,
-    tol: float = 1e-8,
-    max_sweeps: int = 10000,
 ) -> GridOracle:
     """Tabulate V0/V1 on a grid by Jacobi value-iteration sweeps.
 
     Successor states A x + b u are evaluated by multilinear interpolation
     with clamping at the box boundary; sweeps run until the sup-norm change
-    drops below tol. V0 and V1 share one stacked table [V0; V1] and one
+    drops below SWEEP_TOL. V0 and V1 share one stacked table [V0; V1] and one
     stencil, so a sweep is one interpolation; every operation keeps the
     operands and order of separate V0 and V1 sweeps, so the tables and
     residuals are theirs bit for bit. Desk-scale only: n must be 1 or 2.
@@ -323,10 +315,6 @@ def bellman_value_iteration(
     if not (resolution >= 2 and resolution**n <= MAX_GRID_POINTS):
         raise ValueError(f"resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}, "
                          f"got {resolution}**{n}")
-    if not (tol > 0):
-        raise ValueError("tol must be > 0")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
 
     lower = np.reshape(np.asarray(box[0], dtype=float), (-1,))
     upper = np.reshape(np.asarray(box[1], dtype=float), (-1,))
@@ -352,7 +340,7 @@ def bellman_value_iteration(
     v = np.zeros(2 * size)
     b = np.empty(2 * size)  # beta + a with its halves swapped
     residuals = []
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         a = _interpolate(v, stencil) * alpha  # [alpha V0(A x); alpha V1(A x + b)]
         np.add(beta, a[size:], out=b[:size])
         np.add(beta, a[:size], out=b[size:])
@@ -360,11 +348,11 @@ def bellman_value_iteration(
         resid = float(np.abs(np.subtract(v, new, out=v), out=v).max())
         residuals.append(resid)
         v = new
-        if resid < tol:
+        if resid < SWEEP_TOL:
             break
     else:
         raise MaxSweepsExceeded(
-            f"residual {residuals[-1]:.3e} after {max_sweeps} sweeps (tol {tol:.1e})"
+            f"residual {residuals[-1]:.3e} after {MAX_SWEEPS} sweeps (tol {SWEEP_TOL:.1e})"
         )
 
     shape = (resolution,) * n

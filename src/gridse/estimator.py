@@ -144,9 +144,7 @@ def estimate(network: Network, mset: MeasurementSet, start: Optional[StateVector
     r = z - evaluate_h(mset, state, network, ybus)
     history = [_weighted_sse(r, sigmas)]
     converged = False
-    iterations = 0
-    for _ in range(MAX_ITER):
-        iterations += 1
+    for iterations in range(1, MAX_ITER + 1):
         h_matrix = jacobian_h(mset, state, network, ybus)
         dx, gain, _ = solve_normal_equations(h_matrix, sigmas, r)
         new_x = x + dx
@@ -156,8 +154,8 @@ def estimate(network: Network, mset: MeasurementSet, start: Optional[StateVector
         state = vector_to_state(x, network)
         r = z - evaluate_h(mset, state, network, ybus)
         history.append(_weighted_sse(r, sigmas))
-        if float(np.max(np.abs(dx))) < STEP_TOL:
-            converged = True
+        converged = float(np.max(np.abs(dx))) < STEP_TOL
+        if converged:
             break
 
     return EstimationResult(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -132,14 +133,15 @@ class Network:
     def n_branches(self) -> int:
         return self.branch_arrays.from_idx.shape[0]
 
-    @property
+    @cached_property
     def slack_index(self) -> int:
         """0-based index of the slack bus."""
         return int(np.flatnonzero(self.kinds == BusKind.SLACK)[0])
 
-    @property
+    @cached_property
     def pq_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.kinds == BusKind.PQ)
+        """0-based indices of the PQ buses, ascending."""
+        return _read_only(np.flatnonzero(self.kinds == BusKind.PQ), np.intp)
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -238,10 +240,18 @@ def build_ybus(network: Network) -> np.ndarray:
 
 def with_scaled_loads(network: Network, scale: float, weights: Optional[dict] = None) -> Network:
     """The network with every bus load multiplied by scale (times an optional
-    per-bus weight keyed by bus id). The copy shares the other columns and Y."""
-    if not (scale > 0):
-        raise NetworkError(f"load scale must be > 0, got {scale}")
+    per-bus weight keyed by bus id). The copy shares the other columns and Y.
+
+    The scale must be finite and > 0, and each weight finite and >= 0 with a
+    bus id in 1..n; anything else is a NetworkError naming the scale or bus."""
+    if not (0 < scale < np.inf):
+        raise NetworkError(f"load scale must be finite and > 0, got {scale}")
     weights = weights or {}
+    for bus_id, weight in weights.items():
+        if not (1 <= bus_id <= network.n_buses):
+            raise NetworkError(f"load weight for bus {bus_id}: no such bus, ids are 1..{network.n_buses}")
+        if not (0 <= weight < np.inf):
+            raise NetworkError(f"load weight for bus {bus_id} must be finite and >= 0, got {weight}")
     w = scale * np.array([weights.get(bus_id, 1.0) for bus_id in range(1, network.n_buses + 1)])
     return replace(network, p_load=_read_only(network.p_load * w, float),
                    q_load=_read_only(network.q_load * w, float))

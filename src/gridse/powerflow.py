@@ -96,11 +96,15 @@ def solve_power_flow(
     tol: float = 1e-8,
     max_iter: int = 20,
 ) -> PowerFlowResult:
-    """Full Newton power flow.
+    """Full Newton power flow on the stacked state x = [theta; |V|].
 
-    Mismatch is (P_spec - P_calc) at non-slack buses and (Q_spec - Q_calc) at
-    PQ buses, measured in the infinity norm. `iterations` counts mismatch
-    evaluations, so a start already inside tolerance reports 1. On
+    One index set, free = [non-slack buses; n + PQ buses], picks both the
+    equations from the stacked injections [P; Q] and the unknowns from x: the
+    mismatch is (S_spec - [P; Q])[free], measured in the infinity norm, and
+    the Jacobian is d[P; Q]/dx restricted to free rows and columns.
+    `iterations` counts mismatch evaluations, so a start already inside
+    tolerance reports 1. A run that uses up max_iter reports max_iter and
+    checks convergence once more at its last iterate, uncounted. On
     non-convergence the best iterate is returned with converged=False.
     """
     if not (0 < tol < np.inf):
@@ -109,53 +113,27 @@ def solve_power_flow(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     ybus = network.ybus
-    slack = network.slack_index
-    pq = network.pq_indices
-    non_slack = np.delete(np.arange(network.n_buses), slack)
-    # specified net injections (generation - load), pu
-    p_spec = (network.p_gen - network.p_load) / network.base_mva
-    q_spec = (network.q_gen - network.q_load) / network.base_mva
-
-    def mismatch_at(state: StateVector):
-        p_calc, q_calc = calc_injections(state, ybus)
-        mismatch = np.concatenate([(p_spec - p_calc)[non_slack], (q_spec - q_calc)[pq]])
-        return mismatch, float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
+    n = network.n_buses
+    free = np.concatenate([np.delete(np.arange(n), network.slack_index), n + network.pq_indices])
+    # specified net injections [P; Q] (generation - load), pu
+    s_spec = np.concatenate([network.p_gen - network.p_load, network.q_gen - network.q_load]) / network.base_mva
 
     start = flat_start(network)
-    ang = np.array(start.angles)
-    mag = np.array(start.magnitudes)
-
-    n_ang = len(non_slack)
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
-        iterations += 1
-        state = StateVector(angles=ang, magnitudes=mag)
-        mismatch, mm = mismatch_at(state)
-        if mm < tol:
-            converged = True
+    x = np.concatenate([start.angles, start.magnitudes])
+    for iterations in range(1, max_iter + 2):
+        state = StateVector(angles=x[:n], magnitudes=x[n:])
+        mismatch = (s_spec - np.concatenate(calc_injections(state, ybus)))[free]
+        mm = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
+        if mm < tol or iterations > max_iter:
             break
         dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(state, ybus)
-        jac = np.block(
-            [
-                [dp_dth[np.ix_(non_slack, non_slack)], dp_dv[np.ix_(non_slack, pq)]],
-                [dq_dth[np.ix_(pq, non_slack)], dq_dv[np.ix_(pq, pq)]],
-            ]
-        )
+        jac = np.block([[dp_dth, dp_dv], [dq_dth, dq_dv]])[np.ix_(free, free)]
         try:
             step = np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"power-flow Jacobian is singular: {exc}") from exc
-        new_ang = ang.copy()
-        new_mag = mag.copy()
-        new_ang[non_slack] += step[:n_ang]
-        new_mag[pq] += step[n_ang:]
-        if not (np.all(np.isfinite(new_ang)) and np.all(np.isfinite(new_mag)) and np.all(new_mag > 0)):
-            break  # diverged; keep the last physical iterate
-        ang, mag = new_ang, new_mag
-
-    state = StateVector(angles=ang, magnitudes=mag)
-    if not converged:
-        mm = mismatch_at(state)[1]
-        converged = mm < tol
-    return PowerFlowResult(state=state, iterations=iterations, max_mismatch=mm, converged=converged)
+        x[free] += step
+        if not (np.all(np.isfinite(x)) and np.all(x[n:] > 0)):
+            break  # diverged; `state` holds a copy of the last physical iterate
+    return PowerFlowResult(state=state, iterations=min(iterations, max_iter), max_mismatch=mm,
+                           converged=mm < tol)

@@ -179,7 +179,7 @@ def test_criterion_08_switching_function_affinity():
 
 
 def test_criterion_09_grid_oracle_and_comparison_report():
-    oracle = bellman_value_iteration(ACCEPT_SYS, ACCEPT_BOX, ACCEPT_RESOLUTION, tol=1e-8)
+    oracle = bellman_value_iteration(ACCEPT_SYS, ACCEPT_BOX, ACCEPT_RESOLUTION)
     assert oracle.residuals[-1] < 1e-8
     late = oracle.residuals[-6:]
     ratios = [late[i + 1] / late[i] for i in range(len(late) - 1)]

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gridse import controller
 from gridse.controller import (
     MaxSweepsExceeded,
     SingularP,
@@ -14,7 +15,6 @@ from gridse.controller import (
     policy_decide,
     simulate,
     solve_quadratic_value,
-    stage_cost,
     switching_function,
 )
 
@@ -67,18 +67,19 @@ def test_discretize_validation():
 
 # ---- stage cost -------------------------------------------------------------
 
-def test_stage_cost_zero_at_reference():
-    assert stage_cost([1.0], 0, 0, SCALAR) == 0.0
+SYS2 = SwitchedSystem(A=[[0.5]], b=[0.0], alpha=0.5, beta=0.3, Q=[[2.0]], r=[0.5])
 
 
-def test_stage_cost_switch_charge_only():
-    assert stage_cost([1.0], 0, 1, SCALAR) == pytest.approx(0.1)
-
-
-def test_stage_cost_quadratic_term():
-    sys2 = SwitchedSystem(A=[[0.5]], b=[0.0], alpha=0.5, beta=0.3, Q=[[2.0]], r=[0.5])
-    assert stage_cost([1.5], 1, 1, sys2) == pytest.approx(2.0)
-    assert stage_cost([1.5], 0, 1, sys2) == pytest.approx(2.3)
+@pytest.mark.parametrize("system, x, z, u, cost", [
+    (SCALAR, [1.0], 0, 0, 0.0),   # at the reference, no switch
+    (SCALAR, [1.0], 0, 1, 0.1),   # switching charge only
+    (SYS2, [1.5], 1, 1, 2.0),     # quadratic term only
+    (SYS2, [1.5], 0, 1, 2.3),     # both
+])
+def test_stage_cost(system, x, z, u, cost):
+    # a one-step rollout's discounted total is its step-0 stage cost; every
+    # term here is exact in binary floating point
+    assert evaluate_constant_policy(system, u, x, z, steps=1) == cost
 
 
 # ---- quadratic value fixed point ---------------------------------------------
@@ -247,11 +248,12 @@ def test_policy_scale_invariance():
 
 # ---- grid oracle ------------------------------------------------------------
 
-def test_trapping_grid_geometric_sum():
+def test_trapping_grid_geometric_sum(monkeypatch):
     # A = I, b = 0, beta = 0: every point maps to itself, so V = q / (1 - alpha)
     # pointwise; at x = 1 with q(1) = 1 that is 1 / (1 - 0.5) = 2.
     system = SwitchedSystem(A=[[1.0]], b=[0.0], alpha=0.5, beta=0.0, Q=[[1.0]], r=[0.0])
-    oracle = bellman_value_iteration(system, ([0.0], [2.0]), 201, tol=1e-10)
+    monkeypatch.setattr(controller, "SWEEP_TOL", 1e-10)
+    oracle = bellman_value_iteration(system, ([0.0], [2.0]), 201)
     xs = oracle.points[:, 0]
     expected = xs**2 / (1 - 0.5)
     assert np.max(np.abs(oracle.v0 - expected)) < 1e-8
@@ -270,15 +272,10 @@ def test_value_iteration_contracts():
     assert max(ratios) <= SCALAR.alpha + 0.01
 
 
-def test_value_iteration_max_sweeps():
-    with pytest.raises(MaxSweepsExceeded):
-        bellman_value_iteration(SCALAR, ([-0.5], [2.5]), 101, max_sweeps=5)
-
-
-@pytest.mark.parametrize("max_sweeps", [0, -1])
-def test_value_iteration_rejects_fewer_than_one_sweep(max_sweeps):
-    with pytest.raises(ValueError, match=f"max_sweeps must be >= 1, got {max_sweeps}"):
-        bellman_value_iteration(SCALAR, ([-0.5], [2.5]), 101, max_sweeps=max_sweeps)
+def test_value_iteration_max_sweeps(monkeypatch):
+    monkeypatch.setattr(controller, "MAX_SWEEPS", 5)
+    with pytest.raises(MaxSweepsExceeded, match="after 5 sweeps"):
+        bellman_value_iteration(SCALAR, ([-0.5], [2.5]), 101)
 
 
 def test_oracle_dimension_guard():

@@ -67,6 +67,8 @@ def test_shipped_case_is_valid(ieee14):
     assert ieee14.n_branches == 20
     assert ieee14.slack_index == 0
     assert ieee14.pq_indices.tolist() == [3, 4, 6, 8, 9, 10, 11, 12, 13]
+    assert not ieee14.pq_indices.flags.writeable
+    assert ieee14.pq_indices is ieee14.pq_indices  # derived once per network
     assert ieee14.base_mva == 100.0
 
 
@@ -266,5 +268,16 @@ def test_with_scaled_loads(ieee14):
     assert weighted.p_load[2] == pytest.approx(188.4)
     assert weighted.p_load[3] == pytest.approx(47.8)
     assert ieee14.p_load[2] == 94.2
-    with pytest.raises(NetworkError):
-        with_scaled_loads(ieee14, 0.0)
+    raising = [
+        (0.0, None, "load scale"),
+        (float("inf"), None, "load scale"),
+        (float("nan"), None, "load scale"),
+        (-1.0, None, "load scale"),
+        (1.0, {2: float("nan")}, "bus 2"),
+        (1.0, {3: -1.0}, "bus 3"),
+        (1.0, {99: 2.0}, "bus 99"),
+        (1.0, {0: 1.0}, "bus 0"),
+    ]
+    for scale, weights, named in raising:
+        with pytest.raises(NetworkError, match=named):
+            with_scaled_loads(ieee14, scale, weights)
