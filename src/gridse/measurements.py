@@ -4,11 +4,11 @@ A measurement set is one table of read-only arrays: index columns (quantity
 code, bus index, branch index, measured end), values z and standard
 deviations sigma. A plan is a set whose values are NaN. h(x) covers voltage
 magnitude, bus injection and branch flow quantities; h(x) and H(x) are array
-expressions over all rows: gathers from the bus injections and their
-derivatives for bus quantities, and pi-model flow terms over the network's
-per-branch arrays for flows.
-State coordinates are ordered as all non-slack angles followed by all
-magnitudes, so the Jacobian has shape (m, 2*n_buses - 1).
+expressions over the set's voltage, injection and flow row groups, derived
+once per set: injection rows gather from the power flow's stacked [P; Q] and
+d[P; Q]/d[theta; |V|] at bus + n for Q, flow rows are pi-model terms over the
+network's per-branch arrays. One column map sends [theta; |V|] to H's
+columns, all non-slack angles then all magnitudes: shape (m, 2*n_buses - 1).
 
 Synthetic measurements are drawn from independent per-measurement PCG64
 streams keyed by (seed, measurement index), so generation is a pure function
@@ -20,6 +20,7 @@ uint32 array arithmetic equal to numpy's, instead of once per measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +128,14 @@ class MeasurementSet:
     def __len__(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def _row_groups(self) -> tuple:
+        """Rows of the voltage, the injection and the flow quantities: three
+        read-only index arrays, each ascending, that partition the rows."""
+        q = self.columns.quantity
+        groups = (q == _V, (q == _P) | (q == _Q), q >= _PF)
+        return tuple(_read_only(np.flatnonzero(group), np.intp) for group in groups)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasurementSet):
             return NotImplemented
@@ -184,55 +193,40 @@ def _flow_terms(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, 
 def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
     """h(x) for every row of the set, in row order."""
     cols = mset.columns
-    q = cols.quantity
-    h = np.empty(q.shape[0])
-    rows = np.flatnonzero(q == _V)
-    h[rows] = state.magnitudes[cols.bus[rows]]
-    rows = np.flatnonzero((q == _P) | (q == _Q))
-    if rows.size:
-        p_inj, q_inj = calc_injections(state, ybus)
-        bus = cols.bus[rows]
-        h[rows] = np.where(q[rows] == _P, p_inj[bus], q_inj[bus])
-    rows = np.flatnonzero(q >= _PF)
-    if rows.size:
-        _, _, vi, vj, c, s, g, b, bsh = _flow_terms(cols, rows, state, network)
-        h[rows] = np.where(q[rows] == _PF, vi * vi * g - vi * vj * (g * c + b * s),
-                           -vi * vi * (b + bsh) - vi * vj * (g * s - b * c))
+    v_rows, inj_rows, flow_rows = mset._row_groups
+    h = np.empty(len(mset))
+    h[v_rows] = state.magnitudes[cols.bus[v_rows]]
+    if inj_rows.size:  # position in [P; Q]: the bus, plus n for Q
+        stacked = cols.bus[inj_rows] + network.n_buses * (cols.quantity[inj_rows] == _Q)
+        h[inj_rows] = calc_injections(state, ybus)[stacked]
+    _, _, vi, vj, c, s, g, b, bsh = _flow_terms(cols, flow_rows, state, network)
+    h[flow_rows] = np.where(cols.quantity[flow_rows] == _PF, vi * vi * g - vi * vj * (g * c + b * s),
+                            -vi * vi * (b + bsh) - vi * vj * (g * s - b * c))
     return h
 
 
 def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of h w.r.t. [theta at non-slack buses, all magnitudes]."""
     cols = mset.columns
-    q = cols.quantity
+    v_rows, inj_rows, flow_rows = mset._row_groups
     n = network.n_buses
     slack = network.slack_index
-    # column of each bus angle; the slack's is a spare last column, cut off on return
-    ang_col = np.arange(n) - (np.arange(n) > slack)
-    ang_col[slack] = 2 * n - 1
-    h_mat = np.zeros((q.shape[0], 2 * n))
-
-    rows = np.flatnonzero(q == _V)
-    h_mat[rows, n - 1 + cols.bus[rows]] = 1.0
-
-    if np.any((q == _P) | (q == _Q)):
-        dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(state, ybus)
-        for code, dth, dv in ((_P, dp_dth, dp_dv), (_Q, dq_dth, dq_dv)):
-            rows = np.flatnonzero(q == code)
-            bus = cols.bus[rows]
-            h_mat[np.ix_(rows, ang_col)] = dth[bus]
-            h_mat[rows, n - 1 : 2 * n - 1] = dv[bus]
-
-    rows = np.flatnonzero(q >= _PF)
-    if rows.size:
-        i, j, vi, vj, c, s, g, b, bsh = _flow_terms(cols, rows, state, network)
-        is_p = q[rows] == _PF
-        dth_i = np.where(is_p, vi * vj * (g * s - b * c), -vi * vj * (g * c + b * s))
-        h_mat[rows, ang_col[i]] = dth_i
-        h_mat[rows, ang_col[j]] = -dth_i
-        h_mat[rows, n - 1 + i] = np.where(is_p, 2 * vi * g - vj * (g * c + b * s),
-                                          -2 * vi * (b + bsh) - vj * (g * s - b * c))
-        h_mat[rows, n - 1 + j] = np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c))
+    # H column of each [theta; |V|] coordinate; the slack angle's is the last, cut off on return
+    col = np.arange(2 * n) - (np.arange(2 * n) > slack)
+    col[slack] = 2 * n - 1
+    h_mat = np.zeros((len(mset), 2 * n))
+    h_mat[v_rows, col[n + cols.bus[v_rows]]] = 1.0
+    if inj_rows.size:
+        stacked = cols.bus[inj_rows] + n * (cols.quantity[inj_rows] == _Q)
+        h_mat[np.ix_(inj_rows, col)] = injection_jacobian(state, ybus)[stacked]
+    i, j, vi, vj, c, s, g, b, bsh = _flow_terms(cols, flow_rows, state, network)
+    is_p = cols.quantity[flow_rows] == _PF
+    dth_i = np.where(is_p, vi * vj * (g * s - b * c), -vi * vj * (g * c + b * s))
+    h_mat[flow_rows, col[i]] = dth_i
+    h_mat[flow_rows, col[j]] = -dth_i
+    h_mat[flow_rows, col[n + i]] = np.where(is_p, 2 * vi * g - vj * (g * c + b * s),
+                                            -2 * vi * (b + bsh) - vj * (g * s - b * c))
+    h_mat[flow_rows, col[n + j]] = np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c))
     return h_mat[:, : 2 * n - 1]
 
 

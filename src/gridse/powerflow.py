@@ -61,34 +61,35 @@ def flat_start(network: Network) -> StateVector:
     return StateVector(angles=np.zeros(network.n_buses), magnitudes=mag)
 
 
-def calc_injections(state: StateVector, ybus: np.ndarray):
-    """Bus active/reactive injections (pu) implied by a state.
+def calc_injections(state: StateVector, ybus: np.ndarray) -> np.ndarray:
+    """Bus injections (pu) implied by a state, stacked as [P; Q] (length 2n).
 
     P_i = V_i sum_j V_j (G_ij cos th_ij + B_ij sin th_ij),
     Q_i = V_i sum_j V_j (G_ij sin th_ij - B_ij cos th_ij).
     """
     v = state.magnitudes * np.exp(1j * state.angles)
     s = v * np.conj(ybus @ v)
-    return s.real, s.imag
+    return np.concatenate([s.real, s.imag])
 
 
-def injection_jacobian(state: StateVector, ybus: np.ndarray):
-    """Partial derivatives of all bus injections w.r.t. all angles and magnitudes.
-
-    The complex form dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)) and
-    dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|), with
-    I = Y V, is evaluated by broadcasting instead of diagonal-matrix products.
-    Returns (dp_dth, dp_dv, dq_dth, dq_dv), each n x n.
+def injection_jacobian(state: StateVector, ybus: np.ndarray) -> np.ndarray:
+    """d[P; Q]/d[theta; |V|], one 2n x 2n array: the real and imaginary parts of
+    MATPOWER's stacked complex [dS/dtheta, dS/d|V|], with I = Y V,
+    dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)) and
+    dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|),
+    evaluated by broadcasting instead of diagonal-matrix products.
     """
     vn = np.exp(1j * state.angles)
     v = state.magnitudes * vn
     i_bus = ybus @ v
-    diag = np.diag_indices(v.shape[0])
-    ds_dth = -1j * v[:, None] * np.conj(ybus * v[None, :])
-    ds_dth[diag] += 1j * v * np.conj(i_bus)
-    ds_dv = v[:, None] * np.conj(ybus * vn[None, :])
-    ds_dv[diag] += np.conj(i_bus) * vn
-    return ds_dth.real, ds_dv.real, ds_dth.imag, ds_dv.imag
+    n = v.shape[0]
+    bus = np.arange(n)
+    ds = np.empty((n, 2 * n), dtype=complex)
+    np.multiply(-1j * v[:, None], np.conj(ybus * v[None, :]), out=ds[:, :n])
+    ds[bus, bus] += 1j * v * np.conj(i_bus)
+    np.multiply(v[:, None], np.conj(ybus * vn[None, :]), out=ds[:, n:])
+    ds[bus, n + bus] += np.conj(i_bus) * vn
+    return np.concatenate([ds.real, ds.imag])
 
 
 def solve_power_flow(
@@ -122,12 +123,11 @@ def solve_power_flow(
     x = np.concatenate([start.angles, start.magnitudes])
     for iterations in range(1, max_iter + 2):
         state = StateVector(angles=x[:n], magnitudes=x[n:])
-        mismatch = (s_spec - np.concatenate(calc_injections(state, ybus)))[free]
+        mismatch = (s_spec - calc_injections(state, ybus))[free]
         mm = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         if mm < tol or iterations > max_iter:
             break
-        dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(state, ybus)
-        jac = np.block([[dp_dth, dp_dv], [dq_dth, dq_dv]])[np.ix_(free, free)]
+        jac = injection_jacobian(state, ybus)[np.ix_(free, free)]
         try:
             step = np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:

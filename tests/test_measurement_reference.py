@@ -113,17 +113,6 @@ def jacobian_h_reference(mset, state, network, ybus):
     return h_mat[:, : 2 * n - 1]
 
 
-# ---- the library's stacked arrays ---------------------------------------------
-
-def stacked_injections(state, ybus):
-    return np.concatenate(calc_injections(state, ybus))
-
-
-def stacked_injection_jacobian(state, ybus):
-    dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(state, ybus)
-    return np.block([[dp_dth, dp_dv], [dq_dth, dq_dv]])
-
-
 # ---- cases --------------------------------------------------------------------
 
 def perturbed_state(network, seed=2024):
@@ -218,6 +207,6 @@ def test_h_and_jacobian_match_reference_bit_for_bit(ieee14, ieee14_truth, ieee14
 def test_stacked_injections_and_jacobian_equal_four_blocks(ieee14, ieee14_truth, ieee14_rows, tiled_rows, name):
     network, _, state = case(name, ieee14, ieee14_truth, ieee14_rows, tiled_rows)
     ybus = network.ybus
-    assert np.array_equal(stacked_injections(state, ybus), np.concatenate(injections_pair(state, ybus)))
+    assert np.array_equal(calc_injections(state, ybus), np.concatenate(injections_pair(state, ybus)))
     dp_dth, dp_dv, dq_dth, dq_dv = four_block_injection_jacobian(state, ybus)
-    assert np.array_equal(stacked_injection_jacobian(state, ybus), np.block([[dp_dth, dp_dv], [dq_dth, dq_dv]]))
+    assert np.array_equal(injection_jacobian(state, ybus), np.block([[dp_dth, dp_dv], [dq_dth, dq_dv]]))

@@ -95,7 +95,7 @@ def test_injection_measurements_equal_calc_injections(ieee14, ieee14_ybus):
     state = _random_state(rng, 14)
     rows = [(P_INJ, i, -1, -1) for i in range(14)] + [(Q_INJ, i, -1, -1) for i in range(14)]
     h = evaluate_h(measurement_set(rows), state, ieee14, ieee14_ybus)
-    p, q = calc_injections(state, ieee14_ybus)
+    p, q = calc_injections(state, ieee14_ybus).reshape(2, -1)
     assert np.array_equal(h[:14], p)
     assert np.array_equal(h[14:], q)
 
@@ -295,6 +295,23 @@ def test_empty_measurement_set_has_empty_columns():
     assert len(mset) == 0
     assert mset.values.shape == (0,)
     assert all(column.shape == (0,) for column in mset.columns)
+
+
+@pytest.mark.parametrize("rows", [
+    [(Q_FLOW, -1, 2, 1), (V_MAG, 3, -1, -1), (Q_INJ, 0, -1, -1), (P_FLOW, -1, 0, 0), (P_INJ, 5, -1, -1),
+     (V_MAG, 1, -1, -1), (P_INJ, 2, -1, -1)],
+    [(V_MAG, 0, -1, -1)],
+    [],
+])
+def test_row_groups_are_derived_once_read_only_and_partition_the_rows(rows):
+    mset = measurement_set(rows)
+    groups = mset._row_groups
+    assert mset._row_groups is groups
+    assert not any(group.flags.writeable for group in groups)
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(len(mset)))
+    assert all(np.all(np.diff(group) > 0) for group in groups)
+    kinds = ({V_MAG}, {P_INJ, Q_INJ}, {P_FLOW, Q_FLOW})
+    assert all({QUANTITIES[q] for q in mset.columns.quantity[group]} <= kind for group, kind in zip(groups, kinds))
 
 
 def test_state_vector_round_trip(ieee14, ieee14_truth):

@@ -64,7 +64,7 @@ def test_calc_injections_flat_zero_shunt(ieee14_rows):
     buses, branches = ieee14_rows
     net = build_network(buses, [Branch(b.from_bus, b.to_bus, b.resistance, b.reactance, 0.0) for b in branches])
     state = StateVector(angles=np.zeros(14), magnitudes=np.ones(14))
-    p, q = calc_injections(state, build_ybus(net))
+    p, q = calc_injections(state, build_ybus(net)).reshape(2, -1)
     assert np.max(np.abs(p)) < 1e-12
     assert np.max(np.abs(q)) < 1e-12
 
@@ -72,14 +72,14 @@ def test_calc_injections_flat_zero_shunt(ieee14_rows):
 def test_calc_injections_two_bus_closed_form():
     net = _two_bus_net(r=0.0, x=0.1)
     state = StateVector(angles=np.array([0.0, -0.1]), magnitudes=np.array([1.0, 1.0]))
-    p, q = calc_injections(state, build_ybus(net))
+    p, q = calc_injections(state, build_ybus(net)).reshape(2, -1)
     # P1 = (V1 V2 / x) sin(th1 - th2)
     assert p[0] == pytest.approx(10.0 * np.sin(0.1), abs=1e-12)
     assert p[1] == pytest.approx(-10.0 * np.sin(0.1), abs=1e-12)
 
 
 def test_solution_matches_specified_injections(ieee14, ieee14_rows, ieee14_truth, ieee14_ybus):
-    p, q = calc_injections(ieee14_truth, ieee14_ybus)
+    p, q = calc_injections(ieee14_truth, ieee14_ybus).reshape(2, -1)
     for i, bus in enumerate(ieee14_rows[0]):
         if i == ieee14.slack_index:
             continue
@@ -95,7 +95,8 @@ def test_injection_jacobian_matches_finite_differences(ieee14_ybus):
         ang = rng.uniform(-0.35, 0.35, 14)
         mag = rng.uniform(0.9, 1.1, 14)
         state = StateVector(angles=ang, magnitudes=mag)
-        dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(state, ieee14_ybus)
+        jac = injection_jacobian(state, ieee14_ybus)
+        dp_dth, dp_dv, dq_dth, dq_dv = jac[:14, :14], jac[:14, 14:], jac[14:, :14], jac[14:, 14:]
         for j in range(14):
             for which in ("ang", "mag"):
                 hi = ang.copy() if which == "ang" else mag.copy()
@@ -103,14 +104,12 @@ def test_injection_jacobian_matches_finite_differences(ieee14_ybus):
                 hi[j] += step
                 lo[j] -= step
                 if which == "ang":
-                    sp, sq = calc_injections(StateVector(hi, mag), ieee14_ybus), calc_injections(
-                        StateVector(lo, mag), ieee14_ybus
-                    )
+                    sp = calc_injections(StateVector(hi, mag), ieee14_ybus).reshape(2, -1)
+                    sq = calc_injections(StateVector(lo, mag), ieee14_ybus).reshape(2, -1)
                     an_p, an_q = dp_dth[:, j], dq_dth[:, j]
                 else:
-                    sp, sq = calc_injections(StateVector(ang, hi), ieee14_ybus), calc_injections(
-                        StateVector(ang, lo), ieee14_ybus
-                    )
+                    sp = calc_injections(StateVector(ang, hi), ieee14_ybus).reshape(2, -1)
+                    sq = calc_injections(StateVector(ang, lo), ieee14_ybus).reshape(2, -1)
                     an_p, an_q = dp_dv[:, j], dq_dv[:, j]
                 fd_p = (sp[0] - sq[0]) / (2 * step)
                 fd_q = (sp[1] - sq[1]) / (2 * step)
@@ -121,7 +120,7 @@ def test_injection_jacobian_matches_finite_differences(ieee14_ybus):
 
 
 def test_total_injection_equals_series_losses(ieee14_rows, ieee14_truth, ieee14_ybus):
-    p, _ = calc_injections(ieee14_truth, ieee14_ybus)
+    p, _ = calc_injections(ieee14_truth, ieee14_ybus).reshape(2, -1)
     v = ieee14_truth.magnitudes * np.exp(1j * ieee14_truth.angles)
     loss = 0.0
     for br in ieee14_rows[1]:

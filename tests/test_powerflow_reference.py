@@ -35,7 +35,7 @@ def four_block_power_flow(network, tol=1e-8, max_iter=20):
     q_spec = (network.q_gen - network.q_load) / network.base_mva
 
     def mismatch_at(state: StateVector):
-        p_calc, q_calc = calc_injections(state, ybus)
+        p_calc, q_calc = calc_injections(state, ybus).reshape(2, -1)
         mismatch = np.concatenate([(p_spec - p_calc)[non_slack], (q_spec - q_calc)[pq]])
         return mismatch, float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
 
@@ -53,7 +53,8 @@ def four_block_power_flow(network, tol=1e-8, max_iter=20):
         if mm < tol:
             converged = True
             break
-        dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(state, ybus)
+        jac, n = injection_jacobian(state, ybus), network.n_buses
+        dp_dth, dp_dv, dq_dth, dq_dv = jac[:n, :n], jac[:n, n:], jac[n:, :n], jac[n:, n:]
         jac = np.block(
             [
                 [dp_dth[np.ix_(non_slack, non_slack)], dp_dv[np.ix_(non_slack, pq)]],
