@@ -242,8 +242,8 @@ def with_scaled_loads(network: Network, scale: float, weights: Optional[dict] = 
     """The network with every bus load multiplied by scale (times an optional
     per-bus weight keyed by bus id). The copy shares the other columns and Y.
 
-    The scale must be finite and > 0, and each weight finite and >= 0 with a
-    bus id in 1..n; anything else is a NetworkError naming the scale or bus."""
+    The scale must be finite and > 0, each weight finite and >= 0 with a bus id
+    in 1..n, and each scaled load finite; a NetworkError names the scale or bus."""
     if not (0 < scale < np.inf):
         raise NetworkError(f"load scale must be finite and > 0, got {scale}")
     weights = weights or {}
@@ -252,6 +252,10 @@ def with_scaled_loads(network: Network, scale: float, weights: Optional[dict] = 
             raise NetworkError(f"load weight for bus {bus_id}: no such bus, ids are 1..{network.n_buses}")
         if not (0 <= weight < np.inf):
             raise NetworkError(f"load weight for bus {bus_id} must be finite and >= 0, got {weight}")
-    w = scale * np.array([weights.get(bus_id, 1.0) for bus_id in range(1, network.n_buses + 1)])
-    return replace(network, p_load=_read_only(network.p_load * w, float),
-                   q_load=_read_only(network.q_load * w, float))
+    try:
+        with np.errstate(over="raise"):
+            w = scale * np.array([weights.get(bus_id, 1.0) for bus_id in range(1, network.n_buses + 1)])
+            p_load, q_load = network.p_load * w, network.q_load * w
+    except FloatingPointError:
+        raise NetworkError(f"load scale {scale} overflows the bus loads") from None
+    return replace(network, p_load=_read_only(p_load, float), q_load=_read_only(q_load, float))

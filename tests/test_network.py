@@ -277,6 +277,8 @@ def test_with_scaled_loads(ieee14):
         (1.0, {3: -1.0}, "bus 3"),
         (1.0, {99: 2.0}, "bus 99"),
         (1.0, {0: 1.0}, "bus 0"),
+        (1e308, None, "load scale"),
+        (1e200, {3: 1e200}, "load scale"),
     ]
     for scale, weights, named in raising:
         with pytest.raises(NetworkError, match=named):
