@@ -129,7 +129,7 @@ class MeasurementSet:
         return self.values.shape[0]
 
     @cached_property
-    def _row_groups(self) -> tuple:
+    def _row_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows of the voltage, the injection and the flow quantities: three
         read-only index arrays, each ascending, that partition the rows."""
         q = self.columns.quantity
