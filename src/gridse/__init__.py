@@ -41,9 +41,6 @@ from .measurements import (
     full_measurement_plan,
     generate_measurements,
     jacobian_h,
-    state_size,
-    state_to_vector,
-    vector_to_state,
 )
 from .estimator import (
     EstimationResult,

@@ -2,7 +2,8 @@
 
 Minimizes J(x) = sum_i (z_i - h_i(x))^2 / sigma_i^2 by repeatedly solving the
 normal equations G dx = H^T R^-1 (z - h(x)) with gain matrix G = H^T R^-1 H,
-factorized as symmetric positive definite rather than inverted. Iteration
+factorized as symmetric positive definite rather than inverted. x is the power
+flow's stacked [theta; |V|], slack angle 0; dx steps the rest. Iteration
 stops when max|dx| drops below STEP_TOL, or after MAX_ITER steps with
 converged=False. h(x) is evaluated once per iterate: its residual gives both
 that iterate's objective and the right-hand side of the next step. A step
@@ -30,15 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .measurements import (
-    MeasurementSet,
-    check_columns,
-    evaluate_h,
-    jacobian_h,
-    state_size,
-    state_to_vector,
-    vector_to_state,
-)
+from .measurements import MeasurementSet, _check_state_size, check_columns, evaluate_h, jacobian_h
 from .network import Network
 from .powerflow import StateVector, flat_start
 
@@ -126,32 +119,33 @@ def solve_normal_equations(h_matrix: np.ndarray, sigmas: np.ndarray, residuals: 
 
 def estimate(network: Network, mset: MeasurementSet, start: Optional[StateVector] = None) -> EstimationResult:
     """Iterated Gauss-Newton WLS estimate of the network state, warm-started
-    from `start` (flat start when None)."""
-    n_state = state_size(network)
-    if len(mset) < n_state:
-        raise ValueError(
-            f"measurement set has m={len(mset)} < n={n_state}; state not estimable"
-        )
+    from `start` (flat start when None; its slack angle is taken as 0)."""
+    n = network.n_buses
+    free = np.delete(np.arange(2 * n), network.slack_index)
+    if len(mset) < free.size:
+        raise ValueError(f"measurement set has m={len(mset)} < n={free.size}; state not estimable")
     if not np.all(np.isfinite(mset.values)):
         raise ValueError("measurement values must be finite; an unmetered plan has NaN values")
     check_columns(mset.columns, network)
+    start = flat_start(network) if start is None else start
+    _check_state_size(start, network, "state")
 
     ybus = network.ybus
-    x = state_to_vector(flat_start(network) if start is None else start, network)
+    x = np.concatenate([start.angles, start.magnitudes])
+    x[network.slack_index] = 0.0
     z, sigmas = mset.values, mset.sigmas
 
-    state = vector_to_state(x, network)
+    state = StateVector(angles=x[:n], magnitudes=x[n:])
     r = z - evaluate_h(mset, state, network, ybus)
     history = [_weighted_sse(r, sigmas)]
     converged = False
     for iterations in range(1, MAX_ITER + 1):
         h_matrix = jacobian_h(mset, state, network, ybus)
         dx, gain, _ = solve_normal_equations(h_matrix, sigmas, r)
-        new_x = x + dx
-        if not (np.all(np.isfinite(new_x)) and np.all(new_x[network.n_buses - 1 :] > 0)):
-            break  # diverged; keep the last physical iterate
-        x = new_x
-        state = vector_to_state(x, network)
+        x[free] += dx
+        if not (np.all(np.isfinite(x)) and np.all(x[n:] > 0)):
+            break  # diverged; `state` holds a copy of the last physical iterate
+        state = StateVector(angles=x[:n], magnitudes=x[n:])
         r = z - evaluate_h(mset, state, network, ybus)
         history.append(_weighted_sse(r, sigmas))
         converged = float(np.max(np.abs(dx))) < STEP_TOL

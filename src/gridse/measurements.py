@@ -7,8 +7,8 @@ magnitude, bus injection and branch flow quantities; h(x) and H(x) are array
 expressions over the set's voltage, injection and flow row groups, derived
 once per set: injection rows gather from the power flow's stacked [P; Q] and
 d[P; Q]/d[theta; |V|] at bus + n for Q, flow rows are pi-model terms over the
-network's per-branch arrays. One column map sends [theta; |V|] to H's
-columns, all non-slack angles then all magnitudes: shape (m, 2*n_buses - 1).
+network's per-branch arrays. H's columns are the coordinates the estimator
+steps; jacobian_h states their layout.
 
 Synthetic measurements are drawn from independent per-measurement PCG64
 streams keyed by (seed, measurement index), so generation is a pure function
@@ -51,13 +51,14 @@ ENDS = (FROM, TO)
 
 
 class MeasurementRowError(ValueError):
-    """A measurement row whose bus, branch and to_end entries do not fit its
-    quantity. `row` is the 0-based index of the row at fault."""
+    """A measurement row whose index entries do not fit its quantity, or whose
+    sigma has no weight: `row` is its 0-based index, `field` "columns" or "sigmas"."""
 
-    def __init__(self, row: int, reason: str):
+    def __init__(self, row: int, reason: str, field: str = "columns"):
         super().__init__(f"measurement {row}: {reason}")
         self.row = row
         self.reason = reason
+        self.field = field
 
 
 class MeasurementColumns(NamedTuple):
@@ -75,6 +76,13 @@ def _read_only(x, dtype) -> np.ndarray:
         a = a.copy()
         a.setflags(write=False)
     return a
+
+
+def _weightless(sigmas: np.ndarray) -> np.ndarray:
+    """True where a sigma is not > 0 or its weight 1/sigma**2 is not finite and > 0, warning-free."""
+    with np.errstate(all="ignore"):
+        weights = 1.0 / sigmas ** 2
+    return ~((sigmas > 0) & (weights > 0) & (weights < np.inf))
 
 
 def _index_column(name: str, x) -> np.ndarray:
@@ -108,8 +116,10 @@ class MeasurementSet:
         values, sigmas = _read_only(self.values, float), _read_only(self.sigmas, float)
         if values.ndim != 1 or any(a.shape != values.shape for a in (*columns, sigmas)):
             raise ValueError("measurement columns, values and sigmas need one entry per row")
-        if not np.all((sigmas > 0) & (sigmas < np.inf)):
-            raise ValueError("measurement sigmas must be finite and > 0")
+        bad = np.flatnonzero(_weightless(sigmas))
+        if bad.size:
+            raise MeasurementRowError(int(bad[0]), f"sigma {sigmas[bad[0]]} must be > 0 with a finite weight "
+                                                   "1/sigma**2 > 0", field="sigmas")
         if not np.all((columns.quantity >= 0) & (columns.quantity < len(QUANTITIES))):
             raise ValueError("unknown measurement quantity code")
         quantity, bus, branch, to_end = columns
@@ -155,26 +165,9 @@ def check_columns(columns: MeasurementColumns, network: Network) -> None:
         raise ValueError(f"measurement {i}: {what} does not exist")
 
 
-def state_size(network: Network) -> int:
-    """Number of state coordinates: non-slack angles plus all magnitudes."""
-    return 2 * network.n_buses - 1
-
-
 def _check_state_size(state: StateVector, network: Network, name: str) -> None:
     if state.n_buses != network.n_buses:
         raise ValueError(f"{name} has {state.n_buses} buses, the network has {network.n_buses}")
-
-
-def state_to_vector(state: StateVector, network: Network) -> np.ndarray:
-    """Flatten a state into [theta at non-slack buses, all magnitudes]."""
-    _check_state_size(state, network, "state")
-    return np.concatenate([np.delete(state.angles, network.slack_index), state.magnitudes])
-
-
-def vector_to_state(x: np.ndarray, network: Network) -> StateVector:
-    """Inverse of state_to_vector; the slack angle is pinned to 0."""
-    n = network.n_buses
-    return StateVector(angles=np.insert(x[: n - 1], network.slack_index, 0.0), magnitudes=x[n - 1 :])
 
 
 def _flow_terms(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, network: Network):
@@ -206,7 +199,8 @@ def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus:
 
 
 def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of h w.r.t. [theta at non-slack buses, all magnitudes]."""
+    """Analytic Jacobian of h, shape (m, 2n - 1): its columns are the stacked
+    [theta; |V|] coordinates without the slack angle, in order."""
     cols = mset.columns
     v_rows, inj_rows, flow_rows = mset._row_groups
     n = network.n_buses
@@ -352,8 +346,8 @@ def full_measurement_plan(
     """Every bus voltage, then every bus P and Q injection, then per branch
     P from, P to, Q from and Q to: m = n + 2n + 4*branches rows, values NaN."""
     for name, s in (("sigma_v", sigma_v), ("sigma_inj", sigma_inj), ("sigma_flow", sigma_flow)):
-        if not (0 < s < np.inf):
-            raise ValueError(f"{name} must be finite and > 0, got {s}")
+        if _weightless(np.float64(s)):
+            raise ValueError(f"{name} must be > 0 with a finite weight 1/{name}**2 > 0, got {s}")
     n, nbr = network.n_buses, network.n_branches
     columns = MeasurementColumns(
         quantity=np.concatenate([np.repeat([_V, _P, _Q], n), np.tile([_PF, _PF, _QF, _QF], nbr)]),

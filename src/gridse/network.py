@@ -164,8 +164,8 @@ def build_network(buses: Sequence[Bus], branches: Sequence[Branch], base_mva: fl
     """Check the grid the rows describe and assemble its Network: columns and Y.
 
     A bus whose kind is None gets the inferred kind. Raises DuplicateBusId,
-    DanglingBranchEndpoint, DisconnectedGraph, NoSlackBus or
-    MultipleSlackBuses on invariant violations, with the row at fault.
+    DanglingBranchEndpoint, DisconnectedGraph, NoSlackBus, MultipleSlackBuses
+    or NetworkError (a net injection that overflows in pu), with the row at fault.
     """
     if not (base_mva > 0):
         raise NetworkError(f"base_mva must be > 0, got {base_mva}")
@@ -213,7 +213,19 @@ def build_network(buses: Sequence[Bus], branches: Sequence[Branch], base_mva: fl
         _read_only(ys.imag, float), _read_only([br.half_charging for br in branches], float))
     network = Network(kinds=kinds, branch_arrays=branch_arrays, base_mva=float(base_mva), ybus=None,
                       **columns)
-    return replace(network, ybus=build_ybus(network))
+    return replace(_checked_injections(network), ybus=build_ybus(network))
+
+
+def _checked_injections(network: Network) -> Network:
+    """The network; a NetworkError names the first bus whose (generation - load) / base_mva overflows."""
+    with np.errstate(over="ignore"):
+        p = (network.p_gen - network.p_load) / network.base_mva
+        q = (network.q_gen - network.q_load) / network.base_mva
+    bad = np.flatnonzero(~(np.isfinite(p) & np.isfinite(q)))
+    if bad.size:
+        raise NetworkError(f"bus {bad[0] + 1}: net injection (generation - load) / base_mva "
+                           f"{network.base_mva} overflows", row=int(bad[0]))
+    return network
 
 
 def build_ybus(network: Network) -> np.ndarray:
@@ -243,7 +255,7 @@ def with_scaled_loads(network: Network, scale: float, weights: Optional[dict] = 
     per-bus weight keyed by bus id). The copy shares the other columns and Y.
 
     The scale must be finite and > 0, each weight finite and >= 0 with a bus id
-    in 1..n, and each scaled load finite; a NetworkError names the scale or bus."""
+    in 1..n, and each scaled load and net injection finite; a NetworkError names the scale or bus."""
     if not (0 < scale < np.inf):
         raise NetworkError(f"load scale must be finite and > 0, got {scale}")
     weights = weights or {}
@@ -258,4 +270,5 @@ def with_scaled_loads(network: Network, scale: float, weights: Optional[dict] = 
             p_load, q_load = network.p_load * w, network.q_load * w
     except FloatingPointError:
         raise NetworkError(f"load scale {scale} overflows the bus loads") from None
-    return replace(network, p_load=_read_only(p_load, float), q_load=_read_only(q_load, float))
+    scaled = replace(network, p_load=_read_only(p_load, float), q_load=_read_only(q_load, float))
+    return _checked_injections(scaled)

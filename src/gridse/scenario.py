@@ -287,7 +287,8 @@ def _read_measurement_table(path, metered: bool) -> MeasurementSet:
     try:
         return MeasurementSet(columns, values if metered else np.full(len(rows), np.nan), sigmas)
     except MeasurementRowError as exc:
-        raise CaseFileError(path, line_nos[exc.row], "kind", exc.reason) from exc
+        column = "sigma_pu" if exc.field == "sigmas" else "kind"
+        raise CaseFileError(path, line_nos[exc.row], column, exc.reason) from exc
 
 
 def read_measurements_csv(path) -> MeasurementSet:

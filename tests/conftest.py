@@ -7,9 +7,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 import pytest
 
-from gridse.measurements import QUANTITIES, MeasurementColumns, MeasurementSet
+from gridse.measurements import QUANTITIES, MeasurementColumns, MeasurementSet, evaluate_h
 from gridse.network import Branch, Bus, BusKind, build_ybus
-from gridse.powerflow import solve_power_flow
+from gridse.powerflow import StateVector, solve_power_flow
 from gridse.scenario import builtin_case_dir, load_case, resolve_case_dir
 
 
@@ -21,6 +21,23 @@ def measurement_set(rows, values=None, sigmas=None):
     m = table.shape[0]
     return MeasurementSet(MeasurementColumns(*table.T), np.zeros(m) if values is None else values,
                           np.full(m, 0.01) if sigmas is None else sigmas)
+
+
+def central_difference_jacobian(mset, state, network, ybus, step=1e-6):
+    """Central differences of h at `state`, one column per column of H:
+    column k perturbs free[k], the k-th stacked [theta; |V|] coordinate that
+    is not the slack angle."""
+    n = network.n_buses
+    x = np.concatenate([state.angles, state.magnitudes])
+    free = np.delete(np.arange(2 * n), network.slack_index)
+    fd = np.empty((len(mset), free.size))
+    for k, coordinate in enumerate(free):
+        hi, lo = x.copy(), x.copy()
+        hi[coordinate] += step
+        lo[coordinate] -= step
+        fd[:, k] = (evaluate_h(mset, StateVector(angles=hi[:n], magnitudes=hi[n:]), network, ybus)
+                    - evaluate_h(mset, StateVector(angles=lo[:n], magnitudes=lo[n:]), network, ybus)) / (2 * step)
+    return fd
 
 
 @pytest.fixture(scope="session")

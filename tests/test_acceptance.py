@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from conftest import central_difference_jacobian
 from gridse.controller import (
     SwitchedSystem,
     bellman_value_iteration,
@@ -20,14 +21,7 @@ from gridse.controller import (
     switching_function,
 )
 from gridse.estimator import estimate
-from gridse.measurements import (
-    evaluate_h,
-    full_measurement_plan,
-    generate_measurements,
-    jacobian_h,
-    state_to_vector,
-    vector_to_state,
-)
+from gridse.measurements import full_measurement_plan, generate_measurements, jacobian_h
 from gridse.network import build_ybus, with_scaled_loads
 from gridse.powerflow import StateVector, solve_power_flow
 from gridse.scenario import derive_snapshot_seed, run_snapshots
@@ -75,23 +69,13 @@ def test_criterion_02_zero_noise_recovery(ieee14, ieee14_truth, ieee14_ybus):
 def test_criterion_03_jacobian_vs_finite_differences(ieee14, ieee14_ybus):
     rng = np.random.default_rng(2026)
     mset = full_measurement_plan(ieee14)  # h and H read the rows only
-    step = 1e-6
     worst = 0.0
     for _ in range(20):
         ang = rng.uniform(-0.35, 0.35, 14)
         ang[0] = 0.0
         state = StateVector(angles=ang, magnitudes=rng.uniform(0.9, 1.1, 14))
         analytic = jacobian_h(mset, state, ieee14, ieee14_ybus)
-        x = state_to_vector(state, ieee14)
-        fd = np.empty_like(analytic)
-        for j in range(x.size):
-            hi, lo = x.copy(), x.copy()
-            hi[j] += step
-            lo[j] -= step
-            fd[:, j] = (
-                evaluate_h(mset, vector_to_state(hi, ieee14), ieee14, ieee14_ybus)
-                - evaluate_h(mset, vector_to_state(lo, ieee14), ieee14, ieee14_ybus)
-            ) / (2 * step)
+        fd = central_difference_jacobian(mset, state, ieee14, ieee14_ybus, step=1e-6)
         rel = np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))
         worst = max(worst, float(np.max(rel)))
     assert worst < 1e-6

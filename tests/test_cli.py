@@ -334,6 +334,15 @@ def test_estimate_bad_sigma_exits_2(capsys, flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--sigma-inj", "1e-160"), ("--sigma-flow", "1e170"), ("--sigma-v", "1e-300")])
+def test_estimate_sigma_without_a_finite_weight_exits_2(capsys, flag, value):
+    code, out, err = run(capsys, ["estimate", "--case", "ieee14", "--seed", "7", flag, value])
+    name = flag[2:].replace("-", "_")
+    assert code == 2
+    assert err == f"error: {name} must be > 0 with a finite weight 1/{name}**2 > 0, got {float(value)}\n"
+    assert out == ""
+
+
 def test_snapshots_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing_dir" / "r.csv"
     code, out, err = run(capsys, [
@@ -575,4 +584,15 @@ def test_case_topology_error_names_its_file(capsys, tmp_path, name, content, whe
     code, out, err = run(capsys, ["pf", "--case", str(_case_dir(tmp_path, name, content))])
     assert code == 2
     assert err.startswith("error: ") and where in err and reason in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("name, content, where, bus", [
+    ("case.json", '{"base_mva": 1e-320}', "buses.csv:3:", "bus 2"),
+    ("buses.csv", _edited("buses.csv", 4, "3,1.010,1.7e308,23.4,-1.7e308,19.0"), "buses.csv:4:", "bus 3"),
+])
+def test_net_injection_that_overflows_exits_2_naming_the_bus(capsys, tmp_path, name, content, where, bus):
+    code, out, err = run(capsys, ["pf", "--case", str(_case_dir(tmp_path, name, content))])
+    assert code == 2
+    assert err.startswith("error: ") and where in err and f"{bus}: net injection" in err and "overflows" in err
     assert "Traceback" not in err and out == ""

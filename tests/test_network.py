@@ -258,6 +258,22 @@ def test_branch_arrays_follow_branch_order(ieee14, ieee14_rows):
 
 # ---- load scaling -----------------------------------------------------------
 
+def test_net_injection_that_overflows_names_its_bus():
+    def grid(base_mva=100.0, **bus2):
+        buses = [Bus(id=1, v_setpoint=1.0), Bus(id=2, v_setpoint=1.0, **bus2)]
+        return build_network(buses, [Branch(1, 2, 0.01, 0.1, 0.0)], base_mva=base_mva)
+
+    for base_mva, bus2 in [(1e-320, {"p_load": 10.0}), (100.0, {"p_gen": 1.7e308, "p_load": -1.7e308}),
+                           (100.0, {"q_gen": -1.7e308, "q_load": 1.7e308}), (1e-300, {"q_load": 1e10})]:
+        with pytest.raises(NetworkError, match="^bus 2: net injection .* overflows") as info:
+            grid(base_mva, **bus2)
+        assert info.value.row == 1
+    fits = grid(p_gen=1e308, p_load=-0.5e308)
+    assert with_scaled_loads(fits, 1.5).p_load[1] == -0.75e308
+    with pytest.raises(NetworkError, match="^bus 2: net injection .* overflows"):
+        with_scaled_loads(fits, 1.6)
+
+
 def test_with_scaled_loads(ieee14):
     scaled = with_scaled_loads(ieee14, 0.5)
     assert scaled.p_load[2] == pytest.approx(94.2 * 0.5)

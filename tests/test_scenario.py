@@ -185,6 +185,18 @@ def test_non_finite_measurement_cell_rejected(tmp_path, column, cell):
 
 
 @pytest.mark.parametrize("reader", [read_measurements_csv, read_plan_csv])
+@pytest.mark.parametrize("cell", ["1e-160", "1e170"])
+def test_measurement_sigma_without_a_finite_weight_names_its_line(tmp_path, reader, cell):
+    path = tmp_path / "m.csv"
+    path.write_text(f"kind,bus,branch,end,value_pu,sigma_pu\nv_mag,1,,,1.0,0.004\nv_mag,2,,,1.0,{cell}\n")
+    with pytest.raises(CaseFileError) as exc_info:
+        reader(path)
+    err = exc_info.value
+    assert (Path(err.file).name, err.line, err.column) == ("m.csv", 3, "sigma_pu")
+    assert err.reason == f"sigma {float(cell)} must be > 0 with a finite weight 1/sigma**2 > 0"
+
+
+@pytest.mark.parametrize("reader", [read_measurements_csv, read_plan_csv])
 @pytest.mark.parametrize("column, cell", [
     ("bus", "0"), ("bus", "-3"), ("bus", "99999999999999999999"),
     ("branch", "-5"), ("branch", "99999999999999999999"),
@@ -254,7 +266,7 @@ _CSV_ROWS = st.tuples(
     st.tuples(st.sampled_from([V_MAG, P_INJ, Q_INJ]), _INDEX, st.just(-1), st.just(-1))
     | st.tuples(st.sampled_from([P_FLOW, Q_FLOW]), st.just(-1), _INDEX, st.sampled_from([0, 1])),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=1e-154, max_value=1e154),  # sigmas whose weight 1/sigma**2 is finite and > 0
 )
 
 
