@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gridse.measurements import QUANTITIES, MeasurementColumns, MeasurementSet, evaluate_h
-from gridse.network import Branch, Bus, BusKind, build_ybus
+from gridse.network import Branch, Bus, BusKind, build_network, build_ybus
 from gridse.powerflow import StateVector, solve_power_flow
 from gridse.scenario import builtin_case_dir, load_case, resolve_case_dir
 
@@ -38,6 +38,20 @@ def central_difference_jacobian(mset, state, network, ybus, step=1e-6):
         fd[:, k] = (evaluate_h(mset, StateVector(angles=hi[:n], magnitudes=hi[n:]), network, ybus)
                     - evaluate_h(mset, StateVector(angles=lo[:n], magnitudes=lo[n:]), network, ybus)) / (2 * step)
     return fd
+
+
+def slack_at_bus3(ieee14_rows):
+    """ieee14 with every kind given explicitly and bus 3 as the slack."""
+    buses, branches = ieee14_rows
+
+    def kind(bus_id):
+        return BusKind.SLACK if bus_id == 3 else BusKind.PV if bus_id in (1, 2, 6, 8) else BusKind.PQ
+
+    rows = [Bus(id=b.id, v_setpoint=b.v_setpoint, p_gen=b.p_gen, q_gen=b.q_gen, p_load=b.p_load,
+                q_load=b.q_load, kind=kind(b.id)) for b in buses]
+    network = build_network(rows, branches)
+    assert network.slack_index == 2
+    return network
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ raise SingularGain.
 import numpy as np
 import pytest
 
-from conftest import measurement_set
+from conftest import measurement_set, slack_at_bus3
 from gridse.estimator import (
     MAX_ITER,
     STEP_TOL,
@@ -23,7 +23,7 @@ from gridse.estimator import (
     solve_normal_equations,
 )
 from gridse.measurements import V_MAG, evaluate_h, full_measurement_plan, generate_measurements, jacobian_h
-from gridse.network import Bus, BusKind, build_network, with_scaled_loads
+from gridse.network import Bus, build_network, with_scaled_loads
 from gridse.powerflow import StateVector, flat_start, solve_power_flow
 
 
@@ -83,20 +83,6 @@ def metered(network, seed, noise=True, plan=None, truth=None):
         truth = pf.state
     return generate_measurements(truth, plan or full_measurement_plan(network), seed, network, network.ybus,
                                  noise=noise)
-
-
-def slack_at_bus3(ieee14_rows):
-    """ieee14 with every kind given explicitly and bus 3 as the slack."""
-    buses, branches = ieee14_rows
-
-    def kind(bus_id):
-        return BusKind.SLACK if bus_id == 3 else BusKind.PV if bus_id in (1, 2, 6, 8) else BusKind.PQ
-
-    rows = [Bus(id=b.id, v_setpoint=b.v_setpoint, p_gen=b.p_gen, q_gen=b.q_gen, p_load=b.p_load,
-                q_load=b.q_load, kind=kind(b.id)) for b in buses]
-    network = build_network(rows, branches)
-    assert network.slack_index == 2
-    return network
 
 
 @pytest.mark.parametrize("seed", [7, 13])

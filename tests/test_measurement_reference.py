@@ -11,6 +11,7 @@ injection Jacobian must equal the four blocks put together.
 import numpy as np
 import pytest
 
+from conftest import slack_at_bus3
 from gridse.measurements import (
     QUANTITIES,
     MeasurementColumns,
@@ -24,7 +25,7 @@ from gridse.measurements import (
     full_measurement_plan,
     jacobian_h,
 )
-from gridse.network import Bus, BusKind, build_network
+from gridse.network import build_network
 from gridse.powerflow import StateVector, calc_injections, injection_jacobian
 
 _V, _P, _Q, _PF, _QF = (QUANTITIES.index(q) for q in (V_MAG, P_INJ, Q_INJ, P_FLOW, Q_FLOW))
@@ -143,20 +144,6 @@ def slack_partial_plan(network):
     rows.append((_PF, -1, network.n_branches - 1, 1))
     table = np.array(rows, dtype=np.intp)
     return MeasurementSet(MeasurementColumns(*table.T), np.full(len(rows), np.nan), np.full(len(rows), 0.01))
-
-
-def slack_at_bus3(ieee14_rows):
-    """ieee14 with every kind given explicitly and bus 3 as the slack."""
-    buses, branches = ieee14_rows
-
-    def kind(bus_id):
-        return BusKind.SLACK if bus_id == 3 else BusKind.PV if bus_id in (1, 2, 6, 8) else BusKind.PQ
-
-    rows = [Bus(id=b.id, v_setpoint=b.v_setpoint, p_gen=b.p_gen, q_gen=b.q_gen, p_load=b.p_load,
-                q_load=b.q_load, kind=kind(b.id)) for b in buses]
-    network = build_network(rows, branches)
-    assert network.slack_index == 2
-    return network
 
 
 CASES = ["ieee14-full-truth", "ieee14-full-perturbed", "ieee14-slack-partial", "tiled56-full",
