@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .measurements import MeasurementSet, _check_state_size, check_columns, evaluate_h, jacobian_h
+from .measurements import MeasurementSet, _check_bus_count, check_columns, evaluate_h, jacobian_h
 from .network import Network
 from .powerflow import StateVector, flat_start
 
@@ -128,7 +128,7 @@ def estimate(network: Network, mset: MeasurementSet, start: Optional[StateVector
         raise ValueError("measurement values must be finite; an unmetered plan has NaN values")
     check_columns(mset.columns, network)
     start = flat_start(network) if start is None else start
-    _check_state_size(start, network, "state")
+    _check_bus_count(start, network, "state")
 
     ybus = network.ybus
     x = np.concatenate([start.angles, start.magnitudes])

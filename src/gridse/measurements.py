@@ -165,7 +165,7 @@ def check_columns(columns: MeasurementColumns, network: Network) -> None:
         raise ValueError(f"measurement {i}: {what} does not exist")
 
 
-def _check_state_size(state: StateVector, network: Network, name: str) -> None:
+def _check_bus_count(state: StateVector, network: Network, name: str) -> None:
     if state.n_buses != network.n_buses:
         raise ValueError(f"{name} has {state.n_buses} buses, the network has {network.n_buses}")
 
@@ -241,7 +241,7 @@ def generate_measurements(
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    _check_state_size(truth, network, "truth state")
+    _check_bus_count(truth, network, "truth state")
     check_columns(plan.columns, network)
     values = evaluate_h(plan, truth, network, ybus)
     if noise:
