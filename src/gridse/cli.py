@@ -20,6 +20,7 @@ import numpy as np
 from .controller import (
     MAX_GRID_POINTS,
     MAX_STEPS,
+    LyapunovResidual,
     MaxSweepsExceeded,
     NoInteriorPoints,
     NonAffineResidual,
@@ -42,6 +43,7 @@ from .powerflow import SingularJacobian, solve_power_flow
 from .scenario import (
     CaseFileError,
     TruthNotConverged,
+    _csv_text,
     load_case,
     load_switched_system,
     render_report_csv,
@@ -67,8 +69,7 @@ def _write_table(header: list, columns: list, out_path) -> None:
     """CSV with one column per array, each entry its repr, as csv.writer
     writes them: floats round-trip, and no header or number needs quoting."""
     rows = zip(*(np.asarray(c).tolist() for c in columns))
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
-    _write_or_print("\n".join(lines) + "\n", out_path)
+    _write_or_print(_csv_text(header, (map(repr, row) for row in rows)), out_path)
 
 
 def _floats(text: str, flag: str) -> list:
@@ -118,18 +119,11 @@ def _write_summary(summary: dict, out_path) -> None:
 
 
 def _state_rows(state, truth=None):
-    rows = []
-    for i in range(state.n_buses):
-        row = {
-            "bus": i + 1,
-            "v_pu": float(state.magnitudes[i]),
-            "angle_deg": float(np.degrees(state.angles[i])),
-        }
-        if truth is not None:
-            row["v_true_pu"] = float(truth.magnitudes[i])
-            row["angle_true_deg"] = float(np.degrees(truth.angles[i]))
-        rows.append(row)
-    return rows
+    columns = {"bus": range(1, state.n_buses + 1), "v_pu": state.magnitudes.tolist(),
+               "angle_deg": np.degrees(state.angles).tolist()}
+    if truth is not None:
+        columns.update(v_true_pu=truth.magnitudes.tolist(), angle_true_deg=np.degrees(truth.angles).tolist())
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def cmd_pf(args) -> int:
@@ -220,6 +214,8 @@ def cmd_controller_oracle(args) -> int:
     bounds = _floats(args.box, "--box")
     if len(bounds) not in (2, 2 * system.n):
         raise ValueError(f"--box needs LO,HI (or one LO,HI pair per dimension), got {args.box!r}")
+    if not all(lo < hi for lo, hi in zip(bounds[0::2], bounds[1::2])):
+        raise ValueError(f"--box needs LO < HI in every pair, got {args.box!r}")
     if not (args.resolution >= 2 and args.resolution**system.n <= MAX_GRID_POINTS):
         raise ValueError(f"--resolution: resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}, "
                          f"got {args.resolution}**{system.n}")
@@ -230,7 +226,7 @@ def cmd_controller_oracle(args) -> int:
     report = {"sweeps": oracle.sweeps, "final_residual": oracle.residuals[-1], "clamped": oracle.clamped}
     try:
         report["quadratic_comparison"] = asdict(compare_value_functions(oracle, solve_quadratic_value(system)))
-    except (UnstableSystem, SingularP, NoInteriorPoints) as exc:
+    except (UnstableSystem, SingularP, LyapunovResidual, NoInteriorPoints) as exc:
         report["quadratic_comparison"] = {"unavailable": str(exc)}
     _write_summary(report, args.out)
     return 0
@@ -324,7 +320,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MaxSweepsExceeded, NonAffineResidual, TruthNotConverged) as exc:
+    except (LyapunovResidual, MaxSweepsExceeded, NonAffineResidual, TruthNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (

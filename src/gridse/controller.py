@@ -35,6 +35,10 @@ class SingularP(RuntimeError):
     """Solved P is singular; theta is undefined (degenerate stage cost)."""
 
 
+class LyapunovResidual(RuntimeError):
+    """The solved P misses its fixed point by more than 1e-10 * max(1, max|P|)."""
+
+
 class NonAffineResidual(RuntimeError):
     """The switching function failed its affinity check."""
 
@@ -170,7 +174,7 @@ def solve_quadratic_value(system: SwitchedSystem) -> QuadraticValue:
     Requires alpha * rho(A)^2 < 1. P solves the discrete Lyapunov equation
     (sqrt(alpha) A^T) P (sqrt(alpha) A) - P + Q = 0 directly, so its cost
     does not grow as alpha * rho(A)^2 approaches 1; the fixed-point residual
-    is then checked against 1e-10.
+    is then checked against 1e-10 * max(1, max|P|), or LyapunovResidual.
     """
     rho = system.spectral_radius
     if system.alpha * rho**2 >= 1:
@@ -180,8 +184,9 @@ def solve_quadratic_value(system: SwitchedSystem) -> QuadraticValue:
     a, q, alpha = system.A, system.Q, system.alpha
     p = solve_discrete_lyapunov(np.sqrt(alpha) * a.T, q)
     residual = float(np.max(np.abs(p - q - alpha * a.T @ p @ a)))
-    if residual >= 1e-10:
-        raise RuntimeError(f"fixed-point residual {residual:.3e} did not reach 1e-10")
+    limit = 1e-10 * max(1.0, float(np.max(np.abs(p))))
+    if residual >= limit:
+        raise LyapunovResidual(f"fixed-point residual {residual:.3e} did not reach {limit:.3e}")
 
     eigs = np.linalg.eigvalsh(p)
     if eigs[-1] <= 0 or eigs[0] <= 1e-12 * max(eigs[-1], 1.0):

@@ -49,6 +49,10 @@ class SingularGain(RuntimeError):
         self.condition = condition
 
 
+class WeightOverflow(ValueError):
+    """A weight 1/sigma^2 so large that the weighted residuals or the gain overflow."""
+
+
 @dataclass(frozen=True)
 class EstimationResult:
     state: StateVector
@@ -67,7 +71,8 @@ class EstimationResult:
 
 
 def _weighted_sse(residuals: np.ndarray, sigmas: np.ndarray) -> float:
-    return float(np.sum((residuals / sigmas) ** 2))
+    with np.errstate(over="ignore"):  # inf, which solve_normal_equations rejects
+        return float(np.sum((residuals / sigmas) ** 2))
 
 
 def objective_j(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> float:
@@ -79,11 +84,13 @@ def gain_matrix(h_matrix: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """G = H^T R^-1 H; symmetric positive semidefinite by construction.
 
     Symmetry is enforced structurally, since the raw matrix product leaves
-    float asymmetry of order eps times the (large) entry scale.
+    float asymmetry of order eps times the (large) entry scale. Weights too
+    large for the product leave non-finite entries, without a warning.
     """
     w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
-    g = (h_matrix * w[:, None]).T @ h_matrix
-    return (g + g.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (h_matrix * w[:, None]).T @ h_matrix
+        return (g + g.T) / 2.0
 
 
 def _exact_condition(gain: np.ndarray) -> float:
@@ -101,9 +108,13 @@ def solve_normal_equations(h_matrix: np.ndarray, sigmas: np.ndarray, residuals: 
     factor. When it exceeds CONDITION_LIMIT / ESTIMATE_SLACK, or the
     factorization fails, the exact 2-norm condition decides: SingularGain
     carries that exact value, and a failed factorization raises even below
-    the limit.
+    the limit. A weighted SSE of `residuals` or a gain that overflows raises
+    WeightOverflow naming the smallest sigma.
     """
     gain = gain_matrix(h_matrix, sigmas)
+    if not (np.isfinite(_weighted_sse(residuals, sigmas)) and np.all(np.isfinite(gain))):
+        raise WeightOverflow(f"sigma {float(np.min(sigmas))!r} is too small: its weight 1/sigma^2 overflows "
+                             "the objective or the gain")
     try:
         factor = cho_factor(gain)
     except np.linalg.LinAlgError:

@@ -52,17 +52,8 @@ CASE_FILE = "case.json"
 BUS_COLUMNS = ["bus", "vsp_pu", "pg_mw", "qg_mvar", "pl_mw", "ql_mvar"]
 LINE_COLUMNS = ["from_bus", "to_bus", "r_pu", "x_pu", "b_half_pu"]
 MEASUREMENT_COLUMNS = ["kind", "bus", "branch", "end", "value_pu", "sigma_pu"]
-REPORT_COLUMNS = [
-    "snapshot",
-    "bus",
-    "v_true_pu",
-    "v_est_pu",
-    "angle_true_deg",
-    "angle_est_deg",
-    "iterations",
-    "objective",
-    "converged",
-]
+REPORT_COLUMNS = ["snapshot", "bus", "v_true_pu", "v_est_pu", "angle_true_deg", "angle_est_deg",
+                  "iterations", "objective", "converged"]
 
 
 class CaseFileError(ValueError):
@@ -225,14 +216,21 @@ def load_case(dir_path) -> CaseBundle:
     return CaseBundle(network=network, bus_load_weights=weights)
 
 
-def _read_case_meta(path: Path):
-    """(base_mva, bus load weights) from a case.json file."""
+def _read_json_object(path: Path, name: str) -> dict:
+    """The JSON object held in `path`; a decode error names its line, and a
+    value that is not an object line 1."""
     try:
-        meta = json.loads(_read_text(path))
+        value = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CaseFileError(path, exc.lineno, "-", exc.msg) from exc
-    if not isinstance(meta, dict):
-        raise CaseFileError(path, 1, "-", "case.json must hold a JSON object")
+    if not isinstance(value, dict):
+        raise CaseFileError(path, 1, "-", f"{name} must be a JSON object")
+    return value
+
+
+def _read_case_meta(path: Path):
+    """(base_mva, bus load weights) from a case.json file."""
+    meta = _read_json_object(path, CASE_FILE)
 
     def number(value, column: str, positive: bool) -> float:
         try:
@@ -252,16 +250,21 @@ def _read_case_meta(path: Path):
     return base_mva, weights
 
 
+def _csv_text(header, rows) -> str:
+    """CSV text of a header and rows of string cells, each line ended by "\n".
+    No cell is quoted, so none may hold a comma, a quote or a line break."""
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
 def write_measurements_csv(mset: MeasurementSet, path) -> None:
     """Write a set as CSV; -1 index entries become empty bus, branch and end
     cells, and NaN values (a plan) empty value cells."""
+    rows = ([QUANTITIES[q], "" if bus < 0 else str(bus + 1), "" if branch < 0 else str(branch),
+             "" if to_end < 0 else ENDS[to_end], "" if math.isnan(value) else repr(value), repr(sigma)]
+            for q, bus, branch, to_end, value, sigma in zip(*(c.tolist() for c in mset.columns),
+                                                             mset.values.tolist(), mset.sigmas.tolist()))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(MEASUREMENT_COLUMNS)
-        for q, bus, branch, to_end, value, sigma in zip(*(c.tolist() for c in mset.columns),
-                                                         mset.values.tolist(), mset.sigmas.tolist()):
-            w.writerow([QUANTITIES[q], "" if bus < 0 else bus + 1, "" if branch < 0 else branch,
-                        "" if to_end < 0 else ENDS[to_end], "" if math.isnan(value) else repr(value), repr(sigma)])
+        fh.write(_csv_text(MEASUREMENT_COLUMNS, rows))
 
 
 def _read_measurement_table(path, metered: bool) -> MeasurementSet:
@@ -375,43 +378,21 @@ def report_rows(records) -> list:
     for k, rec in enumerate(records):
         if rec.result is None:
             continue
-        truth, est = rec.truth, rec.result.state
-        for i in range(truth.n_buses):
-            rows.append(
-                {
-                    "snapshot": k,
-                    "bus": i + 1,
-                    "v_true_pu": round(float(truth.magnitudes[i]), 4),
-                    "v_est_pu": round(float(est.magnitudes[i]), 4),
-                    "angle_true_deg": round(float(np.degrees(truth.angles[i])), 4),
-                    "angle_est_deg": round(float(np.degrees(est.angles[i])), 4),
-                    "iterations": rec.result.iterations,
-                    "objective": round(float(rec.result.objective), 6),
-                    "converged": bool(rec.result.converged),
-                }
-            )
+        truth, result, n = rec.truth, rec.result, rec.truth.n_buses
+        per_bus = ([round(v, 4) for v in column.tolist()] for column in (
+            truth.magnitudes, result.state.magnitudes, np.degrees(truth.angles), np.degrees(result.state.angles)))
+        columns = [[k] * n, range(1, n + 1), *per_bus, [result.iterations] * n,
+                   [round(float(result.objective), 6)] * n, [bool(result.converged)] * n]
+        rows += (dict(zip(REPORT_COLUMNS, row)) for row in zip(*columns))
     return rows
 
 
 def render_report_csv(records) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(REPORT_COLUMNS)
-    for row in report_rows(records):
-        w.writerow(
-            [
-                row["snapshot"],
-                row["bus"],
-                f"{row['v_true_pu']:.4f}",
-                f"{row['v_est_pu']:.4f}",
-                f"{row['angle_true_deg']:.4f}",
-                f"{row['angle_est_deg']:.4f}",
-                row["iterations"],
-                f"{row['objective']:.6f}",
-                "true" if row["converged"] else "false",
-            ]
-        )
-    return out.getvalue()
+    four = "{:.4f}".format
+    formats = (str, str, four, four, four, four, str, "{:.6f}".format,  # one per REPORT_COLUMNS entry
+               lambda converged: "true" if converged else "false")
+    rows = ([f(v) for f, v in zip(formats, row.values())] for row in report_rows(records))
+    return _csv_text(REPORT_COLUMNS, rows)
 
 
 def render_report_json(records) -> str:
@@ -428,12 +409,7 @@ def load_switched_system(path):
     naming the file, and the key where one key is at fault.
     """
     path = Path(path)
-    try:
-        raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CaseFileError(path, exc.lineno, "-", exc.msg) from exc
-    if not isinstance(raw, dict):
-        raise CaseFileError(path, 1, "-", "config must be a JSON object")
+    raw = _read_json_object(path, "config")
 
     cont = raw.get("continuous", {})
     if not isinstance(cont, dict):

@@ -4,19 +4,24 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import gridse.controller
 from gridse.cli import _write_table, cli_dispatch
-from gridse.controller import MAX_GRID_POINTS, MAX_STEPS
-from gridse.scenario import builtin_case_dir
+from gridse.controller import MAX_GRID_POINTS, MAX_STEPS, LyapunovResidual, solve_quadratic_value
+from gridse.scenario import _csv_text, builtin_case_dir, load_switched_system
 
 SCALAR_CONFIG = str(builtin_case_dir("scalar_controller.json"))
+CONFIG_2D = Path(__file__).parent / "golden" / "controller_2d.json"
 
 
 def run(capsys, argv):
@@ -218,6 +223,45 @@ _CONTINUOUS = {"continuous": {"a": [[-1.0]], "b": [2.0], "dt": 0.1},
                "alpha": 0.95, "beta": 0.1, "Q": [[1.0]], "r": [1.0]}
 
 
+def _controller_commands(config: dict) -> list:
+    """solve, simulate and oracle argv tails for a config of n = len(b) dimensions."""
+    n = len(config["b"])
+    return [["solve"], ["simulate", "--steps", "50", "--x0", ",".join(["0.1"] * n), "--z0", "0"],
+            ["oracle", "--box", "-1,1.5", "--resolution", "21"]]
+
+
+@pytest.mark.parametrize("config", [
+    # P ~ 4.3e7, 4.3e9 and ~1e8: absolute fixed-point residuals 3.7e-09, 4.8e-07 and 3.0e-08
+    {**_SCALAR, "Q": [[1e7]]},
+    {**_SCALAR, "Q": [[1e9]]},
+    {**json.loads(CONFIG_2D.read_text()), "Q": [[1e7, 0.0], [0.0, 1e7]]},
+])
+def test_controller_large_q_passes_the_relative_residual_gate(capsys, tmp_path, config):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps(config))
+    for command in _controller_commands(config):
+        code, out, err = run(capsys, ["controller", command[0], "--config", str(cfg), *command[1:]])
+        assert code == 0, err
+        assert "unavailable" not in err
+
+
+def test_controller_lyapunov_residual_exits_1(capsys, tmp_path, monkeypatch):
+    # a P off its fixed point by 1e-6 relative, far past the 1e-10 * max|P| gate
+    solve = gridse.controller.solve_discrete_lyapunov
+    monkeypatch.setattr(gridse.controller, "solve_discrete_lyapunov", lambda a, q: solve(a, q) * (1 + 1e-6))
+    with pytest.raises(LyapunovResidual):
+        solve_quadratic_value(load_switched_system(SCALAR_CONFIG)[0])
+    for command in _controller_commands(_SCALAR):
+        code, out, err = run(capsys, ["controller", command[0], "--config", SCALAR_CONFIG, *command[1:]])
+        assert "Traceback" not in err
+        if command[0] == "oracle":  # the comparison is reported unavailable, as for an unstable system
+            assert code == 0, err
+            assert json.loads(err)["quadratic_comparison"]["unavailable"].startswith("fixed-point residual")
+        else:
+            assert code == 1
+            assert err.startswith("error: fixed-point residual") and out == ""
+
+
 @pytest.mark.parametrize("config", [
     {**_SCALAR, "beta": float("nan")},
     {**_SCALAR, "alpha": float("nan")},
@@ -343,6 +387,20 @@ def test_estimate_sigma_without_a_finite_weight_exits_2(capsys, flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["--sigma-inj", "--sigma-v"])
+def test_estimate_sigma_whose_weight_overflows_the_gain_exits_2(capsys, flag):
+    # 1/sigma^2 = 1e308 is finite, but the weighted SSE or H^T W H is not
+    code, out, err = run(capsys, ["estimate", "--case", "ieee14", "--seed", "7", flag, "1e-154"])
+    assert code == 2
+    assert err == "error: sigma 1e-154 is too small: its weight 1/sigma^2 overflows the objective or the gain\n"
+    assert out == ""
+
+
+def test_estimate_smallest_flow_sigma_with_a_finite_gain_exits_0(capsys):
+    code, out, err = run(capsys, ["estimate", "--case", "ieee14", "--seed", "7", "--sigma-flow", "1e-150"])
+    assert code == 0 and err == ""
+
+
 def test_snapshots_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing_dir" / "r.csv"
     code, out, err = run(capsys, [
@@ -409,6 +467,20 @@ def test_controller_simulate(capsys, tmp_path):
     assert len(lines) == 51
 
 
+def test_controller_simulate_output_gain_writes_y(capsys, tmp_path):
+    cfg = tmp_path / "gain.json"
+    cfg.write_text(json.dumps({**json.loads(CONFIG_2D.read_text()), "output": [2.0, -0.5]}))
+    traj = tmp_path / "traj.csv"
+    code, out, err = run(capsys, ["controller", "simulate", "--config", str(cfg), "--steps", "40",
+                                  "--x0", "0.3,-0.2", "--z0", "1", "--out", str(traj)])
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(traj.read_text())))
+    assert rows[0] == ["step", "x1", "x2", "u", "stage_cost", "y"]
+    table = np.array(rows[1:], dtype=float)
+    assert table.shape == (40, 6)
+    np.testing.assert_array_equal(table[:, 5], table[:, 1:3] @ np.array([2.0, -0.5]))
+
+
 def test_controller_simulate_x0_dimension_check(capsys):
     code, out, err = run(capsys, [
         "controller", "simulate", "--config", SCALAR_CONFIG,
@@ -448,12 +520,14 @@ def test_controller_oracle_without_interior_points_exits_0(capsys, tmp_path):
 
 
 def test_controller_oracle_bad_box(capsys):
-    code, out, err = run(capsys, [
-        "controller", "oracle", "--config", SCALAR_CONFIG,
-        "--box", "1,2,3", "--resolution", "11",
-    ])
-    assert code == 2
-    assert "--box" in err
+    for config, box in [(SCALAR_CONFIG, "1,2,3"), (SCALAR_CONFIG, "1,0"), (SCALAR_CONFIG, "0,0"),
+                        (str(CONFIG_2D), "-1,1,1,-1")]:
+        code, out, err = run(capsys, [
+            "controller", "oracle", "--config", config,
+            "--box", box, "--resolution", "11",
+        ])
+        assert code == 2
+        assert "--box" in err
 
 
 def test_controller_oracle_one_box_pair_covers_every_dimension(capsys, tmp_path):
@@ -494,12 +568,18 @@ def tables(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(tables())
+@example((["kind", "bus", "end", "value_pu", "converged"],  # string cells, which go to _csv_text as they are
+          [np.array(["v_mag", "p_flow", "q_inj"]), np.array(["1", "", "14"]), np.array(["", "to", ""]),
+           np.array(["", "-0.25", "1e-05"]), np.array(["true", "false", ""])]))
 def test_write_table_matches_csv_writer(table):
     header, columns = table
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(zip(*(c.tolist() for c in columns)))
+    if columns[0].dtype.kind == "U":
+        assert _csv_text(header, zip(*(c.tolist() for c in columns))) == expected.getvalue()
+        return
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         _write_table(header, columns, None)
@@ -546,6 +626,19 @@ def test_case_json_bad_base_mva_exits_2(capsys, tmp_path, base_mva):
 def test_case_json_bad_load_weights_exits_2(capsys, tmp_path, weights):
     case = _case_dir(tmp_path, "case.json", f'{{"bus_load_weights": {weights}}}')
     _assert_case_error(capsys, case, "case.json")
+
+
+def test_unreadable_case_file_exits_2(capsys, tmp_path):
+    case = _case_dir(tmp_path, "buses.csv", "")
+    (case / "buses.csv").unlink()
+    (case / "buses.csv").mkdir()
+    _assert_case_error(capsys, case, "buses.csv:0: column '-': cannot read file")
+
+
+def test_non_integer_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, ["estimate", "--case", "ieee14", "--seed", "abc"])
+    assert code == 2
+    assert "argument --seed: invalid int value: 'abc'" in err and out == ""
 
 
 @pytest.mark.parametrize("name", ["buses.csv", "lines.csv", "case.json"])
@@ -596,3 +689,38 @@ def test_net_injection_that_overflows_exits_2_naming_the_bus(capsys, tmp_path, n
     assert code == 2
     assert err.startswith("error: ") and where in err and f"{bus}: net injection" in err and "overflows" in err
     assert "Traceback" not in err and out == ""
+
+
+def _singular_jacobian_case(tmp_path):
+    """ieee14 plus a bus 15 tied to bus 14 only by two lossless branches of
+    reactance 0.1 and -0.1: their admittances cancel, so the graph is
+    connected but bus 15's rows of the power-flow Jacobian are zero."""
+    case = _case_dir(tmp_path, "buses.csv", _edited("buses.csv", 99, "15,1.0,0,0,0,0"))
+    (case / "lines.csv").write_text(_edited("lines.csv", 99, "14,15,0,0.1,0\n14,15,0,-0.1,0"))
+    return case
+
+
+def test_singular_jacobian_exits_2_and_fails_its_snapshot(capsys, tmp_path):
+    case = str(_singular_jacobian_case(tmp_path))
+    code, out, err = run(capsys, ["pf", "--case", case])
+    assert code == 2
+    assert err.startswith("error: power-flow Jacobian is singular") and out == ""
+    code, out, err = run(capsys, ["snapshots", "--case", case, "--count", "2", "--load-scale", "1.0,1.1",
+                                  "--seed", "7"])
+    assert code == 1
+    assert out == "snapshot,bus,v_true_pu,v_est_pu,angle_true_deg,angle_est_deg,iterations,objective,converged\n"
+    assert err.count("failed: power-flow Jacobian is singular") == 2
+
+
+# ---- python -m gridse ---------------------------------------------------------
+
+def test_module_entry_point(tmp_path):
+    config = tmp_path / "large_q.json"
+    config.write_text(json.dumps({**_SCALAR, "Q": [[1e7]]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv, code in [(["pf", "--case", "ieee14"], 0),
+                       (["pf", "--case", str(_singular_jacobian_case(tmp_path))], 2),
+                       (["controller", "solve", "--config", str(config)], 0)]:
+        proc = subprocess.run([sys.executable, "-m", "gridse", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr

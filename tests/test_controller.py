@@ -285,6 +285,12 @@ def test_oracle_dimension_guard():
         bellman_value_iteration(sys3, ([-1.0] * 3, [1.0] * 3), 11)
 
 
+@pytest.mark.parametrize("box, resolution", [(([1.0], [0.0]), 11), (([0.0], [0.0]), 11), (([0.0], [1.0]), 1)])
+def test_oracle_box_and_resolution_guards(box, resolution):
+    with pytest.raises(ValueError):
+        bellman_value_iteration(SCALAR, box, resolution)
+
+
 def test_oracle_comparison_report():
     oracle = bellman_value_iteration(SCALAR, ([-0.5], [2.5]), 401)
     qv = solve_quadratic_value(SCALAR)

@@ -128,6 +128,20 @@ def test_explicit_kind_column(tmp_path):
     assert kinds == ["slack", "pv", "pq"]  # pv would be inferred pq (vsp = 1.0)
 
 
+def test_unknown_bus_kind_names_its_line(tmp_path):
+    case = tmp_path / "case"
+    case.mkdir()
+    (case / "buses.csv").write_text(
+        "bus,vsp_pu,pg_mw,qg_mvar,pl_mw,ql_mvar,kind\n1,1.0,0,0,0,0,slack\n2,1.0,10,0,1.0,0.5,swing\n"
+    )
+    (case / "lines.csv").write_text("from_bus,to_bus,r_pu,x_pu,b_half_pu\n1,2,0.01,0.1,0.0\n")
+    with pytest.raises(CaseFileError) as exc_info:
+        load_case(case)
+    err = exc_info.value
+    assert (Path(err.file).name, err.line, err.column, err.reason) == ("buses.csv", 3, "kind",
+                                                                       "unknown bus kind 'swing'")
+
+
 def test_case_json_base_and_weights(tmp_path):
     """A "version" key in case.json is accepted and ignored."""
     case = tmp_path / "case"
@@ -230,6 +244,16 @@ def test_malformed_measurement_row_names_its_line_and_column(tmp_path, reader, r
         reader(path)
     err = exc_info.value
     assert (Path(err.file).name, err.line, err.column) == ("m.csv", 4, column)
+
+
+def test_missing_measurement_value_names_its_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("kind,bus,branch,end,value_pu,sigma_pu\nv_mag,1,,,1.0,0.004\nv_mag,2,,,,0.004\n")
+    with pytest.raises(CaseFileError) as exc_info:
+        read_measurements_csv(path)
+    err = exc_info.value
+    assert (err.line, err.column, err.reason) == (3, "value_pu", "measurement value missing")
+    assert len(read_plan_csv(path)) == 2  # a plan takes no values
 
 
 def test_oversized_csv_field_rejected(tmp_path):
@@ -448,6 +472,17 @@ def test_load_switched_system_continuous(tmp_path):
     assert system.A[0, 0] == pytest.approx(0.9)
     assert system.b[0] == pytest.approx(0.1)
     assert output is None
+
+
+def test_load_switched_system_non_square_continuous_a(tmp_path):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps({
+        "continuous": {"a": [[-1.0, 0.0]], "b": [1.0], "dt": 0.1},
+        "alpha": 0.95, "beta": 0.1, "Q": [[1.0]], "r": [0.0],
+    }))
+    with pytest.raises(CaseFileError) as info:
+        load_switched_system(cfg)
+    assert (info.value.file, info.value.column, info.value.reason) == (str(cfg), "a", "a must be a square matrix")
 
 
 def test_load_switched_system_missing_key(tmp_path):
