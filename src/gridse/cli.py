@@ -66,8 +66,8 @@ def _write_or_print(text: str, out_path) -> None:
 
 
 def _write_table(header: list, columns: list, out_path) -> None:
-    """CSV with one column per array, each entry its repr, as csv.writer
-    writes them: floats round-trip, and no header or number needs quoting."""
+    """CSV with one column per array, each entry its repr: floats round-trip,
+    and no header or number needs quoting."""
     rows = zip(*(np.asarray(c).tolist() for c in columns))
     _write_or_print(_csv_text(header, (map(repr, row) for row in rows)), out_path)
 
