@@ -10,6 +10,11 @@ that iterate's objective and the right-hand side of the next step. A step
 that leaves a non-finite entry or a magnitude <= 0 stops the iteration with
 converged=False at the last physical iterate.
 
+H comes from jacobian_h: dense on small grids, scipy.sparse CSR from
+measurements.SPARSE_MIN_COLUMNS columns up. From CSR the gain is a sparse
+product, densified, so the factorization and every check below see a dense
+gain either way.
+
 Observability gate: a gain matrix whose 2-norm condition exceeds
 CONDITION_LIMIT signals an unobservable measurement set and raises
 SingularGain. Each step reads LAPACK dpocon's 1-norm condition estimate from
@@ -80,16 +85,23 @@ def objective_j(mset: MeasurementSet, state: StateVector, network: Network, ybus
     return _weighted_sse(mset.values - evaluate_h(mset, state, network, ybus), mset.sigmas)
 
 
-def gain_matrix(h_matrix: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """G = H^T R^-1 H; symmetric positive semidefinite by construction.
+def gain_matrix(h_matrix, sigmas: np.ndarray) -> np.ndarray:
+    """G = H^T R^-1 H as a dense array; symmetric positive semidefinite by construction.
 
-    Symmetry is enforced structurally, since the raw matrix product leaves
-    float asymmetry of order eps times the (large) entry scale. Weights too
-    large for the product leave non-finite entries, without a warning.
+    H is a dense array or a scipy.sparse CSR matrix (see jacobian_h); from CSR
+    the product is formed sparse and then densified. Symmetry is enforced
+    structurally, since the raw matrix product leaves float asymmetry of order
+    eps times the (large) entry scale. Weights too large for the product leave
+    non-finite entries, without a warning.
     """
     w = 1.0 / np.asarray(sigmas, dtype=float) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (h_matrix * w[:, None]).T @ h_matrix
+        if isinstance(h_matrix, np.ndarray):
+            g = (h_matrix * w[:, None]).T @ h_matrix
+        else:
+            weighted = h_matrix.copy()
+            weighted.data *= np.repeat(w, np.diff(h_matrix.indptr))
+            g = (h_matrix.T @ weighted).toarray()
         return (g + g.T) / 2.0
 
 
@@ -101,8 +113,10 @@ def _exact_condition(gain: np.ndarray) -> float:
     return condition
 
 
-def solve_normal_equations(h_matrix: np.ndarray, sigmas: np.ndarray, residuals: np.ndarray):
+def solve_normal_equations(h_matrix, sigmas: np.ndarray, residuals: np.ndarray):
     """Solve G dx = H^T R^-1 r via Cholesky; returns (dx, G, condition estimate).
+
+    H is a dense array or a scipy.sparse CSR matrix; G is dense either way.
 
     The condition estimate is dpocon's 1-norm estimate from the Cholesky
     factor. When it exceeds CONDITION_LIMIT / ESTIMATE_SLACK, or the

@@ -5,10 +5,14 @@ code, bus index, branch index, measured end), values z and standard
 deviations sigma. A plan is a set whose values are NaN. h(x) covers voltage
 magnitude, bus injection and branch flow quantities; h(x) and H(x) are array
 expressions over the set's voltage, injection and flow row groups, derived
-once per set: injection rows gather from the power flow's stacked [P; Q] and
-d[P; Q]/d[theta; |V|] at bus + n for Q, flow rows are pi-model terms over the
-network's per-branch arrays. H's columns are the coordinates the estimator
-steps; jacobian_h states their layout.
+once per set: injection rows gather from the power flow's stacked [P; Q] at
+bus + n for Q and from the complex dS/dV (real part for P, imaginary for Q),
+flow rows are pi-model terms over the network's per-branch arrays. H's
+columns are the coordinates the estimator steps; jacobian_h states their
+layout. H is a dense array below SPARSE_MIN_COLUMNS columns and a
+scipy.sparse CSR matrix from there up, where it is a few percent non-zero
+(2.1% on a 112-bus mesh); the constant's comment gives the measured
+crossover.
 
 Synthetic measurements are drawn from independent per-measurement PCG64
 streams keyed by (seed, measurement index), so generation is a pure function
@@ -28,7 +32,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .network import Network
-from .powerflow import StateVector, calc_injections, injection_jacobian
+from .powerflow import StateVector, _ds_dv, calc_injections
 
 V_MAG = "v_mag"
 P_INJ = "p_inj"
@@ -42,6 +46,14 @@ TO = "to"
 DEFAULT_SIGMA_V = 0.004
 DEFAULT_SIGMA_INJ = 0.01
 DEFAULT_SIGMA_FLOW = 0.008
+
+# jacobian_h returns H as a scipy.sparse CSR matrix from this many columns
+# (2n - 1, so from 51 buses) up and as a dense array below. Dense vs CSR H
+# plus gain on the full plan, median of 41 calls on tiled IEEE-14 grids, one
+# BLAS thread, 2-core VM: 0.22 vs 0.60 ms at 28 buses (55 columns), 0.48 vs
+# 0.68 ms at 42 (83), 1.08 vs 0.76 ms at 56 (111), 6.1 vs 1.4 ms at 112 and
+# 35 vs 3.7 ms at 224.
+SPARSE_MIN_COLUMNS = 100
 
 # quantity codes of the columns index QUANTITIES, bus quantities first; flow
 # rows' to_end codes index ENDS
@@ -198,30 +210,93 @@ def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus:
     return h
 
 
-def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of h, shape (m, 2n - 1): its columns are the stacked
-    [theta; |V|] coordinates without the slack angle, in order."""
-    cols = mset.columns
-    v_rows, inj_rows, flow_rows = mset._row_groups
-    n = network.n_buses
-    slack = network.slack_index
-    # H column of each [theta; |V|] coordinate; the slack angle's is the last, cut off on return
+def _h_columns(network: Network) -> np.ndarray:
+    """H's column of each stacked [theta; |V|] coordinate; the slack angle gets
+    2n - 1, one past H's last column."""
+    n, slack = network.n_buses, network.slack_index
     col = np.arange(2 * n) - (np.arange(2 * n) > slack)
     col[slack] = 2 * n - 1
+    return col
+
+
+def _flow_derivatives(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, network: Network):
+    """Per flow row, its stacked coordinates theta_i, theta_j, |V_i|, |V_j| and
+    its derivatives along them: two (4, rows) arrays."""
+    n = network.n_buses
+    i, j, vi, vj, c, s, g, b, bsh = _flow_terms(cols, rows, state, network)
+    is_p = cols.quantity[rows] == _PF
+    dth_i = np.where(is_p, vi * vj * (g * s - b * c), -vi * vj * (g * c + b * s))
+    return np.stack([i, j, n + i, n + j]), np.stack([
+        dth_i, -dth_i,
+        np.where(is_p, 2 * vi * g - vj * (g * c + b * s), -2 * vi * (b + bsh) - vj * (g * s - b * c)),
+        np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c))])
+
+
+def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray):
+    """Analytic Jacobian of h, shape (m, 2n - 1): its columns are the stacked
+    [theta; |V|] coordinates without the slack angle, in order.
+
+    A dense array below SPARSE_MIN_COLUMNS columns, a scipy.sparse CSR matrix
+    from there up; both hold the same values bit for bit.
+    """
+    n = network.n_buses
+    if 2 * n - 1 >= SPARSE_MIN_COLUMNS:
+        return _jacobian_csr(mset, state, network, ybus)
+    cols = mset.columns
+    v_rows, inj_rows, flow_rows = mset._row_groups
+    col = _h_columns(network)
     h_mat = np.zeros((len(mset), 2 * n))
     h_mat[v_rows, col[n + cols.bus[v_rows]]] = 1.0
-    if inj_rows.size:
-        stacked = cols.bus[inj_rows] + n * (cols.quantity[inj_rows] == _Q)
-        h_mat[np.ix_(inj_rows, col)] = injection_jacobian(state, ybus)[stacked]
-    i, j, vi, vj, c, s, g, b, bsh = _flow_terms(cols, flow_rows, state, network)
-    is_p = cols.quantity[flow_rows] == _PF
-    dth_i = np.where(is_p, vi * vj * (g * s - b * c), -vi * vj * (g * c + b * s))
-    h_mat[flow_rows, col[i]] = dth_i
-    h_mat[flow_rows, col[j]] = -dth_i
-    h_mat[flow_rows, col[n + i]] = np.where(is_p, 2 * vi * g - vj * (g * c + b * s),
-                                            -2 * vi * (b + bsh) - vj * (g * s - b * c))
-    h_mat[flow_rows, col[n + j]] = np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c))
+    if inj_rows.size:  # the real part of dS/dV for P rows, the imaginary part for Q rows
+        ds = _ds_dv(state, ybus)[cols.bus[inj_rows]]
+        h_mat[np.ix_(inj_rows, col)] = np.where((cols.quantity[inj_rows] == _Q)[:, None], ds.imag, ds.real)
+    coords, values = _flow_derivatives(cols, flow_rows, state, network)
+    h_mat[flow_rows, col[coords]] = values
     return h_mat[:, : 2 * n - 1]
+
+
+def _admittance_pattern(network: Network) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of Y's structure: both ends of every branch and
+    every diagonal. A Y_ii that cancels to exactly 0 keeps its place, since
+    dS_i/dtheta_i does not vanish with it."""
+    n = network.n_buses
+    br = network.branch_arrays
+    keys = np.unique(np.concatenate([br.from_idx * n + br.to_idx, br.to_idx * n + br.from_idx,
+                                     np.arange(n) * (n + 1)]))
+    return np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))]), keys % n
+
+
+def _jacobian_csr(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray):
+    """jacobian_h as a scipy.sparse CSR matrix, with the dense path's values.
+
+    An injection row at bus i holds the entries of dS/dV's row i at Y's
+    pattern, angle then magnitude columns; a flow row holds four entries and
+    a voltage row one. Entries in the slack angle's column are dropped.
+    """
+    # imported here, not at the top: after `import gridse.cli` it takes another
+    # 16-22 ms (python -X importtime) and 1.6 MB of peak RSS, which grids
+    # below SPARSE_MIN_COLUMNS never need
+    import scipy.sparse
+    cols = mset.columns
+    v_rows, inj_rows, flow_rows = mset._row_groups
+    n, m = network.n_buses, len(mset)
+    y_ptr, y_idx = _admittance_pattern(network)
+    bus = cols.bus[inj_rows]
+    count = y_ptr[bus + 1] - y_ptr[bus]
+    entry_row = np.repeat(np.arange(bus.size), count)  # per entry, its row among the injection rows
+    k = y_idx[np.arange(entry_row.size) - np.repeat(np.cumsum(count) - count - y_ptr[bus], count)]
+    inj_row, inj_coords = np.tile(entry_row, 2), np.concatenate([k, n + k])
+    ds = _ds_dv(state, ybus)[bus[inj_row], inj_coords]
+    flow_coords, flow_values = _flow_derivatives(cols, flow_rows, state, network)
+    rows = np.concatenate([v_rows, inj_rows[inj_row], np.tile(flow_rows, 4)])
+    h_cols = _h_columns(network)[np.concatenate([n + cols.bus[v_rows], inj_coords, flow_coords.ravel()])]
+    is_q = (cols.quantity[inj_rows] == _Q)[inj_row]
+    values = np.concatenate([np.ones(v_rows.size), np.where(is_q, ds.imag, ds.real), flow_values.ravel()])
+    kept = h_cols < 2 * n - 1
+    rows, h_cols, values = rows[kept], h_cols[kept], values[kept]
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    return scipy.sparse.csr_matrix((values[order], h_cols[order], indptr), shape=(m, 2 * n - 1))
 
 
 def generate_measurements(

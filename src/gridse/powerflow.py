@@ -72,10 +72,9 @@ def calc_injections(state: StateVector, ybus: np.ndarray) -> np.ndarray:
     return np.concatenate([s.real, s.imag])
 
 
-def injection_jacobian(state: StateVector, ybus: np.ndarray) -> np.ndarray:
-    """d[P; Q]/d[theta; |V|], one 2n x 2n array: the real and imaginary parts of
-    MATPOWER's stacked complex [dS/dtheta, dS/d|V|], with I = Y V,
-    dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)) and
+def _ds_dv(state: StateVector, ybus: np.ndarray) -> np.ndarray:
+    """MATPOWER's stacked complex [dS/dtheta, dS/d|V|], one n x 2n array, with
+    I = Y V, dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)) and
     dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|),
     evaluated by broadcasting instead of diagonal-matrix products.
     """
@@ -89,6 +88,13 @@ def injection_jacobian(state: StateVector, ybus: np.ndarray) -> np.ndarray:
     ds[bus, bus] += 1j * v * np.conj(i_bus)
     np.multiply(v[:, None], np.conj(ybus * vn[None, :]), out=ds[:, n:])
     ds[bus, n + bus] += np.conj(i_bus) * vn
+    return ds
+
+
+def injection_jacobian(state: StateVector, ybus: np.ndarray) -> np.ndarray:
+    """d[P; Q]/d[theta; |V|], one 2n x 2n array: the real and imaginary parts
+    of the stacked complex dS/dV."""
+    ds = _ds_dv(state, ybus)
     return np.concatenate([ds.real, ds.imag])
 
 

@@ -1,15 +1,18 @@
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from gridse.measurements import QUANTITIES, MeasurementColumns, MeasurementSet, evaluate_h
+from gridse.measurements import (P_FLOW, P_INJ, Q_FLOW, Q_INJ, QUANTITIES, V_MAG, MeasurementColumns,
+                                 MeasurementSet, evaluate_h)
 from gridse.network import Branch, Bus, BusKind, build_network, build_ybus
-from gridse.powerflow import StateVector, solve_power_flow
+from gridse.powerflow import StateVector, calc_injections, solve_power_flow
 from gridse.scenario import builtin_case_dir, load_case, resolve_case_dir
 
 
@@ -52,6 +55,46 @@ def slack_at_bus3(ieee14_rows):
     network = build_network(rows, branches)
     assert network.slack_index == 2
     return network
+
+
+@st.composite
+def meshed_grids(draw):
+    """(buses, branches, rows, state): the Bus and Branch rows of a random
+    connected meshed network with random r/x/b_sh and small PQ loads, a
+    partial plan holding at least one to-end flow pair, and a perturbed state
+    with the slack angle at zero."""
+    n = draw(st.integers(3, 9))
+    bus = st.integers(0, n - 1)
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # spanning tree
+    pairs += draw(st.lists(st.tuples(bus, bus).filter(lambda p: p[0] != p[1]), min_size=1, max_size=n))
+    branches = []
+    for f, t in pairs:
+        if draw(st.booleans()):
+            f, t = t, f
+        branches.append(Branch(f + 1, t + 1, draw(st.floats(0.0, 0.1)), draw(st.floats(0.02, 0.5)),
+                               draw(st.floats(0.0, 0.05))))
+    slack = draw(bus)
+
+    every = [(q, i, -1, -1) for q in (V_MAG, P_INJ, Q_INJ) for i in range(n)]
+    every += [(q, -1, k, to_end) for q in (P_FLOW, Q_FLOW) for k in range(len(branches)) for to_end in (0, 1)]
+    k_to = draw(st.integers(0, len(branches) - 1))
+    rows = draw(st.lists(st.sampled_from(every), min_size=1, max_size=3 * n, unique=True))
+    rows += [row for row in ((P_FLOW, -1, k_to, 1), (Q_FLOW, -1, k_to, 1)) if row not in rows]
+
+    angles = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n)))
+    angles[slack] = 0.0
+    magnitudes = np.array(draw(st.lists(st.floats(0.85, 1.15), min_size=n, max_size=n)))
+    loads = draw(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 5.0)), min_size=n, max_size=n))
+    buses = [Bus(id=i + 1, kind=BusKind.SLACK if i == slack else BusKind.PQ, v_setpoint=1.0,
+                 p_gen=0, q_gen=0, p_load=p_load, q_load=q_load) for i, (p_load, q_load) in enumerate(loads)]
+    return buses, branches, rows, StateVector(angles=angles, magnitudes=magnitudes)
+
+
+@st.composite
+def meshed_cases(draw):
+    """(network, rows, state) of meshed_grids."""
+    buses, branches, rows, state = draw(meshed_grids())
+    return build_network(buses, branches), rows, state
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +142,21 @@ def tiled_rows(ieee14_rows):
             if t:
                 tiled_branches.append(Branch(t * n, t * n + 4, 0.02, 0.12, 0.015))
         return tiled_buses, tiled_branches
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def balanced_tiled_rows(tiled_rows, ieee14, ieee14_truth):
+    """balanced_tiled_rows(tiles): tiled_rows in which every later copy's bus
+    1 generates the slack output of ieee14's power flow, so each copy
+    balances and the grid has a power-flow solution."""
+    slack_p = float(calc_injections(ieee14_truth, ieee14.ybus)[ieee14.slack_index]) * ieee14.base_mva
+
+    def build(tiles):
+        buses, branches = tiled_rows(tiles)
+        return [replace(b, p_gen=slack_p + b.p_load) if b.kind == BusKind.PV and b.id % 14 == 1 else b
+                for b in buses], branches
 
     return build
 

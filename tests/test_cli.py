@@ -396,6 +396,32 @@ def test_estimate_sigma_whose_weight_overflows_the_gain_exits_2(capsys, flag):
     assert out == ""
 
 
+def _write_case(directory, buses, branches):
+    directory.mkdir()
+    (directory / "buses.csv").write_text(_csv_text(
+        ["bus", "vsp_pu", "pg_mw", "qg_mvar", "pl_mw", "ql_mvar", "kind"],
+        [[str(b.id), *map(repr, (b.v_setpoint, b.p_gen, b.q_gen, b.p_load, b.q_load)), b.kind.value if b.kind else ""]
+         for b in buses]))
+    (directory / "lines.csv").write_text(_csv_text(
+        ["from_bus", "to_bus", "r_pu", "x_pu", "b_half_pu"],
+        [[str(br.from_bus), str(br.to_bus), *map(repr, (br.resistance, br.reactance, br.half_charging))]
+         for br in branches]))
+    return str(directory)
+
+
+@pytest.mark.parametrize("flag", ["--sigma-inj", "--sigma-v"])
+def test_estimate_on_a_sparse_grid_with_a_sigma_whose_weight_overflows_exits_2(capsys, tmp_path, balanced_tiled_rows,
+                                                                               flag):
+    # 56 buses, 111 columns: H is CSR and the gain a sparse product
+    case = _write_case(tmp_path / "tiled56", *balanced_tiled_rows(4))
+    code, out, err = run(capsys, ["estimate", "--case", case, "--seed", "7"])
+    assert code == 0 and err == "" and json.loads(out)["converged"] is True
+    code, out, err = run(capsys, ["estimate", "--case", case, "--seed", "7", flag, "1e-154"])
+    assert code == 2
+    assert err == "error: sigma 1e-154 is too small: its weight 1/sigma^2 overflows the objective or the gain\n"
+    assert out == ""
+
+
 def test_estimate_smallest_flow_sigma_with_a_finite_gain_exits_0(capsys):
     code, out, err = run(capsys, ["estimate", "--case", "ieee14", "--seed", "7", "--sigma-flow", "1e-150"])
     assert code == 0 and err == ""

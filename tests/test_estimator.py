@@ -16,6 +16,7 @@ from gridse.estimator import (
     solve_normal_equations,
 )
 from gridse.measurements import (
+    SPARSE_MIN_COLUMNS,
     V_MAG,
     MeasurementColumns,
     MeasurementSet,
@@ -25,7 +26,7 @@ from gridse.measurements import (
     jacobian_h,
 )
 from gridse.network import build_network
-from gridse.powerflow import StateVector
+from gridse.powerflow import StateVector, flat_start
 from gridse.scenario import run_estimation
 
 
@@ -326,3 +327,39 @@ def test_converged_estimate_runs_one_exact_condition(ieee14, monkeypatch):
     _, result = run_estimation(ieee14, full_measurement_plan(ieee14), 7)
     assert result.converged and result.iterations > 1
     assert len(calls) == 1
+
+
+# ---- sparse H: jacobian_h returns CSR from SPARSE_MIN_COLUMNS columns up --------
+
+def _metered_at_random_state(network, seed):
+    """The full plan metered, with noise, at a seeded random state (the tiled
+    rows have no power-flow solution)."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-0.35, 0.35, network.n_buses)
+    angles[network.slack_index] = 0.0
+    truth = StateVector(angles=angles, magnitudes=rng.uniform(0.9, 1.1, network.n_buses))
+    return generate_measurements(truth, full_measurement_plan(network), 7, network, network.ybus)
+
+
+@pytest.mark.parametrize("tiles", [4, 8])
+def test_sparse_estimate_agrees_with_the_same_loop_on_dense_h(tiled_rows, monkeypatch, tiles):
+    network = build_network(*tiled_rows(tiles))
+    mset = _metered_at_random_state(network, 2024)
+    assert 2 * network.n_buses - 1 >= SPARSE_MIN_COLUMNS
+    assert jacobian_h(mset, flat_start(network), network, network.ybus).format == "csr"
+    sparse = estimate(network, mset)
+    monkeypatch.setattr(gridse.estimator, "jacobian_h", lambda *args: jacobian_h(*args).toarray())
+    dense = estimate(network, mset)
+    assert sparse.converged and (sparse.iterations, sparse.converged) == (dense.iterations, dense.converged)
+    for got, want in ((sparse.state.angles, dense.state.angles), (sparse.state.magnitudes, dense.state.magnitudes),
+                      (sparse.objective, dense.objective), (sparse.gain_condition, dense.gain_condition)):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_voltage_only_plan_on_a_sparse_grid_raises_singular_gain(tiled_rows):
+    network = build_network(*tiled_rows(4))
+    rows = [(V_MAG, i, -1, -1) for i in range(network.n_buses)] * 2
+    mset = measurement_set(rows, np.ones(len(rows)), np.full(len(rows), 0.004))
+    assert jacobian_h(mset, flat_start(network), network, network.ybus).format == "csr"
+    with pytest.raises(SingularGain):
+        estimate(network, mset)

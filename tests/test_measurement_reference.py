@@ -4,9 +4,9 @@ The references below gather P and Q injections with one pass per quantity,
 scatter H's angle and magnitude columns through an explicit angle-column map
 and `n - 1 +` offsets, and build the injection Jacobian as four n x n blocks.
 The library does the same float operations on the same operands, only
-gathered differently, so h and H must match bit for bit, H with the same
-memory layout (a column slice of a C-ordered (m, 2n) array), and the stacked
-injection Jacobian must equal the four blocks put together.
+gathered differently, so h and H must match bit for bit, a dense H with the
+same memory layout (a column slice of a C-ordered (m, 2n) array), and the
+stacked injection Jacobian must equal the four blocks put together.
 """
 import numpy as np
 import pytest
@@ -187,7 +187,11 @@ def test_h_and_jacobian_match_reference_bit_for_bit(ieee14, ieee14_truth, ieee14
     network, plan, state = case(name, ieee14, ieee14_truth, ieee14_rows, tiled_rows)
     ybus = network.ybus
     assert_same_array(evaluate_h(plan, state, network, ybus), evaluate_h_reference(plan, state, network, ybus))
-    assert_same_array(jacobian_h(plan, state, network, ybus), jacobian_h_reference(plan, state, network, ybus))
+    got, want = jacobian_h(plan, state, network, ybus), jacobian_h_reference(plan, state, network, ybus)
+    if name == "tiled56-full":  # 111 columns: stored as CSR, which has no strides
+        assert np.array_equal(got.toarray(), want)
+    else:
+        assert_same_array(got, want)
 
 
 @pytest.mark.parametrize("name", ["ieee14-full-truth", "ieee14-full-perturbed", "tiled56-full", "slack-bus3-full"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import central_difference_jacobian, measurement_set
+from conftest import central_difference_jacobian, measurement_set, meshed_cases, slack_at_bus3
 from gridse.measurements import (
     P_FLOW,
     P_INJ,
@@ -17,6 +17,8 @@ from gridse.measurements import (
     MeasurementColumns,
     MeasurementRowError,
     MeasurementSet,
+    SPARSE_MIN_COLUMNS,
+    _jacobian_csr,
     _stream_state_words,
     check_columns,
     evaluate_h,
@@ -202,38 +204,6 @@ def test_jacobian_matches_central_differences(ieee14, ieee14_ybus):
         assert np.max(np.abs(fd - h_analytic) / scale) < 1e-6
 
 
-@st.composite
-def meshed_cases(draw):
-    """(network, rows, state): a random connected meshed network with random
-    r/x/b_sh, a partial plan holding at least one to-end flow pair, and a
-    perturbed state with the slack angle at zero."""
-    n = draw(st.integers(3, 9))
-    bus = st.integers(0, n - 1)
-    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # spanning tree
-    pairs += draw(st.lists(st.tuples(bus, bus).filter(lambda p: p[0] != p[1]), min_size=1, max_size=n))
-    branches = []
-    for f, t in pairs:
-        if draw(st.booleans()):
-            f, t = t, f
-        branches.append(Branch(f + 1, t + 1, draw(st.floats(0.0, 0.1)), draw(st.floats(0.02, 0.5)),
-                               draw(st.floats(0.0, 0.05))))
-    slack = draw(bus)
-    buses = [Bus(id=i + 1, kind=BusKind.SLACK if i == slack else BusKind.PQ, v_setpoint=1.0,
-                 p_gen=0, q_gen=0, p_load=0, q_load=0) for i in range(n)]
-    network = build_network(buses, branches)
-
-    every = [(q, i, -1, -1) for q in (V_MAG, P_INJ, Q_INJ) for i in range(n)]
-    every += [(q, -1, k, to_end) for q in (P_FLOW, Q_FLOW) for k in range(len(branches)) for to_end in (0, 1)]
-    k_to = draw(st.integers(0, len(branches) - 1))
-    rows = draw(st.lists(st.sampled_from(every), min_size=1, max_size=3 * n, unique=True))
-    rows += [row for row in ((P_FLOW, -1, k_to, 1), (Q_FLOW, -1, k_to, 1)) if row not in rows]
-
-    angles = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n)))
-    angles[slack] = 0.0
-    magnitudes = np.array(draw(st.lists(st.floats(0.85, 1.15), min_size=n, max_size=n)))
-    return network, rows, StateVector(angles=angles, magnitudes=magnitudes)
-
-
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(meshed_cases())
 def test_jacobian_matches_central_differences_on_random_meshed_networks(case):
@@ -244,6 +214,67 @@ def test_jacobian_matches_central_differences_on_random_meshed_networks(case):
     fd = central_difference_jacobian(mset, state, network, ybus, step=1e-6)
     scale = np.maximum(1.0, np.abs(h_analytic))
     assert np.max(np.abs(fd - h_analytic) / scale) < 1e-6
+
+
+def assert_csr_equals_dense(mset, state, network):
+    """The CSR builder's H, densified, equals the dense jacobian_h bit for bit."""
+    assert 2 * network.n_buses - 1 < SPARSE_MIN_COLUMNS
+    dense = jacobian_h(mset, state, network, network.ybus)
+    assert isinstance(dense, np.ndarray)
+    got = _jacobian_csr(mset, state, network, network.ybus)
+    assert got.format == "csr" and got.shape == dense.shape
+    assert np.array_equal(got.toarray(), dense)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(meshed_cases())
+def test_csr_jacobian_equals_dense_bit_for_bit_on_random_meshed_networks(case):
+    network, rows, state = case
+    assert_csr_equals_dense(measurement_set(rows), state, network)
+
+
+def _zero_diagonal_net():
+    # y = 1/(0.5j) = -2j and b_sh = 2.0 cancel: Y_11 = Y_22 = 0 exactly, Y_12 = 2j
+    buses = [Bus(id=1, kind=BusKind.SLACK, v_setpoint=1.0, p_gen=0, q_gen=0, p_load=0, q_load=0),
+             Bus(id=2, kind=BusKind.PQ, v_setpoint=1.0, p_gen=0, q_gen=0, p_load=0, q_load=0)]
+    network = build_network(buses, [Branch(1, 2, 0.0, 0.5, 2.0)])
+    assert network.ybus[0, 0] == 0 and network.ybus[1, 1] == 0 and network.ybus[0, 1] != 0
+    return network
+
+
+def _parallel_branches_net(ieee14_rows):
+    # ieee14 plus bus 15, tied to bus 14 by two parallel branches whose series
+    # admittances cancel (Y_14,15 = 0 exactly), and a second copy of branch 1-2
+    buses, branches = ieee14_rows
+    buses = [*buses, Bus(id=15, v_setpoint=1.0, p_gen=0, q_gen=0, p_load=1.0, q_load=0.5)]
+    branches = [*branches, branches[0], Branch(14, 15, 0.0, 0.1, 0.01), Branch(15, 14, 0.0, -0.1, 0.01)]
+    network = build_network(buses, branches)
+    assert network.ybus[13, 14] == 0
+    return network
+
+
+def _plan_without(network, codes):
+    plan = full_measurement_plan(network)
+    rows = ~np.isin(plan.columns.quantity, [QUANTITIES.index(q) for q in codes])
+    return MeasurementSet(MeasurementColumns(*(c[rows] for c in plan.columns)), plan.values[rows], plan.sigmas[rows])
+
+
+@pytest.mark.parametrize("name", ["zero-diagonal", "parallel-branches", "slack-bus3", "no-injections", "no-flows"])
+def test_csr_jacobian_equals_dense_bit_for_bit_on_fixed_cases(ieee14, ieee14_rows, name):
+    network = ieee14
+    if name == "zero-diagonal":
+        network = _zero_diagonal_net()
+    elif name == "parallel-branches":
+        network = _parallel_branches_net(ieee14_rows)
+    elif name == "slack-bus3":
+        network = slack_at_bus3(ieee14_rows)
+    plan = full_measurement_plan(network)
+    if name == "no-injections":
+        plan = _plan_without(network, (P_INJ, Q_INJ))
+    elif name == "no-flows":
+        plan = _plan_without(network, (P_FLOW, Q_FLOW))
+    for state in (flat_start(network), _random_state(np.random.default_rng(11), network.n_buses, network.slack_index)):
+        assert_csr_equals_dense(plan, state, network)
 
 
 def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14_rows):
