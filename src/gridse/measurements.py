@@ -32,7 +32,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .network import Network
-from .powerflow import StateVector, _ds_dv, calc_injections
+from .powerflow import StateVector, _ds_dv, _ds_dv_entries, calc_injections
 
 V_MAG = "v_mag"
 P_INJ = "p_inj"
@@ -50,9 +50,9 @@ DEFAULT_SIGMA_FLOW = 0.008
 # jacobian_h returns H as a scipy.sparse CSR matrix from this many columns
 # (2n - 1, so from 51 buses) up and as a dense array below. Dense vs CSR H
 # plus gain on the full plan, median of 41 calls on tiled IEEE-14 grids, one
-# BLAS thread, 2-core VM: 0.22 vs 0.60 ms at 28 buses (55 columns), 0.48 vs
-# 0.68 ms at 42 (83), 1.08 vs 0.76 ms at 56 (111), 6.1 vs 1.4 ms at 112 and
-# 35 vs 3.7 ms at 224.
+# BLAS thread, 2-core VM: 0.22 vs 0.62 ms at 28 buses (55 columns), 0.50 vs
+# 0.75 ms at 42 (83), 1.39 vs 0.87 ms at 56 (111), 5.9 vs 1.2 ms at 112 and
+# 32 vs 2.6 ms at 224.
 SPARSE_MIN_COLUMNS = 100
 
 # quantity codes of the columns index QUANTITIES, bus quantities first; flow
@@ -269,9 +269,10 @@ def _admittance_pattern(network: Network) -> tuple[np.ndarray, np.ndarray]:
 def _jacobian_csr(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray):
     """jacobian_h as a scipy.sparse CSR matrix, with the dense path's values.
 
-    An injection row at bus i holds the entries of dS/dV's row i at Y's
-    pattern, angle then magnitude columns; a flow row holds four entries and
-    a voltage row one. Entries in the slack angle's column are dropped.
+    An injection row at bus i holds dS/dV's row i at Y's pattern, angle then
+    magnitude columns, computed at those entries alone; a flow row holds four
+    entries and a voltage row one. Entries in the slack angle's column are
+    dropped.
     """
     # imported here, not at the top: after `import gridse.cli` it takes another
     # 16-22 ms (python -X importtime) and 1.6 MB of peak RSS, which grids
@@ -286,7 +287,7 @@ def _jacobian_csr(mset: MeasurementSet, state: StateVector, network: Network, yb
     entry_row = np.repeat(np.arange(bus.size), count)  # per entry, its row among the injection rows
     k = y_idx[np.arange(entry_row.size) - np.repeat(np.cumsum(count) - count - y_ptr[bus], count)]
     inj_row, inj_coords = np.tile(entry_row, 2), np.concatenate([k, n + k])
-    ds = _ds_dv(state, ybus)[bus[inj_row], inj_coords]
+    ds = np.concatenate(_ds_dv_entries(state, ybus, bus[entry_row], k))
     flow_coords, flow_values = _flow_derivatives(cols, flow_rows, state, network)
     rows = np.concatenate([v_rows, inj_rows[inj_row], np.tile(flow_rows, 4)])
     h_cols = _h_columns(network)[np.concatenate([n + cols.bus[v_rows], inj_coords, flow_coords.ravel()])]

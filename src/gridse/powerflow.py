@@ -91,6 +91,22 @@ def _ds_dv(state: StateVector, ybus: np.ndarray) -> np.ndarray:
     return ds
 
 
+def _ds_dv_entries(state: StateVector, ybus: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """_ds_dv's entries at [rows, cols] and [rows, n + cols], computed there
+    alone: two complex arrays. Each entry takes the same float operations as
+    in _ds_dv, so the two agree bit for bit, in O(entries) instead of O(n^2)."""
+    vn = np.exp(1j * state.angles)
+    v = state.magnitudes * vn
+    i_bus = ybus @ v
+    y = ybus[rows, cols]
+    d_theta = (-1j * v)[rows] * np.conj(y * v[cols])
+    d_vm = v[rows] * np.conj(y * vn[cols])
+    diag = rows == cols
+    d_theta[diag] += (1j * v * np.conj(i_bus))[rows[diag]]
+    d_vm[diag] += (np.conj(i_bus) * vn)[rows[diag]]
+    return d_theta, d_vm
+
+
 def injection_jacobian(state: StateVector, ybus: np.ndarray) -> np.ndarray:
     """d[P; Q]/d[theta; |V|], one 2n x 2n array: the real and imaginary parts
     of the stacked complex dS/dV."""
