@@ -220,16 +220,14 @@ def _h_columns(network: Network) -> np.ndarray:
 
 
 def _flow_derivatives(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, network: Network):
-    """Per flow row, its stacked coordinates theta_i, theta_j, |V_i|, |V_j| and
-    its derivatives along them: two (4, rows) arrays."""
-    n = network.n_buses
+    """Per flow row, its measured-end bus i, its far-end bus j and its
+    derivatives along theta_i, theta_j, |V_i| and |V_j|, in that order."""
     i, j, vi, vj, c, s, g, b, bsh = _flow_terms(cols, rows, state, network)
     is_p = cols.quantity[rows] == _PF
     dth_i = np.where(is_p, vi * vj * (g * s - b * c), -vi * vj * (g * c + b * s))
-    return np.stack([i, j, n + i, n + j]), np.stack([
-        dth_i, -dth_i,
-        np.where(is_p, 2 * vi * g - vj * (g * c + b * s), -2 * vi * (b + bsh) - vj * (g * s - b * c)),
-        np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c))])
+    return i, j, (dth_i, -dth_i,
+                  np.where(is_p, 2 * vi * g - vj * (g * c + b * s), -2 * vi * (b + bsh) - vj * (g * s - b * c)),
+                  np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c)))
 
 
 def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray):
@@ -250,8 +248,9 @@ def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus:
     if inj_rows.size:  # the real part of dS/dV for P rows, the imaginary part for Q rows
         ds = _ds_dv(state, ybus)[cols.bus[inj_rows]]
         h_mat[np.ix_(inj_rows, col)] = np.where((cols.quantity[inj_rows] == _Q)[:, None], ds.imag, ds.real)
-    coords, values = _flow_derivatives(cols, flow_rows, state, network)
-    h_mat[flow_rows, col[coords]] = values
+    i, j, derivatives = _flow_derivatives(cols, flow_rows, state, network)
+    for coordinate, derivative in zip((i, j, n + i, n + j), derivatives):
+        h_mat[flow_rows, col[coordinate]] = derivative
     return h_mat[:, : 2 * n - 1]
 
 
@@ -285,14 +284,15 @@ def _jacobian_csr(mset: MeasurementSet, state: StateVector, network: Network, yb
     bus = cols.bus[inj_rows]
     count = y_ptr[bus + 1] - y_ptr[bus]
     entry_row = np.repeat(np.arange(bus.size), count)  # per entry, its row among the injection rows
+    # per entry, the bus k of its pattern position (bus of its row, k)
     k = y_idx[np.arange(entry_row.size) - np.repeat(np.cumsum(count) - count - y_ptr[bus], count)]
     inj_row, inj_coords = np.tile(entry_row, 2), np.concatenate([k, n + k])
     ds = np.concatenate(_ds_dv_entries(state, ybus, bus[entry_row], k))
-    flow_coords, flow_values = _flow_derivatives(cols, flow_rows, state, network)
+    i, j, derivatives = _flow_derivatives(cols, flow_rows, state, network)
     rows = np.concatenate([v_rows, inj_rows[inj_row], np.tile(flow_rows, 4)])
-    h_cols = _h_columns(network)[np.concatenate([n + cols.bus[v_rows], inj_coords, flow_coords.ravel()])]
+    h_cols = _h_columns(network)[np.concatenate([n + cols.bus[v_rows], inj_coords, i, j, n + i, n + j])]
     is_q = (cols.quantity[inj_rows] == _Q)[inj_row]
-    values = np.concatenate([np.ones(v_rows.size), np.where(is_q, ds.imag, ds.real), flow_values.ravel()])
+    values = np.concatenate([np.ones(v_rows.size), np.where(is_q, ds.imag, ds.real), *derivatives])
     kept = h_cols < 2 * n - 1
     rows, h_cols, values = rows[kept], h_cols[kept], values[kept]
     order = np.argsort(rows, kind="stable")

@@ -16,8 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import meshed_grids
 from gridse.estimator import estimate
-from gridse.measurements import MeasurementColumns, MeasurementSet, evaluate_h, full_measurement_plan, \
-    generate_measurements, jacobian_h
+from gridse.measurements import (
+    MeasurementColumns,
+    MeasurementSet,
+    evaluate_h,
+    full_measurement_plan,
+    generate_measurements,
+    jacobian_h,
+)
 from gridse.network import Branch, build_network
 from gridse.powerflow import StateVector, solve_power_flow
 
