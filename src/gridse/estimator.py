@@ -10,8 +10,8 @@ that iterate's objective and the right-hand side of the next step. A step
 that leaves a non-finite entry or a magnitude <= 0 stops the iteration with
 converged=False at the last physical iterate.
 
-H comes from jacobian_h: dense on small grids, scipy.sparse CSR from
-measurements.SPARSE_MIN_COLUMNS columns up. From CSR the gain is a sparse
+H comes from jacobian_h: dense on small grids, a scipy.sparse.csr_array
+from measurements.SPARSE_MIN_COLUMNS columns up. From CSR the gain is a sparse
 product, densified, so the factorization and every check below see a dense
 gain either way.
 
@@ -88,7 +88,7 @@ def objective_j(mset: MeasurementSet, state: StateVector, network: Network, ybus
 def gain_matrix(h_matrix, sigmas: np.ndarray) -> np.ndarray:
     """G = H^T R^-1 H as a dense array; symmetric positive semidefinite by construction.
 
-    H is a dense array or a scipy.sparse CSR matrix (see jacobian_h); from CSR
+    H is a dense array or a scipy.sparse.csr_array (see jacobian_h); from CSR
     the product is formed sparse and then densified. Symmetry is enforced
     structurally, since the raw matrix product leaves float asymmetry of order
     eps times the (large) entry scale. Weights too large for the product leave
@@ -116,7 +116,7 @@ def _exact_condition(gain: np.ndarray) -> float:
 def solve_normal_equations(h_matrix, sigmas: np.ndarray, residuals: np.ndarray):
     """Solve G dx = H^T R^-1 r via Cholesky; returns (dx, G, condition estimate).
 
-    H is a dense array or a scipy.sparse CSR matrix; G is dense either way.
+    H is a dense array or a scipy.sparse.csr_array; G is dense either way.
 
     The condition estimate is dpocon's 1-norm estimate from the Cholesky
     factor. When it exceeds CONDITION_LIMIT / ESTIMATE_SLACK, or the

@@ -5,14 +5,15 @@ code, bus index, branch index, measured end), values z and standard
 deviations sigma. A plan is a set whose values are NaN. h(x) covers voltage
 magnitude, bus injection and branch flow quantities; h(x) and H(x) are array
 expressions over the set's voltage, injection and flow row groups, derived
-once per set: injection rows gather from the power flow's stacked [P; Q] at
-bus + n for Q and from the complex dS/dV (real part for P, imaginary for Q),
-flow rows are pi-model terms over the network's per-branch arrays. H's
-columns are the coordinates the estimator steps; jacobian_h states their
-layout. H is a dense array below SPARSE_MIN_COLUMNS columns and a
-scipy.sparse CSR matrix from there up, where it is a few percent non-zero
-(2.1% on a 112-bus mesh); the constant's comment gives the measured
-crossover.
+once per set: injection rows of h gather from the power flow's stacked
+[P; Q] at bus + n for Q, those of H are the complex dS/dV at Y's pattern
+(real part for P, imaginary for Q), flow rows are pi-model terms over the
+network's per-branch arrays. H's columns are the coordinates the estimator
+steps; jacobian_h states their layout. H is built once as (row, column,
+value) entries and stored as a dense array below SPARSE_MIN_COLUMNS columns
+and as a scipy.sparse.csr_array from there up, where it is a few percent
+non-zero (2.1% on a 112-bus mesh); the constant's comment gives the
+measured crossover.
 
 Synthetic measurements are drawn from independent per-measurement PCG64
 streams keyed by (seed, measurement index), so generation is a pure function
@@ -32,7 +33,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .network import Network
-from .powerflow import StateVector, _ds_dv, _ds_dv_entries, calc_injections
+from .powerflow import StateVector, _ds_dv_entries, calc_injections
 
 V_MAG = "v_mag"
 P_INJ = "p_inj"
@@ -47,7 +48,7 @@ DEFAULT_SIGMA_V = 0.004
 DEFAULT_SIGMA_INJ = 0.01
 DEFAULT_SIGMA_FLOW = 0.008
 
-# jacobian_h returns H as a scipy.sparse CSR matrix from this many columns
+# jacobian_h returns H as a scipy.sparse.csr_array from this many columns
 # (2n - 1, so from 51 buses) up and as a dense array below. Dense vs CSR H
 # plus gain on the full plan, median of 41 calls on tiled IEEE-14 grids, one
 # BLAS thread, 2-core VM: 0.22 vs 0.62 ms at 28 buses (55 columns), 0.50 vs
@@ -182,17 +183,22 @@ def _check_bus_count(state: StateVector, network: Network, name: str) -> None:
         raise ValueError(f"{name} has {state.n_buses} buses, the network has {network.n_buses}")
 
 
-def _flow_terms(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, network: Network):
-    """Per flow row: measured-end bus i, far-end bus j, V_i, V_j, cos and sin
-    of theta_i - theta_j, and the branch's g, b and b_sh."""
+def _flow_ends(cols: MeasurementColumns, rows: np.ndarray, network: Network):
+    """Per flow row: its branch k, measured-end bus i and far-end bus j."""
     br = network.branch_arrays
     k = cols.branch[rows]
     to_end = cols.to_end[rows]
-    i = np.where(to_end, br.to_idx[k], br.from_idx[k])
-    j = np.where(to_end, br.from_idx[k], br.to_idx[k])
+    return k, np.where(to_end, br.to_idx[k], br.from_idx[k]), np.where(to_end, br.from_idx[k], br.to_idx[k])
+
+
+def _flow_terms(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, network: Network):
+    """Per flow row: V_i, V_j at its measured-end bus i and far-end bus j, cos
+    and sin of theta_i - theta_j, and the branch's g, b and b_sh."""
+    br = network.branch_arrays
+    k, i, j = _flow_ends(cols, rows, network)
     vm, th = state.magnitudes, state.angles
     thij = th[i] - th[j]
-    return i, j, vm[i], vm[j], np.cos(thij), np.sin(thij), br.g[k], br.b[k], br.b_sh[k]
+    return vm[i], vm[j], np.cos(thij), np.sin(thij), br.g[k], br.b[k], br.b_sh[k]
 
 
 def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
@@ -204,100 +210,110 @@ def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus:
     if inj_rows.size:  # position in [P; Q]: the bus, plus n for Q
         stacked = cols.bus[inj_rows] + network.n_buses * (cols.quantity[inj_rows] == _Q)
         h[inj_rows] = calc_injections(state, ybus)[stacked]
-    _, _, vi, vj, c, s, g, b, bsh = _flow_terms(cols, flow_rows, state, network)
+    vi, vj, c, s, g, b, bsh = _flow_terms(cols, flow_rows, state, network)
     h[flow_rows] = np.where(cols.quantity[flow_rows] == _PF, vi * vi * g - vi * vj * (g * c + b * s),
                             -vi * vi * (b + bsh) - vi * vj * (g * s - b * c))
     return h
 
 
-def _h_columns(network: Network) -> np.ndarray:
-    """H's column of each stacked [theta; |V|] coordinate; the slack angle gets
-    2n - 1, one past H's last column."""
-    n, slack = network.n_buses, network.slack_index
-    col = np.arange(2 * n) - (np.arange(2 * n) > slack)
-    col[slack] = 2 * n - 1
-    return col
-
-
 def _flow_derivatives(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, network: Network):
-    """Per flow row, its measured-end bus i, its far-end bus j and its
-    derivatives along theta_i, theta_j, |V_i| and |V_j|, in that order."""
-    i, j, vi, vj, c, s, g, b, bsh = _flow_terms(cols, rows, state, network)
+    """Per flow row, its derivatives along theta_i, theta_j, |V_i| and |V_j|,
+    in that order, i its measured-end bus and j its far-end bus."""
+    vi, vj, c, s, g, b, bsh = _flow_terms(cols, rows, state, network)
     is_p = cols.quantity[rows] == _PF
     dth_i = np.where(is_p, vi * vj * (g * s - b * c), -vi * vj * (g * c + b * s))
-    return i, j, (dth_i, -dth_i,
-                  np.where(is_p, 2 * vi * g - vj * (g * c + b * s), -2 * vi * (b + bsh) - vj * (g * s - b * c)),
-                  np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c)))
+    return (dth_i, -dth_i,
+            np.where(is_p, 2 * vi * g - vj * (g * c + b * s), -2 * vi * (b + bsh) - vj * (g * s - b * c)),
+            np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c)))
+
+
+class _JacobianLayout(NamedTuple):
+    """Where H's entries of one set on one network sit; no state changes it.
+
+    Entries come in the order of _jacobian_values: one per voltage row, then
+    the injection rows' dS/dtheta and dS/d|V| entries at Y's pattern, then
+    four per flow row. No (row, column) repeats.
+    """
+
+    network: Network       # the network it was derived for
+    rows: np.ndarray       # per entry, its row
+    columns: np.ndarray    # per entry, its column in the (m, 2n) frame; the slack angle's is 2n - 1
+    inj_bus: np.ndarray    # per injection entry pair, its row's bus i ...
+    inj_k: np.ndarray      # ... and its pattern position's bus k
+    is_q: np.ndarray       # per dS entry (both halves), whether its row is a Q injection
+    csr_take: np.ndarray   # the entries outside the slack angle's column, in CSR order
+    csr_indptr: np.ndarray
+
+
+def _jacobian_layout(mset: MeasurementSet, network: Network) -> _JacobianLayout:
+    """The set's layout on `network`, derived on the first call and kept on
+    the set until it is asked for on another network."""
+    layout = mset.__dict__.get("_jacobian_layout")
+    if layout is not None and layout.network is network:
+        return layout
+    cols = mset.columns
+    v_rows, inj_rows, flow_rows = mset._row_groups
+    n = network.n_buses
+    y_ptr, y_idx = network.admittance_pattern
+    bus = cols.bus[inj_rows]
+    count = y_ptr[bus + 1] - y_ptr[bus]
+    entry_row = np.repeat(np.arange(bus.size), count)  # per entry pair, its row among the injection rows
+    k = y_idx[np.arange(entry_row.size) - np.repeat(np.cumsum(count) - count - y_ptr[bus], count)]
+    _, i, j = _flow_ends(cols, flow_rows, network)
+    inj_entry_rows, is_q = inj_rows[entry_row], (cols.quantity[inj_rows] == _Q)[entry_row]
+    rows = np.concatenate([v_rows, inj_entry_rows, inj_entry_rows, flow_rows, flow_rows, flow_rows, flow_rows])
+    # H's column of each stacked [theta; |V|] coordinate; the slack angle gets 2n - 1, one past the last
+    h_col = np.arange(2 * n) - (np.arange(2 * n) > network.slack_index)
+    h_col[network.slack_index] = 2 * n - 1
+    columns = h_col[np.concatenate([n + cols.bus[v_rows], k, n + k, i, j, n + i, n + j])]
+    take = np.flatnonzero(columns < 2 * n - 1)
+    take = take[np.argsort(rows[take], kind="stable")]
+    layout = _JacobianLayout(network, rows, columns, bus[entry_row], k, np.concatenate([is_q, is_q]), take,
+                             np.concatenate([[0], np.cumsum(np.bincount(rows[take], minlength=len(mset)))]))
+    object.__setattr__(mset, "_jacobian_layout", layout)
+    return layout
+
+
+def _jacobian_values(mset: MeasurementSet, layout: _JacobianLayout, state: StateVector, ybus: np.ndarray):
+    """H's entries in the layout's order: 1 for a voltage row, the complex
+    dS/dV's real part for a P row and imaginary part for a Q row, computed at
+    the pattern's entries alone, and the flow rows' pi-model derivatives."""
+    ds = np.concatenate(_ds_dv_entries(state, ybus, layout.inj_bus, layout.inj_k))
+    v_rows, _, flow_rows = mset._row_groups
+    return np.concatenate([np.ones(v_rows.size), np.where(layout.is_q, ds.imag, ds.real),
+                           *_flow_derivatives(mset.columns, flow_rows, state, layout.network)])
 
 
 def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray):
     """Analytic Jacobian of h, shape (m, 2n - 1): its columns are the stacked
     [theta; |V|] coordinates without the slack angle, in order.
 
-    A dense array below SPARSE_MIN_COLUMNS columns, a scipy.sparse CSR matrix
-    from there up; both hold the same values bit for bit.
+    The return type depends on the grid size: below SPARSE_MIN_COLUMNS
+    columns a dense float array (a column slice of a C-ordered (m, 2n)
+    array), from there up a scipy.sparse.csr_array. Both are scattered from
+    the same entries, so they hold the same values bit for bit.
     """
     n = network.n_buses
     if 2 * n - 1 >= SPARSE_MIN_COLUMNS:
         return _jacobian_csr(mset, state, network, ybus)
-    cols = mset.columns
-    v_rows, inj_rows, flow_rows = mset._row_groups
-    col = _h_columns(network)
+    layout = _jacobian_layout(mset, network)
     h_mat = np.zeros((len(mset), 2 * n))
-    h_mat[v_rows, col[n + cols.bus[v_rows]]] = 1.0
-    if inj_rows.size:  # the real part of dS/dV for P rows, the imaginary part for Q rows
-        ds = _ds_dv(state, ybus)[cols.bus[inj_rows]]
-        h_mat[np.ix_(inj_rows, col)] = np.where((cols.quantity[inj_rows] == _Q)[:, None], ds.imag, ds.real)
-    i, j, derivatives = _flow_derivatives(cols, flow_rows, state, network)
-    for coordinate, derivative in zip((i, j, n + i, n + j), derivatives):
-        h_mat[flow_rows, col[coordinate]] = derivative
+    h_mat[layout.rows, layout.columns] = _jacobian_values(mset, layout, state, ybus)
     return h_mat[:, : 2 * n - 1]
 
 
-def _admittance_pattern(network: Network) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of Y's structure: both ends of every branch and
-    every diagonal. A Y_ii that cancels to exactly 0 keeps its place, since
-    dS_i/dtheta_i does not vanish with it."""
-    n = network.n_buses
-    br = network.branch_arrays
-    keys = np.unique(np.concatenate([br.from_idx * n + br.to_idx, br.to_idx * n + br.from_idx,
-                                     np.arange(n) * (n + 1)]))
-    return np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))]), keys % n
-
-
 def _jacobian_csr(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray):
-    """jacobian_h as a scipy.sparse CSR matrix, with the dense path's values.
-
-    An injection row at bus i holds dS/dV's row i at Y's pattern, angle then
-    magnitude columns, computed at those entries alone; a flow row holds four
-    entries and a voltage row one. Entries in the slack angle's column are
-    dropped.
-    """
+    """jacobian_h as a scipy.sparse.csr_array, for any grid size; the entries
+    in the slack angle's column are dropped."""
     # imported here, not at the top: after `import gridse.cli` it takes another
     # 16-22 ms (python -X importtime) and 1.6 MB of peak RSS, which grids
     # below SPARSE_MIN_COLUMNS never need
     import scipy.sparse
-    cols = mset.columns
-    v_rows, inj_rows, flow_rows = mset._row_groups
-    n, m = network.n_buses, len(mset)
-    y_ptr, y_idx = _admittance_pattern(network)
-    bus = cols.bus[inj_rows]
-    count = y_ptr[bus + 1] - y_ptr[bus]
-    entry_row = np.repeat(np.arange(bus.size), count)  # per entry, its row among the injection rows
-    # per entry, the bus k of its pattern position (bus of its row, k)
-    k = y_idx[np.arange(entry_row.size) - np.repeat(np.cumsum(count) - count - y_ptr[bus], count)]
-    inj_row, inj_coords = np.tile(entry_row, 2), np.concatenate([k, n + k])
-    ds = np.concatenate(_ds_dv_entries(state, ybus, bus[entry_row], k))
-    i, j, derivatives = _flow_derivatives(cols, flow_rows, state, network)
-    rows = np.concatenate([v_rows, inj_rows[inj_row], np.tile(flow_rows, 4)])
-    h_cols = _h_columns(network)[np.concatenate([n + cols.bus[v_rows], inj_coords, i, j, n + i, n + j])]
-    is_q = (cols.quantity[inj_rows] == _Q)[inj_row]
-    values = np.concatenate([np.ones(v_rows.size), np.where(is_q, ds.imag, ds.real), *derivatives])
-    kept = h_cols < 2 * n - 1
-    rows, h_cols, values = rows[kept], h_cols[kept], values[kept]
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
-    return scipy.sparse.csr_matrix((values[order], h_cols[order], indptr), shape=(m, 2 * n - 1))
+    layout = _jacobian_layout(mset, network)
+    take = layout.csr_take
+    values = _jacobian_values(mset, layout, state, ybus)[take]
+    return scipy.sparse.csr_array((values, layout.columns[take], layout.csr_indptr.copy()),
+                                  shape=(len(mset), 2 * network.n_buses - 1))
 
 
 def generate_measurements(

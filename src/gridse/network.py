@@ -143,6 +143,18 @@ class Network:
         """0-based indices of the PQ buses, ascending."""
         return _read_only(np.flatnonzero(self.kinds == BusKind.PQ), np.intp)
 
+    @cached_property
+    def admittance_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (indptr, indices) of Y's structure: both ends of every branch and
+        every diagonal, from the branch list rather than Y's values, so a Y_ii
+        that cancels to exactly 0 keeps its place."""
+        n = self.n_buses
+        br = self.branch_arrays
+        keys = np.unique(np.concatenate([br.from_idx * n + br.to_idx, br.to_idx * n + br.from_idx,
+                                         np.arange(n) * (n + 1)]))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        return _read_only(indptr, np.intp), _read_only(keys % n, np.intp)
+
 
 def _read_only(values, dtype) -> np.ndarray:
     a = np.array(values, dtype=dtype)

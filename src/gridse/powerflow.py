@@ -72,9 +72,10 @@ def calc_injections(state: StateVector, ybus: np.ndarray) -> np.ndarray:
     return np.concatenate([s.real, s.imag])
 
 
-def _ds_dv(state: StateVector, ybus: np.ndarray) -> np.ndarray:
-    """MATPOWER's stacked complex [dS/dtheta, dS/d|V|], one n x 2n array, with
-    I = Y V, dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)) and
+def injection_jacobian(state: StateVector, ybus: np.ndarray) -> np.ndarray:
+    """d[P; Q]/d[theta; |V|], one 2n x 2n array: the real and imaginary parts of
+    MATPOWER's stacked complex [dS/dtheta, dS/d|V|], with I = Y V,
+    dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)) and
     dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|),
     evaluated by broadcasting instead of diagonal-matrix products.
     """
@@ -88,13 +89,14 @@ def _ds_dv(state: StateVector, ybus: np.ndarray) -> np.ndarray:
     ds[bus, bus] += 1j * v * np.conj(i_bus)
     np.multiply(v[:, None], np.conj(ybus * vn[None, :]), out=ds[:, n:])
     ds[bus, n + bus] += np.conj(i_bus) * vn
-    return ds
+    return np.concatenate([ds.real, ds.imag])
 
 
 def _ds_dv_entries(state: StateVector, ybus: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """_ds_dv's entries at [rows, cols] and [rows, n + cols], computed there
-    alone: two complex arrays. Each entry takes the same float operations as
-    in _ds_dv, so the two agree bit for bit, in O(entries) instead of O(n^2)."""
+    """The complex dS/dtheta and dS/d|V| of injection_jacobian at [rows, cols],
+    computed there alone: two complex arrays. Each entry takes the same float
+    operations as there, so the two agree bit for bit, in O(entries) instead
+    of O(n^2)."""
     vn = np.exp(1j * state.angles)
     v = state.magnitudes * vn
     i_bus = ybus @ v
@@ -105,13 +107,6 @@ def _ds_dv_entries(state: StateVector, ybus: np.ndarray, rows: np.ndarray, cols:
     d_theta[diag] += (1j * v * np.conj(i_bus))[rows[diag]]
     d_vm[diag] += (np.conj(i_bus) * vn)[rows[diag]]
     return d_theta, d_vm
-
-
-def injection_jacobian(state: StateVector, ybus: np.ndarray) -> np.ndarray:
-    """d[P; Q]/d[theta; |V|], one 2n x 2n array: the real and imaginary parts
-    of the stacked complex dS/dV."""
-    ds = _ds_dv(state, ybus)
-    return np.concatenate([ds.real, ds.imag])
 
 
 def solve_power_flow(

@@ -28,6 +28,7 @@ from gridse.measurements import (
 )
 from gridse.network import Branch, Bus, BusKind, build_network, build_ybus
 from gridse.powerflow import StateVector, calc_injections, flat_start
+from test_measurement_reference import jacobian_h_reference
 
 
 def _two_bus_net(r=0.0, x=0.1):
@@ -217,13 +218,17 @@ def test_jacobian_matches_central_differences_on_random_meshed_networks(case):
 
 
 def assert_csr_equals_dense(mset, state, network):
-    """The CSR builder's H, densified, equals the dense jacobian_h bit for bit."""
+    """The CSR builder's H, densified, and the dense jacobian_h both equal, bit
+    for bit, the per-quantity reference H, whose injection rows are rows of
+    the full dense dS/dV rather than entries at Y's pattern."""
     assert 2 * network.n_buses - 1 < SPARSE_MIN_COLUMNS
+    want = jacobian_h_reference(mset, state, network, network.ybus)
     dense = jacobian_h(mset, state, network, network.ybus)
     assert isinstance(dense, np.ndarray)
+    assert np.array_equal(dense, want)
     got = _jacobian_csr(mset, state, network, network.ybus)
-    assert got.format == "csr" and got.shape == dense.shape
-    assert np.array_equal(got.toarray(), dense)
+    assert got.format == "csr" and got.shape == want.shape
+    assert np.array_equal(got.toarray(), want)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -275,6 +280,27 @@ def test_csr_jacobian_equals_dense_bit_for_bit_on_fixed_cases(ieee14, ieee14_row
         plan = _plan_without(network, (P_FLOW, Q_FLOW))
     for state in (flat_start(network), _random_state(np.random.default_rng(11), network.n_buses, network.slack_index)):
         assert_csr_equals_dense(plan, state, network)
+
+
+def test_jacobian_type_follows_the_grid_size(ieee14, tiled_rows):
+    import scipy.sparse
+    for network, sparse in ((ieee14, False), (build_network(*tiled_rows(4)), True)):
+        assert (2 * network.n_buses - 1 >= SPARSE_MIN_COLUMNS) == sparse
+        h_mat = jacobian_h(full_measurement_plan(network), flat_start(network), network, network.ybus)
+        assert isinstance(h_mat, scipy.sparse.csr_array if sparse else np.ndarray)
+
+
+def test_one_set_on_networks_that_differ_only_in_the_slack(ieee14, ieee14_rows):
+    # the set keeps H's layout for the last network it was used on; the slack
+    # moves H's columns, so a layout kept from the other network would misplace them
+    other = slack_at_bus3(ieee14_rows)
+    plan = full_measurement_plan(ieee14)
+    state = _random_state(np.random.default_rng(5), 14)
+    for network in (ieee14, other, ieee14, other):
+        for build in (jacobian_h, _jacobian_csr):
+            got = build(plan, state, network, network.ybus)
+            got = got if isinstance(got, np.ndarray) else got.toarray()
+            assert np.array_equal(got, jacobian_h_reference(plan, state, network, network.ybus))
 
 
 def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14_rows):
