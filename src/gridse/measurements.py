@@ -247,7 +247,9 @@ class _JacobianLayout(NamedTuple):
 
 def _jacobian_layout(mset: MeasurementSet, network: Network) -> _JacobianLayout:
     """The set's layout on `network`, derived on the first call and kept on
-    the set until it is asked for on another network."""
+    the set until it is asked for on another network. Threads sharing a set
+    need no lock: each call returns the layout it checked or derived, and the
+    set keeps whichever was stored last."""
     layout = mset.__dict__.get("_jacobian_layout")
     if layout is not None and layout.network is network:
         return layout

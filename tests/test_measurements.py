@@ -1,5 +1,7 @@
 """Measurement functions, analytic Jacobian vs finite differences, metering."""
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -301,6 +303,32 @@ def test_one_set_on_networks_that_differ_only_in_the_slack(ieee14, ieee14_rows):
             got = build(plan, state, network, network.ybus)
             got = got if isinstance(got, np.ndarray) else got.toarray()
             assert np.array_equal(got, jacobian_h_reference(plan, state, network, network.ybus))
+
+
+def test_threads_sharing_one_set_on_two_networks_get_their_own_h(ieee14, ieee14_rows):
+    other = slack_at_bus3(ieee14_rows)
+    plan = full_measurement_plan(ieee14)
+    state = _random_state(np.random.default_rng(6), 14)
+    want = {id(net): jacobian_h_reference(plan, state, net, net.ybus) for net in (ieee14, other)}
+    mismatches = []
+
+    def work(network):
+        for _ in range(200):
+            if not np.array_equal(jacobian_h(plan, state, network, network.ybus), want[id(network)]):
+                mismatches.append(network)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(net,)) for net in (ieee14, other) * 3]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
 
 
 def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14_rows):
