@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
-from .measurements import MeasurementSet, _check_bus_count, check_columns, evaluate_h, jacobian_h
+from .measurements import MeasurementSet, _check_bus_count, _row_model, evaluate_h, jacobian_h
 from .network import Network
 from .powerflow import StateVector, flat_start
 
@@ -151,7 +151,7 @@ def estimate(network: Network, mset: MeasurementSet, start: Optional[StateVector
         raise ValueError(f"measurement set has m={len(mset)} < n={free.size}; state not estimable")
     if not np.all(np.isfinite(mset.values)):
         raise ValueError("measurement values must be finite; an unmetered plan has NaN values")
-    check_columns(mset.columns, network)
+    _row_model(mset, network)  # checks the columns, unless metering derived it on this network
     start = flat_start(network) if start is None else start
     _check_bus_count(start, network, "state")
 

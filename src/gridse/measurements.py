@@ -3,16 +3,16 @@
 A measurement set is one table of read-only arrays: index columns (quantity
 code, bus index, branch index, measured end), values z and standard
 deviations sigma. A plan is a set whose values are NaN. h(x) covers voltage
-magnitude, bus injection and branch flow quantities; h(x) and H(x) are array
-expressions over the set's voltage, injection and flow row groups, derived
-once per set: injection rows of h gather from the power flow's stacked
-[P; Q] at bus + n for Q, those of H are the complex dS/dV at Y's pattern
-(real part for P, imaginary for Q), flow rows are pi-model terms over the
-network's per-branch arrays. H's columns are the coordinates the estimator
-steps; jacobian_h states their layout. H is built once as (row, column,
-value) entries and stored as a dense array below SPARSE_MIN_COLUMNS columns
-and as a scipy.sparse.csr_array from there up, where it is a few percent
-non-zero (2.1% on a 112-bus mesh); the constant's comment gives the
+magnitude, bus injection and branch flow quantities. All that a set's rows
+need from a network is derived once, after check_columns, into a row model
+kept on the set (metering hands its plan's model to the set it returns):
+the row groups, each injection row's position in the power flow's stacked
+[P; Q], each flow row's end buses and branch parameters, and where H's
+entries sit. h(x) and H(x) are array expressions over it; H's injection
+rows gather the power flow's dS/dV entries at Y's pattern (real part for P,
+imaginary for Q). H is stored as a dense array below SPARSE_MIN_COLUMNS
+columns and as a scipy.sparse.csr_array from there up, where it is a few
+percent non-zero (2.1% on a 112-bus mesh); the constant's comment gives the
 measured crossover.
 
 Synthetic measurements are drawn from independent per-measurement PCG64
@@ -24,6 +24,7 @@ uint32 array arithmetic equal to numpy's, instead of once per measurement.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -183,107 +184,104 @@ def _check_bus_count(state: StateVector, network: Network, name: str) -> None:
         raise ValueError(f"{name} has {state.n_buses} buses, the network has {network.n_buses}")
 
 
-def _flow_ends(cols: MeasurementColumns, rows: np.ndarray, network: Network):
-    """Per flow row: its branch k, measured-end bus i and far-end bus j."""
-    br = network.branch_arrays
-    k = cols.branch[rows]
-    to_end = cols.to_end[rows]
-    return k, np.where(to_end, br.to_idx[k], br.from_idx[k]), np.where(to_end, br.from_idx[k], br.to_idx[k])
+class _RowModel(NamedTuple):
+    """Everything about one set's rows on one network that no state changes.
 
-
-def _flow_terms(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, network: Network):
-    """Per flow row: V_i, V_j at its measured-end bus i and far-end bus j, cos
-    and sin of theta_i - theta_j, and the branch's g, b and b_sh."""
-    br = network.branch_arrays
-    k, i, j = _flow_ends(cols, rows, network)
-    vm, th = state.magnitudes, state.angles
-    thij = th[i] - th[j]
-    return vm[i], vm[j], np.cos(thij), np.sin(thij), br.g[k], br.b[k], br.b_sh[k]
-
-
-def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
-    """h(x) for every row of the set, in row order."""
-    cols = mset.columns
-    v_rows, inj_rows, flow_rows = mset._row_groups
-    h = np.empty(len(mset))
-    h[v_rows] = state.magnitudes[cols.bus[v_rows]]
-    if inj_rows.size:  # position in [P; Q]: the bus, plus n for Q
-        stacked = cols.bus[inj_rows] + network.n_buses * (cols.quantity[inj_rows] == _Q)
-        h[inj_rows] = calc_injections(state, ybus)[stacked]
-    vi, vj, c, s, g, b, bsh = _flow_terms(cols, flow_rows, state, network)
-    h[flow_rows] = np.where(cols.quantity[flow_rows] == _PF, vi * vi * g - vi * vj * (g * c + b * s),
-                            -vi * vi * (b + bsh) - vi * vj * (g * s - b * c))
-    return h
-
-
-def _flow_derivatives(cols: MeasurementColumns, rows: np.ndarray, state: StateVector, network: Network):
-    """Per flow row, its derivatives along theta_i, theta_j, |V_i| and |V_j|,
-    in that order, i its measured-end bus and j its far-end bus."""
-    vi, vj, c, s, g, b, bsh = _flow_terms(cols, rows, state, network)
-    is_p = cols.quantity[rows] == _PF
-    dth_i = np.where(is_p, vi * vj * (g * s - b * c), -vi * vj * (g * c + b * s))
-    return (dth_i, -dth_i,
-            np.where(is_p, 2 * vi * g - vj * (g * c + b * s), -2 * vi * (b + bsh) - vj * (g * s - b * c)),
-            np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c)))
-
-
-class _JacobianLayout(NamedTuple):
-    """Where H's entries of one set on one network sit; no state changes it.
-
-    Entries come in the order of _jacobian_values: one per voltage row, then
-    the injection rows' dS/dtheta and dS/d|V| entries at Y's pattern, then
-    four per flow row. No (row, column) repeats.
+    H's entries come in the order of _jacobian_values: one per voltage row,
+    then the injection rows' dS/dtheta and dS/d|V| entries at Y's pattern,
+    then four per flow row. No (row, column) repeats.
     """
 
-    network: Network       # the network it was derived for
-    rows: np.ndarray       # per entry, its row
-    columns: np.ndarray    # per entry, its column in the (m, 2n) frame; the slack angle's is 2n - 1
-    inj_bus: np.ndarray    # per injection entry pair, its row's bus i ...
-    inj_k: np.ndarray      # ... and its pattern position's bus k
-    is_q: np.ndarray       # per dS entry (both halves), whether its row is a Q injection
-    csr_take: np.ndarray   # the entries outside the slack angle's column, in CSR order
+    network: Network          # the network it was derived for
+    groups: tuple             # the set's voltage, injection and flow rows (MeasurementSet._row_groups)
+    v_bus: np.ndarray         # per voltage row, its bus
+    inj_stacked: np.ndarray   # per injection row, its position in [P; Q]: the bus, plus n for Q
+    flow: tuple               # per flow row: measured-end bus i, far-end bus j, g, b and b_sh, is a P flow
+    rows: np.ndarray          # per H entry, its row
+    columns: np.ndarray       # per H entry, its column in the (m, 2n) frame; the slack angle's is 2n - 1
+    inj_pos: np.ndarray       # per injection entry, its position in Re, then Im of the dS entries at Y's pattern
+    csr_take: np.ndarray      # the entries outside the slack angle's column, in CSR order
     csr_indptr: np.ndarray
 
 
-def _jacobian_layout(mset: MeasurementSet, network: Network) -> _JacobianLayout:
-    """The set's layout on `network`, derived on the first call and kept on
-    the set until it is asked for on another network. Threads sharing a set
-    need no lock: each call returns the layout it checked or derived, and the
-    set keeps whichever was stored last."""
-    layout = mset.__dict__.get("_jacobian_layout")
-    if layout is not None and layout.network is network:
-        return layout
+def _row_model(mset: MeasurementSet, network: Network) -> _RowModel:
+    """The set's row model on `network`, derived on the first call, after
+    check_columns passes, and kept on the set until it is asked for on another
+    network. Threads sharing a set need no lock: each call returns the model
+    it checked or derived, and the set keeps whichever was stored last."""
+    model = mset.__dict__.get("_row_model")
+    if model is not None and model.network is network:
+        return model
+    check_columns(mset.columns, network)
     cols = mset.columns
     v_rows, inj_rows, flow_rows = mset._row_groups
-    n = network.n_buses
-    y_ptr, y_idx = network.admittance_pattern
-    bus = cols.bus[inj_rows]
+    n, br = network.n_buses, network.branch_arrays
+    y_rows, y_cols = network.admittance_pattern
+    y_ptr = np.searchsorted(y_rows, np.arange(n + 1))
+    bus = cols.bus[inj_rows]  # an injection row at bus i takes row i of Y's pattern
     count = y_ptr[bus + 1] - y_ptr[bus]
     entry_row = np.repeat(np.arange(bus.size), count)  # per entry pair, its row among the injection rows
-    k = y_idx[np.arange(entry_row.size) - np.repeat(np.cumsum(count) - count - y_ptr[bus], count)]
-    _, i, j = _flow_ends(cols, flow_rows, network)
-    inj_entry_rows, is_q = inj_rows[entry_row], (cols.quantity[inj_rows] == _Q)[entry_row]
-    rows = np.concatenate([v_rows, inj_entry_rows, inj_entry_rows, flow_rows, flow_rows, flow_rows, flow_rows])
+    pos = np.arange(entry_row.size) - np.repeat(np.cumsum(count) - count - y_ptr[bus], count)
+    k, is_q = y_cols[pos], cols.quantity[inj_rows] == _Q
+    branch, to_end = cols.branch[flow_rows], cols.to_end[flow_rows]
+    i = np.where(to_end, br.to_idx[branch], br.from_idx[branch])
+    j = np.where(to_end, br.from_idx[branch], br.to_idx[branch])
+    rows = np.concatenate([v_rows, *[inj_rows[entry_row]] * 2, *[flow_rows] * 4])
     # H's column of each stacked [theta; |V|] coordinate; the slack angle gets 2n - 1, one past the last
     h_col = np.arange(2 * n) - (np.arange(2 * n) > network.slack_index)
     h_col[network.slack_index] = 2 * n - 1
     columns = h_col[np.concatenate([n + cols.bus[v_rows], k, n + k, i, j, n + i, n + j])]
     take = np.flatnonzero(columns < 2 * n - 1)
     take = take[np.argsort(rows[take], kind="stable")]
-    layout = _JacobianLayout(network, rows, columns, bus[entry_row], k, np.concatenate([is_q, is_q]), take,
-                             np.concatenate([[0], np.cumsum(np.bincount(rows[take], minlength=len(mset)))]))
-    object.__setattr__(mset, "_jacobian_layout", layout)
-    return layout
+    inj_pos = np.concatenate([pos, y_rows.size + pos]) + 2 * y_rows.size * np.tile(is_q[entry_row], 2)
+    flow = (i, j, br.g[branch], br.b[branch], br.b_sh[branch], cols.quantity[flow_rows] == _PF)
+    model = _RowModel(network, (v_rows, inj_rows, flow_rows), cols.bus[v_rows], bus + n * is_q, flow,
+                      rows, columns, inj_pos, take,
+                      np.concatenate([[0], np.cumsum(np.bincount(rows[take], minlength=len(mset)))]))
+    object.__setattr__(mset, "_row_model", model)
+    return model
 
 
-def _jacobian_values(mset: MeasurementSet, layout: _JacobianLayout, state: StateVector, ybus: np.ndarray):
-    """H's entries in the layout's order: 1 for a voltage row, the complex
-    dS/dV's real part for a P row and imaginary part for a Q row, computed at
-    the pattern's entries alone, and the flow rows' pi-model derivatives."""
-    ds = np.concatenate(_ds_dv_entries(state, ybus, layout.inj_bus, layout.inj_k))
-    v_rows, _, flow_rows = mset._row_groups
-    return np.concatenate([np.ones(v_rows.size), np.where(layout.is_q, ds.imag, ds.real),
-                           *_flow_derivatives(mset.columns, flow_rows, state, layout.network)])
+def _flow_terms(model: _RowModel, state: StateVector):
+    """Per flow row: V_i, V_j at its measured-end bus i and far-end bus j, cos
+    and sin of theta_i - theta_j, the branch's g, b and b_sh, and whether the
+    row is a P flow."""
+    i, j, g, b, bsh, is_p = model.flow
+    thij = state.angles[i] - state.angles[j]
+    return state.magnitudes[i], state.magnitudes[j], np.cos(thij), np.sin(thij), g, b, bsh, is_p
+
+
+def evaluate_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray) -> np.ndarray:
+    """h(x) for every row of the set, in row order."""
+    model = _row_model(mset, network)
+    v_rows, inj_rows, flow_rows = model.groups
+    h = np.empty(len(mset))
+    h[v_rows] = state.magnitudes[model.v_bus]
+    if inj_rows.size:
+        h[inj_rows] = calc_injections(state, ybus)[model.inj_stacked]
+    vi, vj, c, s, g, b, bsh, is_p = _flow_terms(model, state)
+    h[flow_rows] = np.where(is_p, vi * vi * g - vi * vj * (g * c + b * s),
+                            -vi * vi * (b + bsh) - vi * vj * (g * s - b * c))
+    return h
+
+
+def _flow_derivatives(model: _RowModel, state: StateVector):
+    """Per flow row, its derivatives along theta_i, theta_j, |V_i| and |V_j|,
+    in that order, i its measured-end bus and j its far-end bus."""
+    vi, vj, c, s, g, b, bsh, is_p = _flow_terms(model, state)
+    dth_i = np.where(is_p, vi * vj * (g * s - b * c), -vi * vj * (g * c + b * s))
+    return (dth_i, -dth_i,
+            np.where(is_p, 2 * vi * g - vj * (g * c + b * s), -2 * vi * (b + bsh) - vj * (g * s - b * c)),
+            np.where(is_p, -vi * (g * c + b * s), -vi * (g * s - b * c)))
+
+
+def _jacobian_values(model: _RowModel, state: StateVector, ybus: np.ndarray):
+    """H's entries in the model's order: 1 for a voltage row, the complex
+    dS/dV's real part for a P row and imaginary part for a Q row, gathered
+    from its entries at Y's pattern, and the flow rows' pi-model derivatives."""
+    ds = np.concatenate(_ds_dv_entries(state, ybus, *model.network.admittance_pattern))
+    return np.concatenate([np.ones(model.groups[0].size), np.concatenate([ds.real, ds.imag])[model.inj_pos],
+                           *_flow_derivatives(model, state)])
 
 
 def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus: np.ndarray):
@@ -298,9 +296,9 @@ def jacobian_h(mset: MeasurementSet, state: StateVector, network: Network, ybus:
     n = network.n_buses
     if 2 * n - 1 >= SPARSE_MIN_COLUMNS:
         return _jacobian_csr(mset, state, network, ybus)
-    layout = _jacobian_layout(mset, network)
+    model = _row_model(mset, network)
     h_mat = np.zeros((len(mset), 2 * n))
-    h_mat[layout.rows, layout.columns] = _jacobian_values(mset, layout, state, ybus)
+    h_mat[model.rows, model.columns] = _jacobian_values(model, state, ybus)
     return h_mat[:, : 2 * n - 1]
 
 
@@ -311,10 +309,9 @@ def _jacobian_csr(mset: MeasurementSet, state: StateVector, network: Network, yb
     # 16-22 ms (python -X importtime) and 1.6 MB of peak RSS, which grids
     # below SPARSE_MIN_COLUMNS never need
     import scipy.sparse
-    layout = _jacobian_layout(mset, network)
-    take = layout.csr_take
-    values = _jacobian_values(mset, layout, state, ybus)[take]
-    return scipy.sparse.csr_array((values, layout.columns[take], layout.csr_indptr.copy()),
+    model = _row_model(mset, network)
+    values = _jacobian_values(model, state, ybus)[model.csr_take]
+    return scipy.sparse.csr_array((values, model.columns[model.csr_take], model.csr_indptr.copy()),
                                   shape=(len(mset), 2 * network.n_buses - 1))
 
 
@@ -333,16 +330,27 @@ def generate_measurements(
     With noise=False the values equal h(truth) exactly. The plan's own values
     are ignored.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = _checked_seed(seed)
     _check_bus_count(truth, network, "truth state")
-    check_columns(plan.columns, network)
+    model = _row_model(plan, network)
     values = evaluate_h(plan, truth, network, ybus)
     if noise:
         draws = [Generator(PCG64(_StreamSeed(words))).standard_normal()
                  for words in _stream_state_words(seed, len(plan))]
         values += plan.sigmas * np.array(draws, dtype=float)
-    return MeasurementSet(plan.columns, values, plan.sigmas)
+    metered = MeasurementSet(plan.columns, values, plan.sigmas)
+    object.__setattr__(metered, "_row_model", model)  # same columns, same network
+    return metered
+
+
+def _checked_seed(seed) -> int:
+    """The seed as an int; a ValueError names a seed that is not a non-negative integer."""
+    try:
+        if operator.index(seed) >= 0:
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)

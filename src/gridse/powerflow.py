@@ -3,7 +3,8 @@
 Solves for voltage angles at non-slack buses and magnitudes at PQ buses; PV
 and slack magnitudes are held at their setpoints and the slack angle at zero.
 The converged state is the ground truth used to synthesize measurements and
-to benchmark the estimator.
+to benchmark the estimator. Its Newton Jacobian and the estimator's H take
+MATPOWER's dS/dV from one function, evaluated at Y's pattern alone.
 """
 from __future__ import annotations
 
@@ -72,31 +73,22 @@ def calc_injections(state: StateVector, ybus: np.ndarray) -> np.ndarray:
     return np.concatenate([s.real, s.imag])
 
 
-def injection_jacobian(state: StateVector, ybus: np.ndarray) -> np.ndarray:
+def injection_jacobian(state: StateVector, network: Network) -> np.ndarray:
     """d[P; Q]/d[theta; |V|], one 2n x 2n array: the real and imaginary parts of
-    MATPOWER's stacked complex [dS/dtheta, dS/d|V|], with I = Y V,
-    dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)) and
-    dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|),
-    evaluated by broadcasting instead of diagonal-matrix products.
-    """
-    vn = np.exp(1j * state.angles)
-    v = state.magnitudes * vn
-    i_bus = ybus @ v
-    n = v.shape[0]
-    bus = np.arange(n)
-    ds = np.empty((n, 2 * n), dtype=complex)
-    np.multiply(-1j * v[:, None], np.conj(ybus * v[None, :]), out=ds[:, :n])
-    ds[bus, bus] += 1j * v * np.conj(i_bus)
-    np.multiply(v[:, None], np.conj(ybus * vn[None, :]), out=ds[:, n:])
-    ds[bus, n + bus] += np.conj(i_bus) * vn
+    MATPOWER's stacked complex [dS/dtheta, dS/d|V|], scattered from their
+    entries at Y's pattern; every other entry is 0."""
+    rows, cols = network.admittance_pattern
+    n = network.n_buses
+    ds = np.zeros((n, 2 * n), dtype=complex)
+    ds[rows, cols], ds[rows, n + cols] = _ds_dv_entries(state, network.ybus, rows, cols)
     return np.concatenate([ds.real, ds.imag])
 
 
 def _ds_dv_entries(state: StateVector, ybus: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """The complex dS/dtheta and dS/d|V| of injection_jacobian at [rows, cols],
-    computed there alone: two complex arrays. Each entry takes the same float
-    operations as there, so the two agree bit for bit, in O(entries) instead
-    of O(n^2)."""
+    """MATPOWER's complex dS/dtheta and dS/d|V| at the entries [rows, cols]
+    alone, with I = Y V: dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)) and
+    dS/d|V| = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|). The
+    one dS/dV of both Newton solvers: the power flow's and H's injection rows."""
     vn = np.exp(1j * state.angles)
     v = state.magnitudes * vn
     i_bus = ybus @ v
@@ -144,7 +136,7 @@ def solve_power_flow(
         mm = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         if mm < tol or iterations > max_iter:
             break
-        jac = injection_jacobian(state, ybus)[np.ix_(free, free)]
+        jac = injection_jacobian(state, network)[np.ix_(free, free)]
         try:
             step = np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:

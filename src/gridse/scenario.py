@@ -30,6 +30,7 @@ from .measurements import (
     MeasurementColumns,
     MeasurementRowError,
     MeasurementSet,
+    _checked_seed,
     full_measurement_plan,
     generate_measurements,
 )
@@ -314,7 +315,7 @@ class SnapshotRecord:
 
 def derive_snapshot_seed(seed: int, snapshot: int) -> int:
     """Deterministic per-snapshot seed from (run seed, snapshot index)."""
-    return int(np.random.SeedSequence([int(seed), int(snapshot)]).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence([_checked_seed(seed), int(snapshot)]).generate_state(1, np.uint64)[0])
 
 
 def run_estimation(network: Network, plan: MeasurementSet, seed: int,
@@ -349,8 +350,7 @@ def run_snapshots(bundle: CaseBundle, load_scale, seed: int) -> tuple:
         raise ValueError("load_scale needs at least one entry")
     if not all(0 < s < math.inf for s in scales):
         raise ValueError(f"load_scale entries must be finite and > 0, got {scales}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = _checked_seed(seed)
     records = []
     previous: Optional[StateVector] = None
     meters = full_measurement_plan(bundle.network)

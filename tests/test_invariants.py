@@ -8,10 +8,17 @@ H(x) up to a permutation of its columns and the estimate must agree within
 with the grid, such as Q injection rows that read the P entries, so h and H
 are also checked against Kirchhoff's current law: each bus's injection row
 equals the sum of the flow rows measured at that bus's end of its branches.
+
+Two more descriptions change the grid's data but not its physics: a branch
+split into two parallel halves (2r, 2x, b_sh/2) leaves Y within round-off
+and the power flow within 1e-12; scaling base_mva and every MW and MVAr
+value by one factor leaves every pu quantity as it was, bit for bit when the
+factor is a power of two.
 """
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import meshed_grids
@@ -26,6 +33,7 @@ from gridse.measurements import (
 )
 from gridse.network import Branch, build_network
 from gridse.powerflow import StateVector, solve_power_flow
+from gridse.scenario import run_estimation
 
 RTOL = 1e-10
 
@@ -146,3 +154,58 @@ def test_relabelled_reordered_reversed_tiled56_agrees(balanced_tiled_rows):
                                                                 rng.uniform(-0.05, 0.05, 56)),
                             magnitudes=pf.state.magnitudes * rng.uniform(0.98, 1.02, 56))
     assert_same_grid(buses, branches, perturbed, rng)
+
+
+def grid_rows(name, ieee14_rows, balanced_tiled_rows):
+    """(buses, branches) of ieee14 or of a balanced 56-bus tile, as lists."""
+    buses, branches = ieee14_rows if name == "ieee14" else balanced_tiled_rows(4)
+    return list(buses), list(branches)
+
+
+@pytest.mark.parametrize("k", [3, -1])
+@pytest.mark.parametrize("name", ["ieee14", "tiled56"])
+def test_a_branch_split_into_parallel_halves_leaves_y_and_the_power_flow(ieee14_rows, balanced_tiled_rows, name, k):
+    buses, branches = grid_rows(name, ieee14_rows, balanced_tiled_rows)
+    k %= len(branches)  # -1: the last branch, in tiled56 a tie line
+    br = branches[k]
+    half = Branch(br.from_bus, br.to_bus, 2 * br.resistance, 2 * br.reactance, br.half_charging / 2)
+    network = build_network(buses, branches)
+    split = build_network(buses, branches[:k] + [half, half] + branches[k + 1:])
+    y = network.ybus
+    assert np.max(np.abs(split.ybus - y)) <= 1e-15 * np.max(np.abs(y))
+    pf, pf_split = solve_power_flow(network), solve_power_flow(split)
+    assert pf.converged and pf_split.converged and pf_split.iterations == pf.iterations
+    assert np.max(np.abs(pf_split.state.angles - pf.state.angles)) <= 1e-12
+    assert np.max(np.abs(pf_split.state.magnitudes - pf.state.magnitudes)) <= 1e-12
+
+
+def scaled_grid(buses, branches, factor):
+    """The grid with base_mva and every MW and MVAr value times `factor`."""
+    scaled = [replace(b, p_gen=b.p_gen * factor, q_gen=b.q_gen * factor, p_load=b.p_load * factor,
+                      q_load=b.q_load * factor) for b in buses]
+    return build_network(scaled, branches, base_mva=100.0 * factor)
+
+
+@pytest.mark.parametrize("name", ["ieee14", "tiled56"])
+def test_scaling_base_mva_and_every_mw_and_mvar_value_leaves_pu_results(ieee14_rows, balanced_tiled_rows, name):
+    buses, branches = grid_rows(name, ieee14_rows, balanced_tiled_rows)
+    network = build_network(buses, branches)
+    assert network.base_mva == 100.0
+    pf = solve_power_flow(network)
+    truth, result = run_estimation(network, full_measurement_plan(network), 7)
+    assert pf.converged and result.converged
+    for factor in (4.0, 3.0):
+        scaled = scaled_grid(buses, branches, factor)
+        pf_scaled = solve_power_flow(scaled)
+        truth_scaled, result_scaled = run_estimation(scaled, full_measurement_plan(scaled), 7)
+        assert (pf_scaled.iterations, result_scaled.iterations) == (pf.iterations, result.iterations)
+        pairs = [(pf_scaled.state.angles, pf.state.angles), (pf_scaled.state.magnitudes, pf.state.magnitudes),
+                 (truth_scaled.angles, truth.angles), (result_scaled.state.angles, result.state.angles),
+                 (result_scaled.state.magnitudes, result.state.magnitudes)]
+        if factor == 4.0:  # a power of two: every quotient by base_mva is exact
+            assert all(np.array_equal(got, want) for got, want in pairs)
+            assert result_scaled.objective_history == result.objective_history
+            assert result_scaled.gain_condition == result.gain_condition
+        else:
+            assert all(np.max(np.abs(got - want)) <= 1e-12 for got, want in pairs)
+            assert abs(result_scaled.objective - result.objective) <= 1e-12 * result.objective

@@ -216,7 +216,7 @@ def test_columnar_h_and_jacobian_match_loop_reference(ieee14, tiled_rows, name):
 def test_broadcast_injection_jacobian_matches_diag_formula(ieee14, tiled_rows, name):
     network, _, state = _case(ieee14, tiled_rows, name)
     ybus = build_ybus(network)
-    jac, n = injection_jacobian(state, ybus), network.n_buses
+    jac, n = injection_jacobian(state, network), network.n_buses
     blocks = jac[:n, :n], jac[:n, n:], jac[n:, :n], jac[n:, n:]
     for got, want in zip(blocks, injection_jacobian_diag(state, ybus)):
         _assert_close(got, want)

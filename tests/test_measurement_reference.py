@@ -194,10 +194,18 @@ def test_h_and_jacobian_match_reference_bit_for_bit(ieee14, ieee14_truth, ieee14
         assert_same_array(got, want)
 
 
-@pytest.mark.parametrize("name", ["ieee14-full-truth", "ieee14-full-perturbed", "tiled56-full", "slack-bus3-full"])
+@pytest.mark.parametrize("name", ["ieee14-full-truth", "ieee14-full-perturbed", "tiled56-full", "slack-bus3-full",
+                                  "zero-diagonal", "parallel-branches"])
 def test_stacked_injections_and_jacobian_equal_four_blocks(ieee14, ieee14_truth, ieee14_rows, tiled_rows, name):
-    network, _, state = case(name, ieee14, ieee14_truth, ieee14_rows, tiled_rows)
+    if name in ("zero-diagonal", "parallel-branches"):
+        # Y_ii = 0 and Y_ij = 0 exactly at places of Y's pattern; imported here, as
+        # test_measurements imports this module
+        from test_measurements import _parallel_branches_net, _zero_diagonal_net
+        network = _zero_diagonal_net() if name == "zero-diagonal" else _parallel_branches_net(ieee14_rows)
+        state = perturbed_state(network)
+    else:
+        network, _, state = case(name, ieee14, ieee14_truth, ieee14_rows, tiled_rows)
     ybus = network.ybus
     assert np.array_equal(calc_injections(state, ybus), np.concatenate(injections_pair(state, ybus)))
     dp_dth, dp_dv, dq_dth, dq_dv = four_block_injection_jacobian(state, ybus)
-    assert np.array_equal(injection_jacobian(state, ybus), np.block([[dp_dth, dp_dv], [dq_dth, dq_dv]]))
+    assert np.array_equal(injection_jacobian(state, network), np.block([[dp_dth, dp_dv], [dq_dth, dq_dv]]))

@@ -30,7 +30,7 @@ from gridse.measurements import (
 )
 from gridse.network import Branch, Bus, BusKind, build_network, build_ybus
 from gridse.powerflow import StateVector, calc_injections, flat_start
-from test_measurement_reference import jacobian_h_reference
+from test_measurement_reference import evaluate_h_reference, jacobian_h_reference
 
 
 def _two_bus_net(r=0.0, x=0.1):
@@ -305,22 +305,50 @@ def test_one_set_on_networks_that_differ_only_in_the_slack(ieee14, ieee14_rows):
             assert np.array_equal(got, jacobian_h_reference(plan, state, network, network.ybus))
 
 
+def _relisted_net(ieee14_rows):
+    # ieee14 with its branch list reordered and its first branch reversed; bus 1 stays the slack
+    buses, branches = ieee14_rows
+    first = branches[0]
+    reversed_first = Branch(first.to_bus, first.from_bus, first.resistance, first.reactance, first.half_charging)
+    order = np.random.default_rng(20).permutation(len(branches) - 1) + 1
+    return build_network(buses, [branches[k] for k in order] + [reversed_first])
+
+
+def test_one_set_on_networks_that_list_the_branches_differently(ieee14, ieee14_rows):
+    # the set keeps each flow row's end buses and branch parameters for the last
+    # network it was used on; kept from the other network, they would put h's
+    # flow rows on other branches
+    other = _relisted_net(ieee14_rows)
+    plan = full_measurement_plan(ieee14)
+    state = _random_state(np.random.default_rng(7), 14)
+    want = {id(net): evaluate_h(full_measurement_plan(net), state, net, net.ybus) for net in (ieee14, other)}
+    assert not np.array_equal(want[id(ieee14)], want[id(other)])
+    for network in (ieee14, other, ieee14, other):
+        assert np.array_equal(evaluate_h(plan, state, network, network.ybus), want[id(network)])
+        got = jacobian_h(plan, state, network, network.ybus)
+        assert np.array_equal(got, jacobian_h_reference(plan, state, network, network.ybus))
+
+
 def test_threads_sharing_one_set_on_two_networks_get_their_own_h(ieee14, ieee14_rows):
-    other = slack_at_bus3(ieee14_rows)
+    other, relisted = slack_at_bus3(ieee14_rows), _relisted_net(ieee14_rows)
     plan = full_measurement_plan(ieee14)
     state = _random_state(np.random.default_rng(6), 14)
-    want = {id(net): jacobian_h_reference(plan, state, net, net.ybus) for net in (ieee14, other)}
+    networks = (ieee14, other, relisted)
+    want = {id(net): (jacobian_h_reference(plan, state, net, net.ybus),
+                      evaluate_h_reference(plan, state, net, net.ybus)) for net in networks}
     mismatches = []
 
     def work(network):
+        want_h_mat, want_h = want[id(network)]
         for _ in range(200):
-            if not np.array_equal(jacobian_h(plan, state, network, network.ybus), want[id(network)]):
+            if not (np.array_equal(jacobian_h(plan, state, network, network.ybus), want_h_mat)
+                    and np.array_equal(evaluate_h(plan, state, network, network.ybus), want_h)):
                 mismatches.append(network)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(net,)) for net in (ieee14, other) * 3]
+        threads = [threading.Thread(target=work, args=(net,)) for net in networks * 2]
         for thread in threads:
             thread.start()
         for thread in threads:

@@ -88,14 +88,14 @@ def test_solution_matches_specified_injections(ieee14, ieee14_rows, ieee14_truth
             assert q[i] == pytest.approx((bus.q_gen - bus.q_load) / ieee14.base_mva, abs=1e-8)
 
 
-def test_injection_jacobian_matches_finite_differences(ieee14_ybus):
+def test_injection_jacobian_matches_finite_differences(ieee14, ieee14_ybus):
     rng = np.random.default_rng(17)
     step = 1e-6
     for _ in range(20):
         ang = rng.uniform(-0.35, 0.35, 14)
         mag = rng.uniform(0.9, 1.1, 14)
         state = StateVector(angles=ang, magnitudes=mag)
-        jac = injection_jacobian(state, ieee14_ybus)
+        jac = injection_jacobian(state, ieee14)
         dp_dth, dp_dv, dq_dth, dq_dv = jac[:14, :14], jac[:14, 14:], jac[14:, :14], jac[14:, 14:]
         for j in range(14):
             for which in ("ang", "mag"):

@@ -53,7 +53,7 @@ def four_block_power_flow(network, tol=1e-8, max_iter=20):
         if mm < tol:
             converged = True
             break
-        jac, n = injection_jacobian(state, ybus), network.n_buses
+        jac, n = injection_jacobian(state, network), network.n_buses
         dp_dth, dp_dv, dq_dth, dq_dv = jac[:n, :n], jac[:n, n:], jac[n:, :n], jac[n:, n:]
         jac = np.block(
             [

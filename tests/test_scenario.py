@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -403,6 +404,43 @@ def test_derived_seeds_differ():
     seeds = {derive_snapshot_seed(9, k) for k in range(10)}
     assert len(seeds) == 10
     assert derive_snapshot_seed(9, 0) == derive_snapshot_seed(9, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "3", None, -1])
+def test_a_seed_that_is_not_a_non_negative_integer_is_named(ieee14_bundle, ieee14_truth, seed):
+    # 1.5 used to run seed 1 in run_snapshots and raise a bare TypeError in run_estimation
+    net = ieee14_bundle.network
+    plan = full_measurement_plan(net)
+    calls = (lambda: run_snapshots(ieee14_bundle, (1.0,), seed), lambda: run_estimation(net, plan, seed),
+             lambda: derive_snapshot_seed(seed, 0),
+             lambda: generate_measurements(ieee14_truth, plan, seed, net, net.ybus))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+            call()
+
+
+@pytest.mark.parametrize("seed, same_as", [(True, 1), (np.int64(3), 3)])
+def test_a_seed_with_an_integer_index_is_that_integer(ieee14_bundle, ieee14_truth, seed, same_as):
+    net = ieee14_bundle.network
+    plan = full_measurement_plan(net)
+    assert derive_snapshot_seed(seed, 2) == derive_snapshot_seed(same_as, 2)
+    assert generate_measurements(ieee14_truth, plan, seed, net, net.ybus) == \
+        generate_measurements(ieee14_truth, plan, same_as, net, net.ybus)
+    (got,), (want,) = run_snapshots(ieee14_bundle, (0.9,), seed), run_snapshots(ieee14_bundle, (0.9,), same_as)
+    assert np.array_equal(got.result.residuals, want.result.residuals)
+
+
+def test_each_estimation_run_checks_the_plan_columns_once(ieee14_bundle, monkeypatch):
+    # metering derives the set's row model, checking the columns, and hands it to
+    # the metered set, so estimate checks them no second time
+    calls = []
+    check = gridse.measurements.check_columns
+    monkeypatch.setattr(gridse.measurements, "check_columns", lambda *args: calls.append(1) or check(*args))
+    net = ieee14_bundle.network
+    run_estimation(net, full_measurement_plan(net), 7)
+    assert len(calls) == 1
+    records = run_snapshots(ieee14_bundle, (1.0, 0.95, 1.05), 7)  # a new network per snapshot
+    assert all(rec.result is not None for rec in records) and len(calls) == 4
 
 
 # ---- report emission --------------------------------------------------------
