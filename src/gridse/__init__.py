@@ -17,6 +17,7 @@ from .network import (
     Network,
     NetworkError,
     NoSlackBus,
+    ParameterError,
     ZeroImpedanceBranch,
     build_network,
     build_ybus,

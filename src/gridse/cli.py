@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from dataclasses import asdict
@@ -32,13 +31,14 @@ from .controller import (
     solve_quadratic_value,
     switching_function,
 )
-from .estimator import SingularGain
+from .estimator import SingularGain, WeightOverflow
 from .measurements import (
     DEFAULT_SIGMA_FLOW,
     DEFAULT_SIGMA_INJ,
     DEFAULT_SIGMA_V,
     full_measurement_plan,
 )
+from .network import ParameterError
 from .powerflow import SingularJacobian, solve_power_flow
 from .scenario import (
     CaseFileError,
@@ -60,7 +60,7 @@ def _write_or_print(text: str, out_path) -> None:
             with open(out_path, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise OSError(f"--out: cannot write {out_path}: {exc.strerror or exc}") from exc
+            raise ParameterError("out", f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -72,42 +72,12 @@ def _write_table(header: list, columns: list, out_path) -> None:
     _write_or_print(_csv_text(header, (map(repr, row) for row in rows)), out_path)
 
 
-def _floats(text: str, flag: str) -> list:
-    """A comma-separated list flag of finite numbers."""
+def _floats(text: str, name: str) -> list:
+    """A comma-separated list flag's numbers; the library checks their range."""
     try:
-        values = [float(s) for s in text.split(",") if s.strip()]
+        return [float(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{flag} values must be finite, got {text!r}")
-    return values
-
-
-def _checked(kind, name: str, rule: str, ok):
-    """An argparse type: `kind` parsed from the flag's text, with ok(value)
-    required; argparse names the flag in front of either message."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{name} must be {rule}, got {text!r}")
-        return value
-    return parse
-
-
-def _non_negative_int(name: str):
-    return _checked(int, name, ">= 0", lambda v: v >= 0)
-
-
-def _positive_int(name: str, high: float = math.inf):
-    rule = ">= 1" if high == math.inf else f"in 1..{high}"
-    return _checked(int, name, rule, lambda v: 1 <= v <= high)
-
-
-def _positive_float(name: str):
-    return _checked(float, name, "finite and > 0", lambda v: 0 < v < math.inf)
+        raise ParameterError(name, str(exc)) from None
 
 
 def _write_summary(summary: dict, out_path) -> None:
@@ -158,11 +128,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_snapshots(args) -> int:
     bundle = load_case(resolve_case_dir(args.case))
-    scales = _floats(args.load_scale, "--load-scale")
-    if not all(s > 0 for s in scales):
-        raise ValueError(f"--load-scale entries must be > 0, got {args.load_scale!r}")
+    scales = _floats(args.load_scale, "load_scale")
     if args.count != len(scales):
-        raise ValueError(f"--count {args.count} does not match the {len(scales)} --load-scale entries")
+        raise ParameterError("count", f"count {args.count} does not match the {len(scales)} load_scale entries")
     records = run_snapshots(bundle, scales, args.seed)
     as_json = args.out is not None and str(args.out).endswith(".json")
     _write_or_print(render_report_json(records) if as_json else render_report_csv(records), args.out)
@@ -193,9 +161,7 @@ def cmd_controller_solve(args) -> int:
 
 def cmd_controller_simulate(args) -> int:
     system, output = load_switched_system(args.config)
-    x0 = _floats(args.x0, "--x0")
-    if len(x0) != system.n:
-        raise ValueError(f"--x0 must have {system.n} entries, got {len(x0)}")
+    x0 = _floats(args.x0, "x0")
     qv = solve_quadratic_value(system)
     sf = switching_function(system, qv)
     sim = simulate(system, x0, args.z0, args.steps, sf, output=output)
@@ -211,14 +177,7 @@ def cmd_controller_simulate(args) -> int:
 
 def cmd_controller_oracle(args) -> int:
     system, _ = load_switched_system(args.config)
-    bounds = _floats(args.box, "--box")
-    if len(bounds) not in (2, 2 * system.n):
-        raise ValueError(f"--box needs LO,HI (or one LO,HI pair per dimension), got {args.box!r}")
-    if not all(lo < hi for lo, hi in zip(bounds[0::2], bounds[1::2])):
-        raise ValueError(f"--box needs LO < HI in every pair, got {args.box!r}")
-    if not (args.resolution >= 2 and args.resolution**system.n <= MAX_GRID_POINTS):
-        raise ValueError(f"--resolution: resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}, "
-                         f"got {args.resolution}**{system.n}")
+    bounds = _floats(args.box, "box")
     oracle = bellman_value_iteration(system, (bounds[0::2], bounds[1::2]), args.resolution)
     _write_table([f"x{i + 1}" for i in range(system.n)] + ["v0", "v1"],
                  [*oracle.points.T, oracle.v0.reshape(-1), oracle.v1.reshape(-1)], args.out)
@@ -242,26 +201,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pf = sub.add_parser("pf", help="solve the power flow for a case")
     p_pf.add_argument("--case", required=True, help="case directory or shipped case name (e.g. ieee14)")
-    p_pf.add_argument("--tol", type=_positive_float("tol"), default=1e-8)
-    p_pf.add_argument("--max-iter", type=_positive_int("max_iter"), default=20)
+    p_pf.add_argument("--tol", type=float, default=1e-8)
+    p_pf.add_argument("--max-iter", type=int, default=20)
     p_pf.add_argument("--out", default=None)
     p_pf.set_defaults(func=cmd_pf)
 
     p_est = sub.add_parser("estimate", help="one seeded estimation run against the power-flow truth")
     p_est.add_argument("--case", required=True)
-    p_est.add_argument("--seed", type=_non_negative_int("seed"), required=True)
-    p_est.add_argument("--sigma-v", type=_positive_float("sigma_v"), default=DEFAULT_SIGMA_V)
-    p_est.add_argument("--sigma-inj", type=_positive_float("sigma_inj"), default=DEFAULT_SIGMA_INJ)
-    p_est.add_argument("--sigma-flow", type=_positive_float("sigma_flow"), default=DEFAULT_SIGMA_FLOW)
+    p_est.add_argument("--seed", type=int, required=True)
+    p_est.add_argument("--sigma-v", type=float, default=DEFAULT_SIGMA_V)
+    p_est.add_argument("--sigma-inj", type=float, default=DEFAULT_SIGMA_INJ)
+    p_est.add_argument("--sigma-flow", type=float, default=DEFAULT_SIGMA_FLOW)
     p_est.add_argument("--noise-off", action="store_true")
     p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=cmd_estimate)
 
     p_snap = sub.add_parser("snapshots", help="multi-snapshot run with one-snapshot memory")
     p_snap.add_argument("--case", required=True)
-    p_snap.add_argument("--count", type=_positive_int("count"), required=True)
+    p_snap.add_argument("--count", type=int, required=True)
     p_snap.add_argument("--load-scale", required=True, help="comma-separated multiplier per snapshot")
-    p_snap.add_argument("--seed", type=_non_negative_int("seed"), required=True)
+    p_snap.add_argument("--seed", type=int, required=True)
     p_snap.add_argument("--out", default=None, help="report path; .json extension selects JSON")
     p_snap.set_defaults(func=cmd_snapshots)
 
@@ -275,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = ctl_sub.add_parser("simulate", help="closed-loop rollout under the hysteresis policy")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--steps", type=_positive_int("steps", MAX_STEPS), required=True,
+    p_sim.add_argument("--steps", type=int, required=True,
                        help=f"rollout length, 1..{MAX_STEPS}")
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
     p_sim.add_argument("--z0", type=int, choices=(0, 1), required=True)
@@ -323,15 +282,11 @@ def cli_dispatch(argv) -> int:
     except (LyapunovResidual, MaxSweepsExceeded, NonAffineResidual, TruthNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        CaseFileError,
-        SingularGain,
-        SingularJacobian,
-        UnstableSystem,
-        SingularP,
-        ValueError,
-        OSError,
-    ) as exc:
+    except ParameterError as exc:  # named by its flag when a flag set it
+        flag = f"--{exc.parameter.replace('_', '-')}: " if exc.parameter in vars(args) else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
+        return 2
+    except (CaseFileError, WeightOverflow, SingularGain, SingularJacobian, UnstableSystem, SingularP) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

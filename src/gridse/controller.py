@@ -20,6 +20,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
+from .network import ParameterError
+
 
 MAX_STEPS = 1_000_000        # rollout length cap, checked before allocating (n + 2 numbers a step)
 SWEEP_TOL = 1e-8             # oracle sweeps stop once one changes V by less than this (sup norm)
@@ -69,27 +71,28 @@ class SwitchedSystem:
     def __post_init__(self):
         a = _readonly(self.A)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("A must be a square matrix")
+            raise ParameterError("A", "A must be a square matrix")
         n = a.shape[0]
         b = _readonly(np.reshape(self.b, (-1,)))
         q = _readonly(self.Q)
         r = _readonly(np.reshape(self.r, (-1,)))
         if b.shape != (n,):
-            raise ValueError(f"b must have length n = {n}, got shape {b.shape}")
+            raise ParameterError("b", f"b must have length n = {n}, got shape {b.shape}")
         if r.shape != (n,):
-            raise ValueError(f"r must have length n = {n}, got shape {r.shape}")
+            raise ParameterError("r", f"r must have length n = {n}, got shape {r.shape}")
         if q.shape != (n, n):
-            raise ValueError(f"Q must be n x n with n = {n}, got shape {q.shape}")
-        if not all(np.all(np.isfinite(v)) for v in (a, b, q, r, self.alpha, self.beta)):
-            raise ValueError("A, b, Q, r, alpha and beta must be finite")
+            raise ParameterError("Q", f"Q must be n x n with n = {n}, got shape {q.shape}")
+        for name, value in (("A", a), ("b", b), ("Q", q), ("r", r), ("alpha", self.alpha), ("beta", self.beta)):
+            if not np.all(np.isfinite(value)):
+                raise ParameterError(name, "A, b, Q, r, alpha and beta must be finite")
         if not (0 < self.alpha < 1):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+            raise ParameterError("alpha", f"alpha must be in (0, 1), got {self.alpha}")
         if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+            raise ParameterError("beta", f"beta must be >= 0, got {self.beta}")
         if np.max(np.abs(q - q.T)) > 1e-12:
-            raise ValueError("Q must be symmetric")
+            raise ParameterError("Q", "Q must be symmetric")
         if np.min(np.linalg.eigvalsh(q)) < -1e-12:
-            raise ValueError("Q must be positive semidefinite")
+            raise ParameterError("Q", "Q must be positive semidefinite")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "Q", q)
@@ -107,14 +110,14 @@ class SwitchedSystem:
 def discretize(a_continuous, b_continuous, dt: float) -> tuple:
     """Forward-Euler discretization (A, b_d) = (I + a*dt, b*dt)."""
     if not (0 < dt < np.inf):
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
+        raise ParameterError("dt", f"dt must be finite and > 0, got {dt}")
     a = np.atleast_2d(np.asarray(a_continuous, dtype=float))
     b = np.reshape(np.asarray(b_continuous, dtype=float), (-1,))
     n = a.shape[0]
     if a.shape != (n, n):
-        raise ValueError("a must be a square matrix")
+        raise ParameterError("a", "a must be a square matrix")
     if b.shape != (n,):
-        raise ValueError(f"b must have {n} entries, got {b.size}")
+        raise ParameterError("b", f"b must have {n} entries, got {b.size}")
     return np.eye(n) + a * dt, b * dt
 
 
@@ -313,28 +316,34 @@ def bellman_value_iteration(
     stencil, so a sweep is one interpolation; every operation keeps the
     operands and order of separate V0 and V1 sweeps, so the tables and
     residuals are theirs bit for bit. Desk-scale only: n must be 1 or 2.
+    A box whose grid step rounds to 0, or whose stage costs or values
+    overflow, raises ParameterError naming the box.
     """
     n = system.n
     if n > 2:
-        raise ValueError("grid oracle supports only 1- or 2-dimensional systems")
+        raise ParameterError("system", "grid oracle supports only 1- or 2-dimensional systems")
     if not (resolution >= 2 and resolution**n <= MAX_GRID_POINTS):
-        raise ValueError(f"resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}, "
-                         f"got {resolution}**{n}")
+        raise ParameterError("resolution", f"resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}, "
+                                           f"got {resolution}**{n}")
 
     lower = np.reshape(np.asarray(box[0], dtype=float), (-1,))
     upper = np.reshape(np.asarray(box[1], dtype=float), (-1,))
     if lower.shape == (1,) and n > 1:
         lower = np.repeat(lower, n)
         upper = np.repeat(upper, n)
-    if lower.shape != (n,) or upper.shape != (n,) or not np.all((lower < upper) & (upper - lower < np.inf)):
-        raise ValueError("box must provide finite lower < upper bounds per dimension")
-
-    points = _grid_points(lower, upper, resolution)
+    with np.errstate(over="ignore", invalid="ignore"):  # a box too wide for float64 is rejected, here or below
+        if lower.shape != (n,) or upper.shape != (n,) or not np.all((lower < upper) & (upper - lower < np.inf)):
+            raise ParameterError("box", "box must provide finite lower < upper bounds per dimension")
+        points = _grid_points(lower, upper, resolution)
+        d = points - system.r
+        q_vals = np.tile(np.einsum("ij,jk,ik->i", d, system.Q, d), 2)
+        succ = np.concatenate([points @ system.A.T + u * system.b for u in (0, 1)])
+        value_bound = q_vals.max() / (1 - system.alpha)  # every table entry lies in [0, value_bound]
+    if not (np.all((upper - lower) / (resolution - 1) > 0) and np.isfinite(value_bound)
+            and not np.isnan(succ).any()):  # a successor past the box is clamped to it, one at inf too
+        raise ParameterError("box", "box must give a grid step > 0 and finite stage costs and values, "
+                                    f"got {lower.tolist()}..{upper.tolist()}")
     size = points.shape[0]
-    d = points - system.r
-    q_vals = np.tile(np.einsum("ij,jk,ik->i", d, system.Q, d), 2)
-
-    succ = np.concatenate([points @ system.A.T + u * system.b for u in (0, 1)])
     clipped = np.clip(succ, lower, upper)
     clamped = bool(np.any(clipped != succ))
     shift = np.repeat([0, size], size)  # successors under u = 1 read V1, the table's second half
@@ -424,33 +433,38 @@ def _rollout(system: SwitchedSystem, x0, z0: int, steps: int, sf: Optional[Switc
     The loop computes only what the next step depends on: the decision and
     the state recursion, which stays a numpy matvec because its rounding is
     pinned by the 2-d simulate golden. Switches and stage costs are then
-    computed from the stored states and inputs in one batch."""
+    computed from the stored states and inputs in one batch. An x0 that is
+    not n finite numbers, or a rollout whose states or costs leave the float
+    range, raises ParameterError naming x0."""
     if not 1 <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must be in 1..{MAX_STEPS}, got {steps}")
+        raise ParameterError("steps", f"steps must be in 1..{MAX_STEPS}, got {steps}")
     if z0 not in (0, 1):
-        raise ValueError(f"z0 must be 0 or 1, got {z0}")
+        raise ParameterError("z0", f"z0 must be 0 or 1, got {z0}")
     n = system.n
-    x = np.reshape(np.asarray(x0, dtype=float), (n,)).copy()
+    x = np.asarray(x0, dtype=float)
+    if x.size != n or not np.all(np.isfinite(x)):
+        raise ParameterError("x0", f"x0 must hold n = {n} finite numbers, got {x.ravel().tolist()}")
+    x = x.reshape(n).copy()
     z = int(z0)
     states = np.empty((steps, n))
     inputs = np.empty(steps, dtype=int)
     b_u = (system.b * 0, system.b * 1)  # system.b * u, with b * 0's signed zeros
-    for k in range(steps):
-        u = u_const if sf is None else policy_decide(x, z, system, sf)
-        states[k] = x
-        inputs[k] = u
-        x = system.A @ x + b_u[u]
-        z = u
-    switched = inputs != np.concatenate(([z0], inputs[:-1]))
-    costs = _quadratic_forms(states, system.r, system.Q)
-    costs[switched] += system.beta
-    return SimulationResult(
-        states=states,
-        inputs=inputs,
-        stage_costs=costs,
-        discounted_total=float(np.sum(system.alpha ** np.arange(steps) * costs)),
-        switch_count=int(np.count_nonzero(switched)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a total that is not finite
+        for k in range(steps):
+            u = u_const if sf is None else policy_decide(x, z, system, sf)
+            states[k] = x
+            inputs[k] = u
+            x = system.A @ x + b_u[u]
+            z = u
+        switched = inputs != np.concatenate(([z0], inputs[:-1]))
+        costs = _quadratic_forms(states, system.r, system.Q)
+        costs[switched] += system.beta
+        total = float(np.sum(system.alpha ** np.arange(steps) * costs))
+    if not np.isfinite(total):
+        raise ParameterError("x0", f"the rollout from x0 = {states[0].tolist()} leaves the float range "
+                                   f"within {steps} steps")
+    return SimulationResult(states=states, inputs=inputs, stage_costs=costs, discounted_total=total,
+                            switch_count=int(np.count_nonzero(switched)))
 
 
 def simulate(system: SwitchedSystem, x0, z0: int, steps: int, sf: SwitchingFunction,
@@ -466,5 +480,5 @@ def simulate(system: SwitchedSystem, x0, z0: int, steps: int, sf: SwitchingFunct
 def evaluate_constant_policy(system: SwitchedSystem, u_const: int, x0, z0: int, steps: int) -> float:
     """Discounted cost of holding u = u_const."""
     if u_const not in (0, 1):
-        raise ValueError(f"u_const must be 0 or 1, got {u_const}")
+        raise ParameterError("u_const", f"u_const must be 0 or 1, got {u_const}")
     return _rollout(system, x0, z0, steps, None, u_const).discounted_total

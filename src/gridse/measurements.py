@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .network import Network
+from .network import Network, ParameterError
 from .powerflow import StateVector, _ds_dv_entries, calc_injections
 
 V_MAG = "v_mag"
@@ -192,7 +192,7 @@ class _RowModel(NamedTuple):
     then four per flow row. No (row, column) repeats.
     """
 
-    network: Network          # the network it was derived for
+    network: Network          # the network it was derived for; one sharing its kinds and branch_arrays reuses it
     groups: tuple             # the set's voltage, injection and flow rows (MeasurementSet._row_groups)
     v_bus: np.ndarray         # per voltage row, its bus
     inj_stacked: np.ndarray   # per injection row, its position in [P; Q]: the bus, plus n for Q
@@ -206,11 +206,15 @@ class _RowModel(NamedTuple):
 
 def _row_model(mset: MeasurementSet, network: Network) -> _RowModel:
     """The set's row model on `network`, derived on the first call, after
-    check_columns passes, and kept on the set until it is asked for on another
-    network. Threads sharing a set need no lock: each call returns the model
-    it checked or derived, and the set keeps whichever was stored last."""
+    check_columns passes, and kept on the set until it is asked for on a
+    network with other kinds or branch_arrays objects. The model reads
+    nothing else, and a load-scaled copy shares both, so one snapshot run
+    derives it once. Threads sharing a set need no lock: each call returns
+    the model it checked or derived, and the set keeps whichever was stored
+    last."""
     model = mset.__dict__.get("_row_model")
-    if model is not None and model.network is network:
+    if (model is not None and model.network.kinds is network.kinds
+            and model.network.branch_arrays is network.branch_arrays):
         return model
     check_columns(mset.columns, network)
     cols = mset.columns
@@ -344,13 +348,13 @@ def generate_measurements(
 
 
 def _checked_seed(seed) -> int:
-    """The seed as an int; a ValueError names a seed that is not a non-negative integer."""
+    """The seed as an int; a ParameterError names a seed that is not a non-negative integer."""
     try:
         if operator.index(seed) >= 0:
             return operator.index(seed)
     except TypeError:
         pass
-    raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    raise ParameterError("seed", f"seed must be a non-negative integer, got {seed!r}")
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -449,7 +453,7 @@ def full_measurement_plan(
     P from, P to, Q from and Q to: m = n + 2n + 4*branches rows, values NaN."""
     for name, s in (("sigma_v", sigma_v), ("sigma_inj", sigma_inj), ("sigma_flow", sigma_flow)):
         if _weightless(np.float64(s)):
-            raise ValueError(f"{name} must be > 0 with a finite weight 1/{name}**2 > 0, got {s}")
+            raise ParameterError(name, f"{name} must be > 0 with a finite weight 1/{name}**2 > 0, got {s}")
     n, nbr = network.n_buses, network.n_branches
     columns = MeasurementColumns(
         quantity=np.concatenate([np.repeat([_V, _P, _Q], n), np.tile([_PF, _PF, _QF, _QF], nbr)]),

@@ -28,6 +28,14 @@ class NetworkError(ValueError):
         self.row = row
 
 
+class ParameterError(ValueError):
+    """An argument out of its range; `parameter` is the argument's name."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 class DuplicateBusId(NetworkError):
     pass
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BusKind, Network
+from .network import BusKind, Network, ParameterError
 
 
 class SingularJacobian(RuntimeError):
@@ -118,9 +118,9 @@ def solve_power_flow(
     non-convergence the best iterate is returned with converged=False.
     """
     if not (0 < tol < np.inf):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+        raise ParameterError("tol", f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        raise ParameterError("max_iter", f"max_iter must be >= 1, got {max_iter}")
 
     ybus = network.ybus
     n = network.n_buses

@@ -42,6 +42,7 @@ from .network import (
     DisconnectedGraph,
     Network,
     NetworkError,
+    ParameterError,
     build_network,
     with_scaled_loads,
 )
@@ -347,9 +348,9 @@ def run_snapshots(bundle: CaseBundle, load_scale, seed: int) -> tuple:
     """
     scales = tuple(float(s) for s in load_scale)
     if not scales:
-        raise ValueError("load_scale needs at least one entry")
+        raise ParameterError("load_scale", "load_scale needs at least one entry")
     if not all(0 < s < math.inf for s in scales):
-        raise ValueError(f"load_scale entries must be finite and > 0, got {scales}")
+        raise ParameterError("load_scale", f"load_scale entries must be finite and > 0, got {scales}")
     seed = _checked_seed(seed)
     records = []
     previous: Optional[StateVector] = None
@@ -440,11 +441,9 @@ def load_switched_system(path):
             a_mat, b_vec = finite(raw, "A"), finite(raw, "b")
         system = SwitchedSystem(A=a_mat, b=b_vec, alpha=number(raw, "alpha"), beta=number(raw, "beta"),
                                 Q=finite(raw, "Q"), r=finite(raw, "r"))
-    except CaseFileError:
-        raise
-    except (TypeError, ValueError) as exc:  # out of range: "<key> must be ..." names a single key
-        key = str(exc).partition(" must ")[0]
-        raise CaseFileError(path, 0, key if key in raw or key in cont else "-", str(exc)) from exc
+    except ParameterError as exc:
+        key = exc.parameter if exc.parameter in raw or exc.parameter in cont else "-"
+        raise CaseFileError(path, 0, key, str(exc)) from exc
     if "output" not in raw:
         return system, None
     gain = np.reshape(finite(raw, "output"), (-1,))

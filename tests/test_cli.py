@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gridse.cli
 import gridse.controller
 from gridse.cli import _write_table, cli_dispatch
 from gridse.controller import MAX_GRID_POINTS, MAX_STEPS, LyapunovResidual, solve_quadratic_value
@@ -142,7 +144,7 @@ def test_snapshots_scale_count_mismatch(capsys):
         "snapshots", "--case", "ieee14", "--count", "3", "--load-scale", "1.0,0.98", "--seed", "0",
     ])
     assert code == 2
-    assert err == "error: --count 3 does not match the 2 --load-scale entries\n"
+    assert err == "error: --count: count 3 does not match the 2 load_scale entries\n"
     assert out == ""
 
 
@@ -373,8 +375,9 @@ def test_controller_output_gain_of_wrong_length_exits_2(capsys, tmp_path, comman
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.01"])
 def test_estimate_bad_sigma_exits_2(capsys, flag, value):
     code, out, err = run(capsys, ["estimate", "--case", "ieee14", "--seed", "7", flag, value])
+    name = flag[2:].replace("-", "_")
     assert code == 2
-    assert f"{flag[2:].replace('-', '_')} must be finite and > 0" in err
+    assert f"error: {flag}: {name} must be > 0 with a finite weight 1/{name}**2 > 0, got {float(value)}" in err
     assert out == ""
 
 
@@ -383,7 +386,7 @@ def test_estimate_sigma_without_a_finite_weight_exits_2(capsys, flag, value):
     code, out, err = run(capsys, ["estimate", "--case", "ieee14", "--seed", "7", flag, value])
     name = flag[2:].replace("-", "_")
     assert code == 2
-    assert err == f"error: {name} must be > 0 with a finite weight 1/{name}**2 > 0, got {float(value)}\n"
+    assert err == f"error: {flag}: {name} must be > 0 with a finite weight 1/{name}**2 > 0, got {float(value)}\n"
     assert out == ""
 
 
@@ -750,3 +753,96 @@ def test_module_entry_point(tmp_path):
         proc = subprocess.run([sys.executable, "-m", "gridse", *argv], env=env, capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# ---- argv fuzz and the typed catch --------------------------------------------
+
+# a valid invocation of each command; the fuzz replaces one or two flag values
+_FUZZ_BASES = [
+    ["pf", "--case", "ieee14", "--tol", "1e-8", "--max-iter", "20"],
+    ["estimate", "--case", "ieee14", "--seed", "7", "--sigma-v", "0.004", "--sigma-inj", "0.01",
+     "--sigma-flow", "0.008"],
+    ["snapshots", "--case", "ieee14", "--count", "2", "--load-scale", "1.0,0.98", "--seed", "7"],
+    ["controller", "solve", "--config", SCALAR_CONFIG],
+    ["controller", "simulate", "--config", str(CONFIG_2D), "--steps", "20", "--x0", "1.0,-0.5", "--z0", "0"],
+    ["controller", "oracle", "--config", SCALAR_CONFIG, "--box", "-0.5,2.5", "--resolution", "11"],
+]
+_NUMBER_TEXT = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "1", "1.5", "nan", "inf", "-inf", "1e999", "-1e999", "2.2e-309",
+                     "4.4e244", "1e-154", "1e154", "5e-324", "1e308", "-1e308", "abc", "", "1,2", "3"]),
+    st.floats().map(repr),
+    st.integers(-3, 60).map(str),
+)
+_SMALL_INT_TEXT = st.one_of(st.sampled_from(["0", "-1", "1.5", "nan", "abc", "", "2**3"]), st.integers(-3, 40).map(str))
+_FUZZ_VALUES = {
+    "--case": st.sampled_from(["ieee14", "no_such_case", str(CONFIG_2D.parent)]),
+    "--config": st.sampled_from([SCALAR_CONFIG, str(CONFIG_2D), "no_such.json", str(CONFIG_2D.parent)]),
+    "--tol": _NUMBER_TEXT,
+    "--max-iter": st.one_of(_SMALL_INT_TEXT, st.integers(41, 50).map(str)),
+    "--seed": st.one_of(_NUMBER_TEXT, st.integers(-(2**70), 2**70).map(str)),
+    "--sigma-v": _NUMBER_TEXT,
+    "--sigma-inj": _NUMBER_TEXT,
+    "--sigma-flow": _NUMBER_TEXT,
+    "--count": _SMALL_INT_TEXT.filter(lambda t: not t.isdigit() or int(t) <= 4),
+    "--load-scale": st.lists(_NUMBER_TEXT.filter(lambda t: "," not in t), max_size=4).map(",".join),
+    "--steps": st.one_of(_SMALL_INT_TEXT, st.integers(41, 50).map(str)),
+    "--x0": st.lists(_NUMBER_TEXT.filter(lambda t: "," not in t), max_size=3).map(",".join),
+    "--z0": st.sampled_from(["0", "1", "2", "-1", "x"]),
+    "--box": st.lists(_NUMBER_TEXT.filter(lambda t: "," not in t), max_size=5).map(",".join),
+    "--resolution": _SMALL_INT_TEXT,
+}
+# solver and weight failures whose messages name no flag: the inputs are in range, the numbers are not
+_FLAGLESS = re.compile(r"error: (sigma \S+ is too small|gain matrix condition|power-flow Jacobian is singular"
+                       r"|alpha \* rho\(A\)\^2|P is singular)")
+
+
+@st.composite
+def mutated_argv(draw):
+    """A valid invocation with one or two flag values replaced; a snapshots
+    run whose --load-scale changes and --count does not gets the new count."""
+    argv = list(draw(st.sampled_from(_FUZZ_BASES)))
+    positions = [i for i, token in enumerate(argv) if token in _FUZZ_VALUES]
+    for i in draw(st.lists(st.sampled_from(positions), min_size=1, max_size=2, unique=True)):
+        argv[i + 1] = draw(_FUZZ_VALUES[argv[i]])
+        if argv[i] == "--load-scale" and argv[argv.index("--count") + 1] == "2":
+            argv[argv.index("--count") + 1] = str(len([s for s in argv[i + 1].split(",") if s.strip()]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_argv())
+@example(["estimate", "--case", "ieee14", "--seed", "7", "--sigma-inj", "2.2e-309"])  # these two named no flag
+@example(["estimate", "--case", "ieee14", "--seed", "7", "--sigma-flow", "4.4e244"])
+@example(["controller", "simulate", "--config", str(CONFIG_2D), "--steps", "20", "--x0", "1e308,0", "--z0", "0"])
+@example(["controller", "oracle", "--config", SCALAR_CONFIG, "--box", "-1e200,2", "--resolution", "11"])
+@example(["controller", "oracle", "--config", str(CONFIG_2D), "--box", "0,5e-324", "--resolution", "11"])
+@example(["controller", "oracle", "--config", SCALAR_CONFIG, "--box", "inf,inf", "--resolution", "11"])
+def test_mutated_flag_values_exit_0_1_or_2_naming_the_flag(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli_dispatch(argv)  # anything raised here escaped cli_dispatch
+    assert code in (0, 1, 2)
+    if code == 2:
+        named = [t for t in argv if t.startswith("--")] + [argv[argv.index(f) + 1] for f in ("--case", "--config")
+                                                            if f in argv]
+        for line in err.getvalue().splitlines():
+            if "error:" in line:
+                assert any(name in line for name in named) or _FLAGLESS.search(line), (argv, line)
+
+
+def test_bare_value_and_os_errors_escape_cli_dispatch(monkeypatch):
+    # a stray ValueError or OSError from inside a command is a bug, not a usage error
+    for error in (ValueError("deep inside an iterate"), OSError("stdout closed")):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(gridse.cli, "solve_power_flow", fail)
+        with pytest.raises(type(error), match=str(error)):
+            cli_dispatch(["pf", "--case", "ieee14"])
+
+
+def test_oracle_on_a_3d_config_exits_2_without_a_flag(capsys, tmp_path):
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps({"A": np.diag([0.5] * 3).tolist(), "b": [0.1] * 3, "alpha": 0.9, "beta": 0.1,
+                               "Q": np.eye(3).tolist(), "r": [0.0] * 3}))
+    code, out, err = run(capsys, ["controller", "oracle", "--config", str(cfg), "--box", "-1,1", "--resolution", "5"])
+    assert code == 2
+    assert err == "error: grid oracle supports only 1- or 2-dimensional systems\n" and out == ""

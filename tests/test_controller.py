@@ -17,6 +17,7 @@ from gridse.controller import (
     solve_quadratic_value,
     switching_function,
 )
+from gridse.network import ParameterError
 
 # the scalar system used throughout the acceptance checks
 SCALAR = SwitchedSystem(A=[[0.9]], b=[0.2], alpha=0.95, beta=0.1, Q=[[1.0]], r=[1.0])
@@ -384,3 +385,29 @@ def test_constant_policy_costs():
     assert evaluate_constant_policy(system, 0, [1.0], 0, 50) == 0.0
     assert evaluate_constant_policy(system, 1, [1.0], 0, 50) == pytest.approx(0.25)
     assert evaluate_constant_policy(system, 1, [1.0], 1, 50) == 0.0
+
+
+@pytest.mark.parametrize("x0", [[float("nan")], [float("inf")], [0.0, 1.0]])
+def test_rollouts_reject_an_x0_that_is_not_n_finite_numbers(x0):
+    # simulate used to return a nan total with 5 switches, the constant policy inf,
+    # and two entries on the scalar system numpy's bare reshape error
+    sf = switching_function(SCALAR, solve_quadratic_value(SCALAR))
+    for rollout in (lambda: simulate(SCALAR, x0, 0, 5, sf), lambda: evaluate_constant_policy(SCALAR, 1, x0, 0, 5)):
+        with pytest.raises(ParameterError, match=r"^x0 must hold n = 1 finite numbers, got \[") as info:
+            rollout()
+        assert info.value.parameter == "x0"
+
+
+@pytest.mark.parametrize("x0", [[1e308], [1e160]])
+def test_rollout_that_leaves_the_float_range_names_x0(x0):
+    with pytest.raises(ParameterError, match=r"^the rollout from x0 = .* leaves the float range within 5 steps$") as info:
+        evaluate_constant_policy(SCALAR, 0, x0, 0, 5)
+    assert info.value.parameter == "x0"
+
+
+@pytest.mark.parametrize("box", [([-1e200], [2.0]), ([0.0], [5e-324]), ([float("inf")], [float("inf")]),
+                                 ([-1e308], [1e308])])
+def test_oracle_rejects_a_box_too_wide_or_too_narrow_for_float64(box):
+    with pytest.raises(ParameterError, match="^box must") as info:
+        bellman_value_iteration(SCALAR, box, 11)
+    assert info.value.parameter == "box"

@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gridse.measurements import (
     MeasurementSet,
     SPARSE_MIN_COLUMNS,
     _jacobian_csr,
+    _row_model,
     _stream_state_words,
     check_columns,
     evaluate_h,
@@ -28,7 +30,7 @@ from gridse.measurements import (
     generate_measurements,
     jacobian_h,
 )
-from gridse.network import Branch, Bus, BusKind, build_network, build_ybus
+from gridse.network import Branch, Bus, BusKind, build_network, build_ybus, with_scaled_loads
 from gridse.powerflow import StateVector, calc_injections, flat_start
 from test_measurement_reference import evaluate_h_reference, jacobian_h_reference
 
@@ -357,6 +359,22 @@ def test_threads_sharing_one_set_on_two_networks_get_their_own_h(ieee14, ieee14_
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not mismatches
+
+
+def test_a_set_keeps_its_model_only_on_networks_sharing_kinds_and_branch_arrays(ieee14, ieee14_rows):
+    # a load-scaled copy shares both and reuses the model; a copy that shares one
+    # of them alone (other slack, or the relisted branches) gets its own
+    plan = full_measurement_plan(ieee14)
+    assert _row_model(plan, with_scaled_loads(ieee14, 0.9)) is _row_model(plan, ieee14)
+    relisted = _relisted_net(ieee14_rows)
+    other_slack = replace(ieee14, kinds=slack_at_bus3(ieee14_rows).kinds)
+    other_branches = replace(ieee14, branch_arrays=relisted.branch_arrays, ybus=relisted.ybus)
+    state = _random_state(np.random.default_rng(8), 14)
+    for network in (ieee14, other_slack, ieee14, other_branches, ieee14):
+        assert np.array_equal(evaluate_h(plan, state, network, network.ybus),
+                              evaluate_h_reference(plan, state, network, network.ybus))
+        assert np.array_equal(jacobian_h(plan, state, network, network.ybus),
+                              jacobian_h_reference(plan, state, network, network.ybus))
 
 
 def test_injection_rows_reproduce_conductance_pattern_at_flat(ieee14_rows):

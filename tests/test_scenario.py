@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gridse.scenario
 from conftest import measurement_set
+from gridse.controller import SwitchedSystem, bellman_value_iteration, discretize, evaluate_constant_policy
 from gridse.estimator import estimate
 from gridse.measurements import (
     P_FLOW,
@@ -24,7 +25,7 @@ from gridse.measurements import (
     full_measurement_plan,
     generate_measurements,
 )
-from gridse.network import NetworkError, build_ybus, with_scaled_loads
+from gridse.network import NetworkError, ParameterError, build_ybus, with_scaled_loads
 from gridse.powerflow import StateVector, solve_power_flow
 from gridse.scenario import (
     CaseFileError,
@@ -430,6 +431,38 @@ def test_a_seed_with_an_integer_index_is_that_integer(ieee14_bundle, ieee14_trut
     assert np.array_equal(got.result.residuals, want.result.residuals)
 
 
+_SCALAR = dict(A=[[0.9]], b=[0.2], alpha=0.95, beta=0.1, Q=[[1.0]], r=[1.0])
+_SCALAR_SYSTEM = SwitchedSystem(**_SCALAR)
+
+
+@pytest.mark.parametrize("parameter, call", [
+    ("tol", lambda bundle: solve_power_flow(bundle.network, tol=0.0)),
+    ("max_iter", lambda bundle: solve_power_flow(bundle.network, max_iter=0)),
+    ("sigma_flow", lambda bundle: full_measurement_plan(bundle.network, sigma_flow=float("nan"))),
+    ("seed", lambda bundle: run_snapshots(bundle, (1.0,), -1)),
+    ("load_scale", lambda bundle: run_snapshots(bundle, (), 1)),
+    ("load_scale", lambda bundle: run_snapshots(bundle, (1.0, 0.0), 1)),
+    ("A", lambda bundle: SwitchedSystem(**{**_SCALAR, "A": [[0.9, 0.1]]})),
+    ("alpha", lambda bundle: SwitchedSystem(**{**_SCALAR, "alpha": 1.0})),
+    ("beta", lambda bundle: SwitchedSystem(**{**_SCALAR, "beta": float("inf")})),
+    ("Q", lambda bundle: SwitchedSystem(**{**_SCALAR, "Q": [[-1.0]]})),
+    ("dt", lambda bundle: discretize([[-1.0]], [1.0], 0.0)),
+    ("b", lambda bundle: discretize([[-1.0]], [1.0, 2.0], 0.1)),
+    ("system", lambda bundle: bellman_value_iteration(
+        SwitchedSystem(A=np.eye(3) * 0.5, b=np.zeros(3), alpha=0.5, beta=0.0, Q=np.eye(3), r=np.zeros(3)),
+        ([-1.0], [1.0]), 5)),
+    ("resolution", lambda bundle: bellman_value_iteration(_SCALAR_SYSTEM, ([0.0], [1.0]), 1)),
+    ("box", lambda bundle: bellman_value_iteration(_SCALAR_SYSTEM, ([1.0], [0.0]), 11)),
+    ("steps", lambda bundle: evaluate_constant_policy(_SCALAR_SYSTEM, 0, [0.0], 0, 0)),
+    ("z0", lambda bundle: evaluate_constant_policy(_SCALAR_SYSTEM, 0, [0.0], 2, 5)),
+    ("u_const", lambda bundle: evaluate_constant_policy(_SCALAR_SYSTEM, 2, [0.0], 0, 5)),
+])
+def test_an_argument_out_of_range_raises_a_parameter_error_naming_it(ieee14_bundle, parameter, call):
+    with pytest.raises(ParameterError) as info:
+        call(ieee14_bundle)
+    assert info.value.parameter == parameter
+
+
 def test_each_estimation_run_checks_the_plan_columns_once(ieee14_bundle, monkeypatch):
     # metering derives the set's row model, checking the columns, and hands it to
     # the metered set, so estimate checks them no second time
@@ -439,8 +472,9 @@ def test_each_estimation_run_checks_the_plan_columns_once(ieee14_bundle, monkeyp
     net = ieee14_bundle.network
     run_estimation(net, full_measurement_plan(net), 7)
     assert len(calls) == 1
-    records = run_snapshots(ieee14_bundle, (1.0, 0.95, 1.05), 7)  # a new network per snapshot
-    assert all(rec.result is not None for rec in records) and len(calls) == 4
+    # a new network per snapshot, sharing the kinds and branch arrays the model reads: one check per run
+    records = run_snapshots(ieee14_bundle, (1.0, 0.95, 1.05), 7)
+    assert all(rec.result is not None for rec in records) and len(calls) == 2
 
 
 # ---- report emission --------------------------------------------------------
