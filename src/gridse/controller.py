@@ -180,10 +180,9 @@ def solve_quadratic_value(system: SwitchedSystem) -> QuadraticValue:
     is then checked against 1e-10 * max(1, max|P|), or LyapunovResidual.
     """
     rho = system.spectral_radius
-    if system.alpha * rho**2 >= 1:
-        raise UnstableSystem(
-            f"alpha * rho(A)^2 = {system.alpha * rho ** 2:.6f} >= 1; no quadratic fixed point"
-        )
+    growth = system.alpha * (rho * rho)  # a float product overflows to inf, where rho**2 raises OverflowError
+    if growth >= 1:
+        raise UnstableSystem(f"alpha * rho(A)^2 = {growth:.6f} >= 1; no quadratic fixed point")
     a, q, alpha = system.A, system.Q, system.alpha
     p = solve_discrete_lyapunov(np.sqrt(alpha) * a.T, q)
     residual = float(np.max(np.abs(p - q - alpha * a.T @ p @ a)))

@@ -411,3 +411,10 @@ def test_oracle_rejects_a_box_too_wide_or_too_narrow_for_float64(box):
     with pytest.raises(ParameterError, match="^box must") as info:
         bellman_value_iteration(SCALAR, box, 11)
     assert info.value.parameter == "box"
+
+
+def test_a_spectral_radius_whose_square_overflows_is_unstable():
+    # rho**2 on a Python float raised OverflowError, which escaped the CLI as a traceback
+    system = SwitchedSystem(A=[[1e200]], b=[0.2], alpha=0.95, beta=0.1, Q=[[1.0]], r=[1.0])
+    with pytest.raises(UnstableSystem, match=r"^alpha \* rho\(A\)\^2 = inf >= 1"):
+        solve_quadratic_value(system)
