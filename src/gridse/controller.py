@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
-from .network import ParameterError
+from .network import ParameterError, _read_only
 
 
 MAX_STEPS = 1_000_000        # rollout length cap, checked before allocating (n + 2 numbers a step)
@@ -53,12 +53,6 @@ class NoInteriorPoints(ValueError):
     """No oracle grid point lies in the interior third of the box."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class SwitchedSystem:
     A: np.ndarray       # n x n dynamics
@@ -69,13 +63,13 @@ class SwitchedSystem:
     r: np.ndarray       # n reference vector
 
     def __post_init__(self):
-        a = _readonly(self.A)
+        a = _read_only(self.A)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ParameterError("A", "A must be a square matrix")
         n = a.shape[0]
-        b = _readonly(np.reshape(self.b, (-1,)))
-        q = _readonly(self.Q)
-        r = _readonly(np.reshape(self.r, (-1,)))
+        b = _read_only(np.reshape(self.b, (-1,)))
+        q = _read_only(self.Q)
+        r = _read_only(np.reshape(self.r, (-1,)))
         if b.shape != (n,):
             raise ParameterError("b", f"b must have length n = {n}, got shape {b.shape}")
         if r.shape != (n,):
@@ -128,8 +122,8 @@ class QuadraticValue:
     v: float
 
     def __post_init__(self):
-        object.__setattr__(self, "P", _readonly(self.P))
-        object.__setattr__(self, "theta", _readonly(np.reshape(self.theta, (-1,))))
+        object.__setattr__(self, "P", _read_only(self.P))
+        object.__setattr__(self, "theta", _read_only(np.reshape(self.theta, (-1,))))
 
     def evaluate(self, x) -> float:
         return float(_quadratic_forms(np.atleast_2d(x), self.theta, self.P)[0] + self.v)
@@ -153,8 +147,8 @@ class SwitchingFunction:
     max_affine_gap: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", _readonly(np.reshape(self.delta, (-1,))))
-        object.__setattr__(self, "closed_form_delta", _readonly(np.reshape(self.closed_form_delta, (-1,))))
+        object.__setattr__(self, "delta", _read_only(np.reshape(self.delta, (-1,))))
+        object.__setattr__(self, "closed_form_delta", _read_only(np.reshape(self.closed_form_delta, (-1,))))
 
     def evaluate(self, x) -> float:
         return float(self.delta @ np.asarray(x, dtype=float) + self.zeta)
@@ -264,8 +258,8 @@ class GridOracle:
     clamped: bool            # advisory: some successor state left the box
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _readonly(np.reshape(self.lower, (-1,))))
-        object.__setattr__(self, "upper", _readonly(np.reshape(self.upper, (-1,))))
+        object.__setattr__(self, "lower", _read_only(np.reshape(self.lower, (-1,))))
+        object.__setattr__(self, "upper", _read_only(np.reshape(self.upper, (-1,))))
         object.__setattr__(self, "residuals", tuple(self.residuals))
 
     @property

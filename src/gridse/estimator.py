@@ -37,7 +37,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
 from .measurements import MeasurementSet, _check_bus_count, _row_model, evaluate_h, jacobian_h
-from .network import Network
+from .network import Network, _read_only
 from .powerflow import StateVector, flat_start
 
 CONDITION_LIMIT = 1e12  # gain condition above which the state counts as unobservable
@@ -69,9 +69,7 @@ class EstimationResult:
     gain_condition: float
 
     def __post_init__(self):
-        res = np.array(self.residuals, dtype=float)
-        res.setflags(write=False)
-        object.__setattr__(self, "residuals", res)
+        object.__setattr__(self, "residuals", _read_only(self.residuals))
         object.__setattr__(self, "objective_history", tuple(self.objective_history))
 
 

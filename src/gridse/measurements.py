@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .network import Network, ParameterError
+from .network import Network, ParameterError, _read_only
 from .powerflow import StateVector, _ds_dv_entries, calc_injections
 
 V_MAG = "v_mag"
@@ -84,14 +84,6 @@ class MeasurementColumns(NamedTuple):
     to_end: np.ndarray    # flows: 0 measured at the from end, 1 at the to end; -1 for bus quantities
 
 
-def _read_only(x, dtype) -> np.ndarray:
-    a = np.asarray(x, dtype=dtype)
-    if a.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
-
-
 def _weightless(sigmas: np.ndarray) -> np.ndarray:
     """True where a sigma is not > 0 or its weight 1/sigma**2 is not finite and > 0, warning-free."""
     with np.errstate(all="ignore"):
@@ -127,7 +119,7 @@ class MeasurementSet:
 
     def __post_init__(self):
         columns = MeasurementColumns(*map(_index_column, MeasurementColumns._fields, self.columns))
-        values, sigmas = _read_only(self.values, float), _read_only(self.sigmas, float)
+        values, sigmas = _read_only(self.values), _read_only(self.sigmas)
         if values.ndim != 1 or any(a.shape != values.shape for a in (*columns, sigmas)):
             raise ValueError("measurement columns, values and sigmas need one entry per row")
         bad = np.flatnonzero(_weightless(sigmas))

@@ -164,7 +164,12 @@ class Network:
         return tuple(_read_only(index, np.intp) for index in np.nonzero(mask))
 
 
-def _read_only(values, dtype) -> np.ndarray:
+def _read_only(values, dtype=float) -> np.ndarray:
+    """The one way a frozen type stores an array: a read-only ndarray of
+    `dtype` is kept as it is (so a metered set shares its plan's columns);
+    anything else is copied to a new array of `dtype`, which is made read-only."""
+    if type(values) is np.ndarray and values.dtype == dtype and not values.flags.writeable:
+        return values
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
     return a
@@ -226,11 +231,11 @@ def build_network(buses: Sequence[Bus], branches: Sequence[Branch], base_mva: fl
 
     # Python's complex division, once per branch: numpy's rounds differently
     ys = np.array([1.0 / complex(br.resistance, br.reactance) for br in branches], dtype=complex)
-    columns = {name: _read_only([getattr(b, name) for b in buses], float)
+    columns = {name: _read_only([getattr(b, name) for b in buses])
                for name in ("v_setpoint", "p_gen", "q_gen", "p_load", "q_load")}
     branch_arrays = BranchArrays(
-        _read_only(ends[:, 0], np.intp), _read_only(ends[:, 1], np.intp), _read_only(ys.real, float),
-        _read_only(ys.imag, float), _read_only([br.half_charging for br in branches], float))
+        _read_only(ends[:, 0], np.intp), _read_only(ends[:, 1], np.intp), _read_only(ys.real),
+        _read_only(ys.imag), _read_only([br.half_charging for br in branches]))
     network = Network(kinds=kinds, branch_arrays=branch_arrays, base_mva=float(base_mva), ybus=None,
                       **columns)
     return replace(_checked_injections(network), ybus=build_ybus(network))
@@ -290,5 +295,5 @@ def with_scaled_loads(network: Network, scale: float, weights: Optional[dict] = 
             p_load, q_load = network.p_load * w, network.q_load * w
     except FloatingPointError:
         raise NetworkError(f"load scale {scale} overflows the bus loads") from None
-    scaled = replace(network, p_load=_read_only(p_load, float), q_load=_read_only(q_load, float))
+    scaled = replace(network, p_load=_read_only(p_load), q_load=_read_only(q_load))
     return _checked_injections(scaled)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BusKind, Network, ParameterError
+from .network import BusKind, Network, ParameterError, _read_only
 
 
 class SingularJacobian(RuntimeError):
@@ -30,16 +30,13 @@ class StateVector:
     magnitudes: np.ndarray
 
     def __post_init__(self):
-        ang = np.array(self.angles, dtype=float)
-        mag = np.array(self.magnitudes, dtype=float)
+        ang, mag = _read_only(self.angles), _read_only(self.magnitudes)
         if ang.ndim != 1 or mag.shape != ang.shape:
             raise ValueError("angles and magnitudes must be 1-d arrays of equal length")
         if not np.all(np.isfinite(ang)) or not np.all(np.isfinite(mag)):
             raise ValueError("state entries must be finite")
         if not np.all(mag > 0):
             raise ValueError("voltage magnitudes must be > 0")
-        ang.setflags(write=False)
-        mag.setflags(write=False)
         object.__setattr__(self, "angles", ang)
         object.__setattr__(self, "magnitudes", mag)
 
