@@ -102,7 +102,8 @@ class SwitchedSystem:
 
 
 def discretize(a_continuous, b_continuous, dt: float) -> tuple:
-    """Forward-Euler discretization (A, b_d) = (I + a*dt, b*dt)."""
+    """Forward-Euler discretization (A, b_d) = (I + a*dt, b*dt). An a or b
+    that is not finite, or whose product with dt is not, raises ParameterError naming it."""
     if not (0 < dt < np.inf):
         raise ParameterError("dt", f"dt must be finite and > 0, got {dt}")
     a = np.atleast_2d(np.asarray(a_continuous, dtype=float))
@@ -112,7 +113,12 @@ def discretize(a_continuous, b_continuous, dt: float) -> tuple:
         raise ParameterError("a", "a must be a square matrix")
     if b.shape != (n,):
         raise ParameterError("b", f"b must have {n} entries, got {b.size}")
-    return np.eye(n) + a * dt, b * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_d, b_d = np.eye(n) + a * dt, b * dt
+    for name, value in (("a", a_d), ("b", b_d)):
+        if not np.all(np.isfinite(value)):
+            raise ParameterError(name, f"{name} and {name} * dt must be finite, got dt = {dt}")
+    return a_d, b_d
 
 
 @dataclass(frozen=True)
@@ -124,9 +130,6 @@ class QuadraticValue:
     def __post_init__(self):
         object.__setattr__(self, "P", _read_only(self.P))
         object.__setattr__(self, "theta", _read_only(np.reshape(self.theta, (-1,))))
-
-    def evaluate(self, x) -> float:
-        return float(_quadratic_forms(np.atleast_2d(x), self.theta, self.P)[0] + self.v)
 
 
 @dataclass(frozen=True)
@@ -463,11 +466,21 @@ def _rollout(system: SwitchedSystem, x0, z0: int, steps: int, sf: Optional[Switc
 def simulate(system: SwitchedSystem, x0, z0: int, steps: int, sf: SwitchingFunction,
              output=None) -> SimulationResult:
     """Closed-loop rollout under the hysteresis policy; an output row gain adds
-    the scalar y = output . x per step."""
+    the scalar y = output . x per step. A gain that is not n finite numbers
+    raises ParameterError naming output; a y that is not finite, one naming
+    x0, as a rollout that leaves the float range does."""
     sim = _rollout(system, x0, z0, steps, sf)
     if output is None:
         return sim
-    return replace(sim, outputs=sim.states @ np.reshape(np.asarray(output, dtype=float), (-1,)))
+    gain = np.reshape(np.asarray(output, dtype=float), (-1,))
+    if gain.shape != (system.n,) or not np.all(np.isfinite(gain)):
+        raise ParameterError("output", f"output must hold n = {system.n} finite numbers, got {gain.tolist()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = sim.states @ gain
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("x0", f"the output y of the rollout from x0 = {sim.states[0].tolist()} "
+                                   f"leaves the float range within {steps} steps")
+    return replace(sim, outputs=y)
 
 
 def evaluate_constant_policy(system: SwitchedSystem, u_const: int, x0, z0: int, steps: int) -> float:

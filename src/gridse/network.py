@@ -89,8 +89,8 @@ class Bus:
     def __post_init__(self):
         if self.id < 1:
             raise NetworkError(f"bus id must be a positive integer, got {self.id}")
-        if not (self.v_setpoint > 0):
-            raise NetworkError(f"bus {self.id}: v_setpoint must be > 0, got {self.v_setpoint}")
+        if not (0 < self.v_setpoint < math.inf):
+            raise NetworkError(f"bus {self.id}: v_setpoint must be finite and > 0, got {self.v_setpoint}")
         for name in ("p_gen", "q_gen", "p_load", "q_load"):
             if not math.isfinite(getattr(self, name)):
                 raise NetworkError(f"bus {self.id}: {name} must be finite")
@@ -107,6 +107,9 @@ class Branch:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise NetworkError(f"branch {self.from_bus}-{self.to_bus}: endpoints must differ")
+        for name in ("resistance", "reactance", "half_charging"):
+            if not math.isfinite(getattr(self, name)):
+                raise NetworkError(f"branch {self.from_bus}-{self.to_bus}: {name} must be finite")
         if self.resistance < 0:
             raise NetworkError(f"branch {self.from_bus}-{self.to_bus}: resistance must be >= 0")
         if self.reactance == 0:
@@ -168,7 +171,7 @@ def _read_only(values, dtype=float) -> np.ndarray:
     """The one way a frozen type stores an array: a read-only ndarray of
     `dtype` is kept as it is (so a metered set shares its plan's columns);
     anything else is copied to a new array of `dtype`, which is made read-only."""
-    if type(values) is np.ndarray and values.dtype == dtype and not values.flags.writeable:
+    if type(values) is np.ndarray and not values.flags.writeable and values.dtype == dtype:
         return values
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
@@ -192,8 +195,8 @@ def build_network(buses: Sequence[Bus], branches: Sequence[Branch], base_mva: fl
     DanglingBranchEndpoint, DisconnectedGraph, NoSlackBus, MultipleSlackBuses
     or NetworkError (a net injection that overflows in pu), with the row at fault.
     """
-    if not (base_mva > 0):
-        raise NetworkError(f"base_mva must be > 0, got {base_mva}")
+    if not (0 < base_mva < math.inf):
+        raise NetworkError(f"base_mva must be finite and > 0, got {base_mva}")
     if not buses:
         raise NetworkError("network needs at least one bus")
 

@@ -400,6 +400,11 @@ def render_report_json(records) -> str:
     return json.dumps({"rows": report_rows(records)}, indent=2) + "\n"
 
 
+def _holds_bool(value) -> bool:
+    """True for a JSON true or false, alone or anywhere in nested lists: numpy would read it as 1 or 0."""
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def load_switched_system(path):
     """Read a SwitchedSystem and its optional scalar output gain from JSON.
 
@@ -424,7 +429,7 @@ def load_switched_system(path):
             arr = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
             arr = np.array(math.nan)
-        if not np.all(np.isfinite(arr)):
+        if _holds_bool(value) or not np.all(np.isfinite(arr)):
             raise CaseFileError(path, 0, key, f"expected finite numbers, got {value!r}")
         return arr
 

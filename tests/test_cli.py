@@ -300,6 +300,13 @@ def test_controller_non_finite_config_exits_2(capsys, tmp_path, config, command)
     ({**_CONTINUOUS, "continuous": [1.0]}, "continuous", "expected an object"),
     ({**_SCALAR, "r": [0.0, 1.0]}, "r", "r must have length n = 1, got shape (2,)"),
     ({**_SCALAR, "Q": [[1.0, 0.0], [0.0, 1.0]]}, "Q", "Q must be n x n with n = 1, got shape (2, 2)"),
+    ({**_CONTINUOUS, "continuous": {"a": [[1e300]], "b": [1.0], "dt": 1e10}}, "a", "a and a * dt must be finite"),
+    ({**_SCALAR, "beta": True}, "beta", "expected finite numbers, got True"),
+    ({**_SCALAR, "A": [[True]]}, "A", "expected finite numbers, got [[True]]"),
+    ({**_SCALAR, "output": [False]}, "output", "expected finite numbers, got [False]"),
+    ({**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [2.0], "dt": True}}, "dt", "expected finite numbers"),
+    ({**_SCALAR, "Q": [[1.0, 0.0], [0.0, False]], "A": [[0.9, 0.0], [0.0, 0.9]], "b": [0.2, 0.2], "r": [1.0, 1.0]},
+     "Q", "expected finite numbers"),
 ])
 def test_controller_config_out_of_range_names_file_and_key(capsys, tmp_path, config, column, reason):
     cfg = tmp_path / "system.json"
@@ -308,6 +315,16 @@ def test_controller_config_out_of_range_names_file_and_key(capsys, tmp_path, con
     assert code == 2
     assert err.startswith(f"error: {cfg}:0: column '{column}': ") and reason in err
     assert "Traceback" not in err and out == ""
+
+
+def test_controller_simulate_output_that_overflows_exits_2(capsys, tmp_path):
+    # y overflowed with a RuntimeWarning, inf in every y cell and exit 0
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps({**_SCALAR, "output": [1e307]}))
+    code, out, err = run(capsys, ["controller", "simulate", "--config", str(cfg), "--steps", "5", "--x0", "100",
+                                  "--z0", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: --x0: the output y of the rollout from x0 = [100.0] leaves the float range within 5 steps\n"
 
 
 @pytest.mark.parametrize("x0", ["nan", "inf", "1e999"])

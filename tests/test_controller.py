@@ -405,6 +405,36 @@ def test_rollout_that_leaves_the_float_range_names_x0(x0):
     assert info.value.parameter == "x0"
 
 
+def test_an_output_that_leaves_the_float_range_names_x0():
+    # y = 1e307 * x overflowed with a RuntimeWarning and returned inf in every step
+    sf = switching_function(SCALAR, solve_quadratic_value(SCALAR))
+    with pytest.raises(ParameterError, match=r"^the output y of the rollout from x0 = \[100.0\] leaves the float "
+                                             r"range within 5 steps$") as info:
+        simulate(SCALAR, [100.0], 0, 5, sf, output=[1e307])
+    assert info.value.parameter == "x0"
+    assert simulate(SCALAR, [1.0], 0, 5, sf, output=[1e307]).outputs[0] == 1e307
+
+
+@pytest.mark.parametrize("output", [[float("nan")], [float("inf")], [1.0, 2.0]])
+def test_an_output_gain_that_is_not_n_finite_numbers_is_named(output):
+    sf = switching_function(SCALAR, solve_quadratic_value(SCALAR))
+    with pytest.raises(ParameterError, match=r"^output must hold n = 1 finite numbers, got \[") as info:
+        simulate(SCALAR, [1.0], 0, 5, sf, output=output)
+    assert info.value.parameter == "output"
+
+
+@pytest.mark.parametrize("a, b, dt, parameter", [
+    ([[1e300]], [1.0], 1e10, "a"),             # a * dt overflowed with a RuntimeWarning
+    ([[-1.0]], [1e300], 1e10, "b"),
+    ([[float("nan")]], [1.0], 0.1, "a"),
+    ([[-1.0]], [float("inf")], 0.1, "b"),
+])
+def test_discretize_names_an_input_whose_product_with_dt_is_not_finite(a, b, dt, parameter):
+    with pytest.raises(ParameterError, match=rf"^{parameter} and {parameter} \* dt must be finite, got dt = ") as info:
+        discretize(a, b, dt)
+    assert info.value.parameter == parameter
+
+
 @pytest.mark.parametrize("box", [([-1e200], [2.0]), ([0.0], [5e-324]), ([float("inf")], [float("inf")]),
                                  ([-1e308], [1e308])])
 def test_oracle_rejects_a_box_too_wide_or_too_narrow_for_float64(box):

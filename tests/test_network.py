@@ -141,6 +141,30 @@ def test_branch_invariants():
     Branch(1, 2, 0.01, -0.1, 0.0)    # negative reactance allowed
 
 
+def test_bus_needs_a_finite_v_setpoint():
+    # a PV bus at inf made solve_power_flow raise a bare "state entries must be finite"
+    with pytest.raises(NetworkError, match=r"^bus 2: v_setpoint must be finite and > 0, got inf$"):
+        Bus(id=2, kind=BusKind.PV, v_setpoint=float("inf"), p_gen=40.0)
+
+
+@pytest.mark.parametrize("name, values", [
+    ("resistance", (float("nan"), 0.1, 0.0)),  # an all-NaN Y
+    ("resistance", (float("inf"), 0.1, 0.0)),
+    ("reactance", (0.01, float("-inf"), 0.0)),
+    ("half_charging", (0.01, 0.1, float("inf"))),
+])
+def test_branch_needs_finite_r_x_and_b_sh(name, values):
+    with pytest.raises(NetworkError, match=rf"^branch 1-2: {name} must be finite$"):
+        Branch(1, 2, *values)
+
+
+def test_build_network_needs_a_finite_base_mva():
+    # inf divided every injection to 0: the power flow converged and ignored the 30 MW load
+    with pytest.raises(NetworkError, match=r"^base_mva must be finite and > 0, got inf$"):
+        build_network([_slack_bus(), _pq_bus(2, p_load=30.0)], [Branch(1, 2, 0.01, 0.1, 0.0)],
+                      base_mva=float("inf"))
+
+
 # ---- bus columns and net injections ------------------------------------------
 
 def _net_injection_pu(network, i):
@@ -299,3 +323,64 @@ def test_with_scaled_loads(ieee14):
     for scale, weights, named in raising:
         with pytest.raises(NetworkError, match=named):
             with_scaled_loads(ieee14, scale, weights)
+
+
+# ---- one read-only array rule ---------------------------------------------------
+
+def _frozen_types():
+    """(type, keyword arguments, the fields it stores read-only) for every type
+    that stores its arrays through network._read_only; MeasurementSet's
+    `columns` is a tuple of four arrays."""
+    from gridse.controller import GridOracle, QuadraticValue, SwitchedSystem, SwitchingFunction
+    from gridse.estimator import EstimationResult
+    from gridse.measurements import MeasurementColumns, MeasurementSet
+    from gridse.powerflow import StateVector
+
+    state = StateVector(angles=[0.0, -0.1], magnitudes=[1.0, 0.98])
+    return {
+        "MeasurementSet": (MeasurementSet, dict(
+            columns=MeasurementColumns(*np.array([[0, 0, -1, -1], [3, -1, 0, 1]], dtype=np.intp).T),
+            values=np.array([1.0, 0.5]), sigmas=np.array([0.004, 0.008])), ("columns", "values", "sigmas")),
+        "StateVector": (StateVector, dict(angles=np.array([0.0, -0.1]), magnitudes=np.array([1.0, 0.98])),
+                        ("angles", "magnitudes")),
+        "EstimationResult": (EstimationResult, dict(
+            state=state, iterations=1, objective=0.5, objective_history=(0.5,), residuals=np.array([0.1, -0.2]),
+            converged=True, gain_condition=10.0), ("residuals",)),
+        "SwitchedSystem": (SwitchedSystem, dict(
+            A=np.array([[0.9, 0.1], [0.0, 0.8]]), b=np.array([0.1, 0.2]), alpha=0.9, beta=0.1,
+            Q=np.eye(2), r=np.array([1.0, 0.0])), ("A", "b", "Q", "r")),
+        "QuadraticValue": (QuadraticValue, dict(P=np.array([[2.0, 0.5], [0.5, 1.0]]), theta=np.array([0.5, 0.1]),
+                                                v=0.0), ("P", "theta")),
+        "SwitchingFunction": (SwitchingFunction, dict(
+            delta=np.array([0.3, 0.1]), zeta=0.1, closed_form_delta=np.array([0.2, 0.0]), closed_form_zeta=0.0,
+            max_affine_gap=0.0), ("delta", "closed_form_delta")),
+        "GridOracle": (GridOracle, dict(
+            lower=np.array([0.0]), upper=np.array([1.0]), resolution=2, v0=np.zeros(2), v1=np.zeros(2), sweeps=1,
+            residuals=(0.0,), clamped=False), ("lower", "upper")),
+    }
+
+
+def _field_arrays(fields, source):
+    """(name, array) for every array under the named fields of a dict or an object."""
+    for name in fields:
+        value = source[name] if isinstance(source, dict) else getattr(source, name)
+        yield from ((f"{name}[{k}]", a) for k, a in enumerate(value)) if isinstance(value, tuple) else [(name, value)]
+
+
+@pytest.mark.parametrize("name", list(_frozen_types()))
+def test_frozen_types_copy_a_writeable_array_and_keep_a_read_only_one(name):
+    cls, kwargs, fields = _frozen_types()[name]
+    obj = cls(**kwargs)
+    for (key, given), (_, stored) in zip(_field_arrays(fields, kwargs), _field_arrays(fields, obj)):
+        kept = stored.copy()
+        given[...] = 7  # the caller's array changes, the object's does not
+        assert np.array_equal(stored, kept) and not stored.flags.writeable, key
+
+    cls, kwargs, fields = _frozen_types()[name]
+    for _, given in _field_arrays(fields, kwargs):
+        given.setflags(write=False)
+    obj = cls(**kwargs)
+    for (key, given), (_, stored) in zip(_field_arrays(fields, kwargs), _field_arrays(fields, obj)):
+        # kept as it is; np.reshape to 1-d always makes a new view object, of the same array
+        assert stored is given or stored.base is given, key
+        assert not stored.flags.writeable, key
