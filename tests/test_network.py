@@ -1,7 +1,11 @@
-"""Network model: bus-kind inference, validation, columns, admittance construction."""
+"""Network model: bus-kind inference, validation, columns, admittance construction,
+and the read-only array rule that every frozen type stores its arrays by."""
 import numpy as np
 import pytest
 
+from gridse.controller import GridOracle, QuadraticValue, SwitchedSystem, SwitchingFunction
+from gridse.estimator import EstimationResult
+from gridse.measurements import MeasurementColumns, MeasurementSet
 from gridse.network import (
     Branch,
     Bus,
@@ -17,6 +21,7 @@ from gridse.network import (
     build_ybus,
     with_scaled_loads,
 )
+from gridse.powerflow import StateVector
 
 
 def _pq_bus(bus_id, p_load=0.0, q_load=0.0):
@@ -331,11 +336,6 @@ def _frozen_types():
     """(type, keyword arguments, the fields it stores read-only) for every type
     that stores its arrays through network._read_only; MeasurementSet's
     `columns` is a tuple of four arrays."""
-    from gridse.controller import GridOracle, QuadraticValue, SwitchedSystem, SwitchingFunction
-    from gridse.estimator import EstimationResult
-    from gridse.measurements import MeasurementColumns, MeasurementSet
-    from gridse.powerflow import StateVector
-
     state = StateVector(angles=[0.0, -0.1], magnitudes=[1.0, 0.98])
     return {
         "MeasurementSet": (MeasurementSet, dict(
