@@ -56,20 +56,18 @@ class NoInteriorPoints(ValueError):
 @dataclass(frozen=True)
 class SwitchedSystem:
     A: np.ndarray       # n x n dynamics
-    b: np.ndarray       # n input vector, applied when u = 1
+    b: np.ndarray       # (n,) input vector, applied when u = 1
     alpha: float        # discount factor in (0, 1)
     beta: float         # switching cost >= 0
     Q: np.ndarray       # n x n positive semidefinite stage-cost weight
-    r: np.ndarray       # n reference vector
+    r: np.ndarray       # (n,) reference vector
 
     def __post_init__(self):
         a = _read_only(self.A)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ParameterError("A", "A must be a square matrix")
         n = a.shape[0]
-        b = _read_only(np.reshape(self.b, (-1,)))
-        q = _read_only(self.Q)
-        r = _read_only(np.reshape(self.r, (-1,)))
+        b, q, r = _read_only(self.b), _read_only(self.Q), _read_only(self.r)
         if b.shape != (n,):
             raise ParameterError("b", f"b must have length n = {n}, got shape {b.shape}")
         if r.shape != (n,):
@@ -102,17 +100,17 @@ class SwitchedSystem:
 
 
 def discretize(a_continuous, b_continuous, dt: float) -> tuple:
-    """Forward-Euler discretization (A, b_d) = (I + a*dt, b*dt). An a or b
-    that is not finite, or whose product with dt is not, raises ParameterError naming it."""
+    """Forward-Euler discretization (A, b_d) = (I + a*dt, b*dt). An a that is
+    not n x n, a b not of shape (n,), or either one not finite, also times dt,
+    raises ParameterError naming it."""
     if not (0 < dt < np.inf):
         raise ParameterError("dt", f"dt must be finite and > 0, got {dt}")
-    a = np.atleast_2d(np.asarray(a_continuous, dtype=float))
-    b = np.reshape(np.asarray(b_continuous, dtype=float), (-1,))
-    n = a.shape[0]
-    if a.shape != (n, n):
+    a, b = np.asarray(a_continuous, dtype=float), np.asarray(b_continuous, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError("a", "a must be a square matrix")
+    n = a.shape[0]
     if b.shape != (n,):
-        raise ParameterError("b", f"b must have {n} entries, got {b.size}")
+        raise ParameterError("b", f"b must have length n = {n}, got shape {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         a_d, b_d = np.eye(n) + a * dt, b * dt
     for name, value in (("a", a_d), ("b", b_d)):
@@ -129,7 +127,7 @@ class QuadraticValue:
 
     def __post_init__(self):
         object.__setattr__(self, "P", _read_only(self.P))
-        object.__setattr__(self, "theta", _read_only(np.reshape(self.theta, (-1,))))
+        object.__setattr__(self, "theta", _read_only(self.theta))
 
 
 @dataclass(frozen=True)
@@ -150,8 +148,8 @@ class SwitchingFunction:
     max_affine_gap: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", _read_only(np.reshape(self.delta, (-1,))))
-        object.__setattr__(self, "closed_form_delta", _read_only(np.reshape(self.closed_form_delta, (-1,))))
+        object.__setattr__(self, "delta", _read_only(self.delta))
+        object.__setattr__(self, "closed_form_delta", _read_only(self.closed_form_delta))
 
     def evaluate(self, x) -> float:
         return float(self.delta @ np.asarray(x, dtype=float) + self.zeta)
@@ -261,8 +259,8 @@ class GridOracle:
     clamped: bool            # advisory: some successor state left the box
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _read_only(np.reshape(self.lower, (-1,))))
-        object.__setattr__(self, "upper", _read_only(np.reshape(self.upper, (-1,))))
+        object.__setattr__(self, "lower", _read_only(self.lower))
+        object.__setattr__(self, "upper", _read_only(self.upper))
         object.__setattr__(self, "residuals", tuple(self.residuals))
 
     @property
@@ -322,9 +320,9 @@ def bellman_value_iteration(
         raise ParameterError("resolution", f"resolution must be >= 2 with resolution**n <= {MAX_GRID_POINTS}, "
                                            f"got {resolution}**{n}")
 
-    lower = np.reshape(np.asarray(box[0], dtype=float), (-1,))
-    upper = np.reshape(np.asarray(box[1], dtype=float), (-1,))
-    if lower.shape == (1,) and n > 1:
+    lower = np.asarray(box[0], dtype=float)
+    upper = np.asarray(box[1], dtype=float)
+    if lower.shape == (1,) and n > 1:  # one (LO, HI) pair for every dimension
         lower = np.repeat(lower, n)
         upper = np.repeat(upper, n)
     with np.errstate(over="ignore", invalid="ignore"):  # a box too wide for float64 is rejected, here or below
@@ -429,18 +427,17 @@ def _rollout(system: SwitchedSystem, x0, z0: int, steps: int, sf: Optional[Switc
     The loop computes only what the next step depends on: the decision and
     the state recursion, which stays a numpy matvec because its rounding is
     pinned by the 2-d simulate golden. Switches and stage costs are then
-    computed from the stored states and inputs in one batch. An x0 that is
-    not n finite numbers, or a rollout whose states or costs leave the float
-    range, raises ParameterError naming x0."""
+    computed from the stored states and inputs in one batch. An x0 not of
+    shape (n,) or not finite, or a rollout whose states or costs leave the
+    float range, raises ParameterError naming x0."""
     if not 1 <= steps <= MAX_STEPS:
         raise ParameterError("steps", f"steps must be in 1..{MAX_STEPS}, got {steps}")
     if z0 not in (0, 1):
         raise ParameterError("z0", f"z0 must be 0 or 1, got {z0}")
     n = system.n
     x = np.asarray(x0, dtype=float)
-    if x.size != n or not np.all(np.isfinite(x)):
-        raise ParameterError("x0", f"x0 must hold n = {n} finite numbers, got {x.ravel().tolist()}")
-    x = x.reshape(n).copy()
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ParameterError("x0", f"x0 must hold n = {n} finite numbers, got {x.tolist()}")
     z = int(z0)
     states = np.empty((steps, n))
     inputs = np.empty(steps, dtype=int)
@@ -463,18 +460,25 @@ def _rollout(system: SwitchedSystem, x0, z0: int, steps: int, sf: Optional[Switc
                             switch_count=int(np.count_nonzero(switched)))
 
 
+def output_gain(system: SwitchedSystem, output) -> np.ndarray:
+    """The row gain of y = output . x as a read-only array; one that is not n
+    finite numbers in shape (n,) raises ParameterError naming output."""
+    gain = _read_only(output)
+    if gain.shape != (system.n,) or not np.all(np.isfinite(gain)):
+        raise ParameterError("output", f"output must hold n = {system.n} finite numbers, got {gain.tolist()}")
+    return gain
+
+
 def simulate(system: SwitchedSystem, x0, z0: int, steps: int, sf: SwitchingFunction,
              output=None) -> SimulationResult:
-    """Closed-loop rollout under the hysteresis policy; an output row gain adds
-    the scalar y = output . x per step. A gain that is not n finite numbers
-    raises ParameterError naming output; a y that is not finite, one naming
-    x0, as a rollout that leaves the float range does."""
+    """Closed-loop rollout under the hysteresis policy; an output row gain,
+    checked by output_gain, adds the scalar y = output . x per step. A y that
+    is not finite raises ParameterError naming x0, as a rollout that leaves
+    the float range does."""
     sim = _rollout(system, x0, z0, steps, sf)
     if output is None:
         return sim
-    gain = np.reshape(np.asarray(output, dtype=float), (-1,))
-    if gain.shape != (system.n,) or not np.all(np.isfinite(gain)):
-        raise ParameterError("output", f"output must hold n = {system.n} finite numbers, got {gain.tolist()}")
+    gain = output_gain(system, output)
     with np.errstate(over="ignore", invalid="ignore"):
         y = sim.states @ gain
     if not np.all(np.isfinite(y)):

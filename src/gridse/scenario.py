@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controller import SwitchedSystem, discretize
+from .controller import SwitchedSystem, discretize, output_gain
 from .estimator import EstimationResult, estimate
 from .measurements import (
     ENDS,
@@ -225,6 +225,8 @@ def _read_json_object(path: Path, name: str) -> dict:
         value = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CaseFileError(path, exc.lineno, "-", exc.msg) from exc
+    except RecursionError:
+        raise CaseFileError(path, 0, "-", "JSON nested too deeply") from None
     if not isinstance(value, dict):
         raise CaseFileError(path, 1, "-", f"{name} must be a JSON object")
     return value
@@ -400,19 +402,16 @@ def render_report_json(records) -> str:
     return json.dumps({"rows": report_rows(records)}, indent=2) + "\n"
 
 
-def _holds_bool(value) -> bool:
-    """True for a JSON true or false, alone or anywhere in nested lists: numpy would read it as 1 or 0."""
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
-
-
 def load_switched_system(path):
     """Read a SwitchedSystem and its optional scalar output gain from JSON.
 
     The config provides either A and b directly, or a continuous-time model
     {"continuous": {"a": ..., "b": ..., "dt": ...}} that is discretized by
     forward Euler. An optional "output" row gain y = gain . x is returned
-    alongside the system (None without one). Every error is a CaseFileError
-    naming the file, and the key where one key is at fault.
+    alongside the system (None without one). Values must be JSON numbers, one
+    for alpha, beta and dt; the controller types check shape, finiteness and
+    range. Every error is a CaseFileError naming the file, and the key where
+    one key is at fault.
     """
     path = Path(path)
     raw = _read_json_object(path, "config")
@@ -421,37 +420,31 @@ def load_switched_system(path):
     if not isinstance(cont, dict):
         raise CaseFileError(path, 0, "continuous", "expected an object")
 
-    def finite(table: dict, key: str) -> np.ndarray:
+    def numbers(table: dict, key: str) -> np.ndarray:
         if key not in table:
             raise CaseFileError(path, 0, key, "missing config key")
-        value = table[key]
+        items = np.array(table[key], dtype=object)  # a ragged row, or one past numpy's 64 dimensions, stays a list
         try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            arr = np.array(math.nan)
-        if _holds_bool(value) or not np.all(np.isfinite(arr)):
-            raise CaseFileError(path, 0, key, f"expected finite numbers, got {value!r}")
-        return arr
+            if all(type(x) in (int, float) for x in items.ravel()):  # no bool (numpy reads it as 1 or 0) or string
+                return items.astype(float)
+        except OverflowError:  # an int past the float range
+            pass
+        raise CaseFileError(path, 0, key, f"expected finite numbers, got {table[key]!r}")
 
     def number(table: dict, key: str) -> float:
-        arr = finite(table, key)
-        if arr.size != 1:
+        arr = numbers(table, key)
+        if arr.ndim:
             raise CaseFileError(path, 0, key, f"expected one number, got {table[key]!r}")
         return arr.item()
 
     try:
         if "continuous" in raw:
-            a_mat, b_vec = discretize(finite(cont, "a"), finite(cont, "b"), number(cont, "dt"))
+            a_mat, b_vec = discretize(numbers(cont, "a"), numbers(cont, "b"), number(cont, "dt"))
         else:
-            a_mat, b_vec = finite(raw, "A"), finite(raw, "b")
+            a_mat, b_vec = numbers(raw, "A"), numbers(raw, "b")
         system = SwitchedSystem(A=a_mat, b=b_vec, alpha=number(raw, "alpha"), beta=number(raw, "beta"),
-                                Q=finite(raw, "Q"), r=finite(raw, "r"))
+                                Q=numbers(raw, "Q"), r=numbers(raw, "r"))
+        return system, output_gain(system, numbers(raw, "output")) if "output" in raw else None
     except ParameterError as exc:
         key = exc.parameter if exc.parameter in raw or exc.parameter in cont else "-"
         raise CaseFileError(path, 0, key, str(exc)) from exc
-    if "output" not in raw:
-        return system, None
-    gain = np.reshape(finite(raw, "output"), (-1,))
-    if gain.shape != (system.n,):
-        raise CaseFileError(path, 0, "output", f"expected {system.n} gain entries, got {gain.size}")
-    return system, gain

@@ -296,7 +296,8 @@ def test_controller_non_finite_config_exits_2(capsys, tmp_path, config, command)
     ({**_SCALAR, "b": [0.2, 0.1]}, "b", "b must have length n = 1, got shape (2,)"),
     ({k: v for k, v in _SCALAR.items() if k != "r"}, "r", "missing config key"),
     ({**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [2.0], "dt": 0}}, "dt", "dt must be finite and > 0"),
-    ({**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [2.0, 1.0], "dt": 0.1}}, "b", "b must have 1 entries"),
+    ({**_CONTINUOUS, "continuous": {"a": [[-1.0]], "b": [2.0, 1.0], "dt": 0.1}}, "b",
+     "b must have length n = 1, got shape (2,)"),
     ({**_CONTINUOUS, "continuous": [1.0]}, "continuous", "expected an object"),
     ({**_SCALAR, "r": [0.0, 1.0]}, "r", "r must have length n = 1, got shape (2,)"),
     ({**_SCALAR, "Q": [[1.0, 0.0], [0.0, 1.0]]}, "Q", "Q must be n x n with n = 1, got shape (2, 2)"),
@@ -374,6 +375,64 @@ def test_pf_bad_tol_exits_2(capsys, tol):
     assert code == 2
     assert "tol must be finite and > 0" in err
     assert out == ""
+
+
+_HUGE = "1" + "0" * 400  # a JSON int past the float range
+
+
+def _nested(depth: int, leaf: str) -> str:
+    return "[" * depth + leaf + "]" * depth
+
+
+@pytest.mark.parametrize("config, key, raw", [
+    # each used to run, reshaped to a vector or read as a number, or to end in a traceback
+    ({**_SCALAR, "A": (np.eye(4) * 0.9).tolist(), "Q": np.eye(4).tolist(), "r": [[1.0, 0.0], [0.0, 1.0]]},
+     "b", "[[0.1, 0.2], [0.3, 0.4]]"),
+    (_SCALAR, "b", "0.2"), (_SCALAR, "b", "[[0.2]]"),
+    (_SCALAR, "r", "1.0"), (_SCALAR, "r", "[[1.0]]"),
+    (_SCALAR, "output", "2.0"), (_SCALAR, "output", "[[2.0]]"),
+    (_SCALAR, "alpha", "[0.95]"),
+    (_SCALAR, "beta", '" 1_0 "'), (_SCALAR, "A", '[["0.9"]]'), (_SCALAR, "output", '["2"]'),
+    (_SCALAR, "beta", _HUGE), (_SCALAR, "A", f"[[{_HUGE}]]"), (_SCALAR, "output", f"[{_HUGE}]"),
+    (_SCALAR, "b", _nested(40, "0.2")), (_SCALAR, "b", _nested(900, "0.2")),
+    (_SCALAR, "beta", _nested(40, "0.1")), (_SCALAR, "beta", _nested(900, "0.1")),
+], ids=["b-2x2-of-4-states", "b-number", "b-1x1", "r-number", "r-1x1", "output-number", "output-1x1",
+        "alpha-list", "beta-string", "A-string", "output-string", "beta-huge-int", "A-huge-int",
+        "output-huge-int", "b-depth-40", "b-depth-900", "beta-depth-40", "beta-depth-900"])
+def test_controller_config_value_not_of_its_shape_exits_2(capsys, tmp_path, config, key, raw):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps({**config, key: "@"}).replace('"@"', raw))
+    code, out, err = run(capsys, ["controller", "solve", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cfg}:0: column '{key}': ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["-1.0", "[-1.0]"])
+def test_controller_continuous_a_not_a_matrix_exits_2(capsys, tmp_path, raw):
+    # np.atleast_2d used to take either one for [[-1.0]]
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps({**_CONTINUOUS, "continuous": {**_CONTINUOUS["continuous"], "a": "@"}})
+                   .replace('"@"', raw))
+    code, out, err = run(capsys, ["controller", "solve", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:0: column 'a': a must be a square matrix\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["controller", "solve", "--config"], "system.json"),
+    (["pf", "--case"], "case.json"),
+])
+def test_json_nested_past_the_recursion_limit_exits_2(capsys, tmp_path, argv, name):
+    # json.loads raised RecursionError, a traceback with exit 1
+    text = '{"A": ' + _nested(100_000, "") + "}"
+    if name == "case.json":
+        path = _case_dir(tmp_path, name, text)
+    else:
+        path = tmp_path / name
+        path.write_text(text)
+    code, out, err = run(capsys, [*argv, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [["solve"], ["simulate", "--steps", "3", "--x0", "0", "--z0", "0"]])

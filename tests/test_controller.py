@@ -12,6 +12,7 @@ from gridse.controller import (
     compare_value_functions,
     discretize,
     evaluate_constant_policy,
+    output_gain,
     policy_decide,
     simulate,
     solve_quadratic_value,
@@ -441,6 +442,28 @@ def test_oracle_rejects_a_box_too_wide_or_too_narrow_for_float64(box):
     with pytest.raises(ParameterError, match="^box must") as info:
         bellman_value_iteration(SCALAR, box, 11)
     assert info.value.parameter == "box"
+
+
+@pytest.mark.parametrize("parameter, call", [
+    # each was flattened to a vector or a matrix before its shape check, and accepted
+    ("b", lambda: SwitchedSystem(A=np.eye(4) * 0.9, b=[[0.1, 0.2], [0.3, 0.4]], alpha=0.95, beta=0.1,
+                                 Q=np.eye(4), r=np.zeros(4))),
+    ("b", lambda: SwitchedSystem(A=[[0.9]], b=0.2, alpha=0.95, beta=0.1, Q=[[1.0]], r=[1.0])),
+    ("r", lambda: SwitchedSystem(A=[[0.9]], b=[0.2], alpha=0.95, beta=0.1, Q=[[1.0]], r=[[1.0]])),
+    ("a", lambda: discretize(-1.0, [1.0], 0.1)),
+    ("a", lambda: discretize([-1.0], [1.0], 0.1)),
+    ("b", lambda: discretize([[-1.0]], [[1.0]], 0.1)),
+    ("x0", lambda: evaluate_constant_policy(SCALAR, 0, [[1.0]], 0, 5)),
+    ("x0", lambda: simulate(SCALAR, 1.0, 0, 5, switching_function(SCALAR, solve_quadratic_value(SCALAR)))),
+    ("box", lambda: bellman_value_iteration(SCALAR, ([[-0.5]], [[2.5]]), 11)),
+    ("box", lambda: bellman_value_iteration(SCALAR, (-0.5, 2.5), 11)),
+    ("output", lambda: output_gain(SCALAR, [[2.0]])),
+    ("output", lambda: output_gain(SCALAR, 2.0)),
+])
+def test_an_input_of_another_shape_is_named(parameter, call):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert info.value.parameter == parameter
 
 
 def test_a_spectral_radius_whose_square_overflows_is_unstable():

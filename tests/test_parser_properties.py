@@ -1,4 +1,4 @@
-"""Property tests for the case and data file parsers.
+"""Property tests for the case, data and controller config file parsers.
 
 Whatever a file holds, a parser either returns or raises its documented
 error, CaseFileError, also for a well-formed case describing an invalid
@@ -10,18 +10,20 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridse.scenario import (
     MEASUREMENT_COLUMNS,
     CaseFileError,
     builtin_case_dir,
     load_case,
+    load_switched_system,
     read_measurements_csv,
     read_plan_csv,
 )
 
 IEEE14 = builtin_case_dir("ieee14")
+SCALAR_CONFIG = json.loads(builtin_case_dir("scalar_controller.json").read_text())
 PROFILE = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 CELLS = st.one_of(
@@ -124,3 +126,34 @@ def test_read_measurements_csv(content):
 @given(csv_contents(MEASUREMENTS_CSV))
 def test_read_plan_csv(content):
     _read_with(read_plan_csv, content)
+
+
+class _Deep(list):
+    """0.2 in lists nested `depth` deep, which prints short: a full repr
+    would overflow the stack of the example printer."""
+
+    def __init__(self, depth: int):
+        value = 0.2
+        for _ in range(depth - 1):
+            value = [value]
+        super().__init__([value])
+        self.depth = depth
+
+    def __repr__(self):
+        return f"_Deep({self.depth})"
+
+
+@PROFILE
+@given(st.dictionaries(st.sampled_from(["A", "b", "alpha", "beta", "Q", "r", "output", "continuous"]),
+                       st.one_of(JSON_VALUES, st.integers(min_value=2**1024), st.integers(max_value=-2**1024)),
+                       min_size=1, max_size=3))
+@example({"beta": 10**400})  # a JSON int past the float range raised OverflowError
+@example({"b": _Deep(900)})  # nested past the stack of a recursive walk: RecursionError
+def test_load_switched_system(replaced):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.json"
+        path.write_text(json.dumps({**SCALAR_CONFIG, **replaced}))
+        try:
+            load_switched_system(path)
+        except CaseFileError:
+            pass
