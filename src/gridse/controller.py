@@ -5,7 +5,10 @@ tracking cost (x - r)^T Q (x - r) plus a charge beta whenever u differs from
 the previous switch position z. The discounted cost-to-go is approximated by
 a single quadratic V(x) = (x - theta)^T P (x - theta) + v whose P is the
 fixed point P = Q + alpha A^T P A, found by one direct solve of that discrete
-Lyapunov equation (Bartels-Stewart, via scipy). The induced switching function
+Lyapunov equation: below 10 states one dense Kronecker-product system in
+numpy, from 10 up scipy's bilinear transformation to a continuous Lyapunov
+equation, which it solves by Bartels-Stewart (solve_discrete_lyapunov). The
+induced switching function
 f(x) = V(Ax + b) - V(Ax) = 2 b^T P (A x - theta) + b^T P b is affine; its
 coefficients come from that exact expansion, with the paper's printed
 closed-form candidates reported alongside for comparison. A gridded
@@ -18,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .network import ParameterError, _read_only
 
@@ -66,6 +68,8 @@ class SwitchedSystem:
         a = _read_only(self.A)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ParameterError("A", "A must be a square matrix")
+        if a.shape[0] == 0:
+            raise ParameterError("A", "A must have at least one row, got shape (0, 0)")
         n = a.shape[0]
         b, q, r = _read_only(self.b), _read_only(self.Q), _read_only(self.r)
         if b.shape != (n,):
@@ -164,6 +168,22 @@ def _quadratic_forms(points, center: np.ndarray, weight: np.ndarray) -> np.ndarr
     and add."""
     d = np.asarray(points, dtype=float) - center
     return ((d @ weight)[:, None, :] @ d[:, :, None])[:, 0, 0]
+
+
+def solve_discrete_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X with a X a^T - X + q = 0 for a real n x n `a`, by the method that
+    scipy.linalg's function of this name picks for n (Gajic & Qureshi 2008).
+
+    Below 10 states that is its `direct` method, the (n^2 x n^2) linear system
+    (I - a (x) a) vec(X) = vec(q), solved here in numpy so that the controller
+    does not load scipy. From 10 up, where that system's n^4 entries grow too
+    costly, scipy's own function runs its `bilinear` method.
+    """
+    n = a.shape[0]
+    if n < 10:
+        return np.linalg.solve(np.eye(n * n) - np.kron(a, a), q.reshape(-1)).reshape(n, n)
+    from scipy.linalg import solve_discrete_lyapunov as bilinear
+    return bilinear(a, q)
 
 
 def solve_quadratic_value(system: SwitchedSystem) -> QuadraticValue:

@@ -26,6 +26,12 @@ pays for the exact 2-norm condition (a full SVD); that exact value decides,
 and a failed factorization always raises. After the last step the exact
 2-norm condition of the final gain is computed once, gated again, and
 reported as gain_condition.
+
+scipy is imported at the first factorization, not with this module, so the
+commands that never estimate (pf, controller) do not load it. cho_factor and
+cho_solve are module functions, not imports inside solve_normal_equations,
+because bench/tracer.py spans them by name as estimator.cholesky; once spans
+are recorded from inside the package, they can fold into their caller.
 """
 from __future__ import annotations
 
@@ -33,8 +39,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
 
 from .measurements import MeasurementSet, _check_bus_count, _row_model, evaluate_h, jacobian_h
 from .network import Network, _read_only
@@ -111,6 +115,18 @@ def _exact_condition(gain: np.ndarray) -> float:
     return condition
 
 
+def cho_factor(gain: np.ndarray):
+    """scipy.linalg.cho_factor(gain), scipy imported on the first call."""
+    from scipy.linalg import cho_factor as factor
+    return factor(gain)
+
+
+def cho_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cho_solve(factor, rhs), scipy imported on the first call."""
+    from scipy.linalg import cho_solve as solve
+    return solve(factor, rhs)
+
+
 def solve_normal_equations(h_matrix, sigmas: np.ndarray, residuals: np.ndarray):
     """Solve G dx = H^T R^-1 r via Cholesky; returns (dx, G, condition estimate).
 
@@ -131,6 +147,7 @@ def solve_normal_equations(h_matrix, sigmas: np.ndarray, residuals: np.ndarray):
         factor = cho_factor(gain)
     except np.linalg.LinAlgError:
         raise SingularGain(float(np.linalg.cond(gain))) from None
+    from scipy.linalg.lapack import dpocon
     rcond, _ = dpocon(factor[0], np.linalg.norm(gain, 1))
     condition = 1.0 / rcond if rcond > 0 else float("inf")
     if not condition <= CONDITION_LIMIT / ESTIMATE_SLACK:

@@ -831,6 +831,45 @@ def test_module_entry_point(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+# ---- what each command imports ------------------------------------------------
+
+# run in a fresh interpreter: the scipy modules loaded after `import gridse.cli`
+# and after each argv in turn, with that argv's exit code
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+import gridse.cli
+seen = {"import gridse.cli": [0, scipy_modules()]}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = gridse.cli.cli_dispatch(argv)
+    seen[" ".join(argv)] = [code, scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_is_loaded_only_to_factor_a_gain():
+    config = ["--config", SCALAR_CONFIG]
+    argvs = [["pf", "--case", "ieee14"],
+             ["pf", "--no-such-flag"],
+             ["controller", "solve", *config],
+             ["controller", "simulate", *config, "--steps", "20", "--x0", "0.0", "--z0", "0"],
+             ["controller", "oracle", *config, "--box", "-0.5,2.5", "--resolution", "11"],
+             ["estimate", "--case", "ieee14", "--seed", "7"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    code, loaded = seen.pop("estimate --case ieee14 --seed 7")
+    assert code == 0 and "scipy.linalg" in loaded
+    assert seen == {"import gridse.cli": [0, []], "pf --case ieee14": [0, []], "pf --no-such-flag": [2, []],
+                    **{" ".join(argv): [0, []] for argv in argvs[2:5]}}
+
+
 # ---- argv fuzz and the typed catch --------------------------------------------
 
 # a valid invocation of each command; the fuzz replaces one or two flag values

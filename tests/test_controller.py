@@ -1,6 +1,11 @@
 """Switching controller: fixed point, switching function, policy, grid oracle."""
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gridse import controller
 from gridse.controller import (
@@ -19,6 +24,7 @@ from gridse.controller import (
     switching_function,
 )
 from gridse.network import ParameterError
+from gridse.scenario import builtin_case_dir, load_switched_system
 
 # the scalar system used throughout the acceptance checks
 SCALAR = SwitchedSystem(A=[[0.9]], b=[0.2], alpha=0.95, beta=0.1, Q=[[1.0]], r=[1.0])
@@ -128,6 +134,48 @@ def test_near_unit_root_solves_directly():
     system = SwitchedSystem(A=[[a]], b=[0.2], alpha=alpha, beta=0.1, Q=[[1.0]], r=[1.0])
     qv = solve_quadratic_value(system)
     assert qv.P[0, 0] == pytest.approx(1.0 / (1.0 - alpha * a * a), rel=1e-9)
+
+
+def _bench_config_2d() -> dict:
+    """bench/workloads.py's CONFIG_2D, read without importing the bench."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    node = next(node for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CONFIG_2D"])
+    return ast.literal_eval(node.value)
+
+
+def _lyapunov_arguments(system: SwitchedSystem) -> tuple:
+    """The (a, q) that solve_quadratic_value hands to solve_discrete_lyapunov."""
+    return np.sqrt(system.alpha) * system.A.T, system.Q
+
+
+@pytest.mark.parametrize("config", ["scalar", "golden 2-d", "bench 2-d"])
+def test_lyapunov_solve_is_scipys_bit_for_bit_on_the_shipped_configs(config, tmp_path):
+    if config == "scalar":
+        path = builtin_case_dir("scalar_controller.json")
+    elif config == "golden 2-d":
+        path = Path(__file__).parent / "golden" / "controller_2d.json"
+    else:
+        path = tmp_path / "ctl2d.json"
+        path.write_text(json.dumps(_bench_config_2d()))
+    a, q = _lyapunov_arguments(load_switched_system(str(path))[0])
+    assert np.array_equal(controller.solve_discrete_lyapunov(a, q), scipy.linalg.solve_discrete_lyapunov(a, q))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lyapunov_solve_matches_scipy_below_ten_states(n):
+    rng = np.random.default_rng(2900 + n)
+    for _ in range(50):
+        a, q = _lyapunov_arguments(_random_stable_system(rng, n))
+        expected = scipy.linalg.solve_discrete_lyapunov(a, q)
+        got = controller.solve_discrete_lyapunov(a, q)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_lyapunov_solve_hands_ten_states_and_up_to_scipy(n):
+    a, q = _lyapunov_arguments(_random_stable_system(np.random.default_rng(n), n))
+    assert np.array_equal(controller.solve_discrete_lyapunov(a, q), scipy.linalg.solve_discrete_lyapunov(a, q))
 
 
 def test_system_validation():
@@ -459,6 +507,9 @@ def test_oracle_rejects_a_box_too_wide_or_too_narrow_for_float64(box):
     ("box", lambda: bellman_value_iteration(SCALAR, (-0.5, 2.5), 11)),
     ("output", lambda: output_gain(SCALAR, [[2.0]])),
     ("output", lambda: output_gain(SCALAR, 2.0)),
+    # a 0 x 0 A passed the square check and reached a max over no entries (bare ValueError)
+    ("A", lambda: SwitchedSystem(A=np.zeros((0, 0)), b=np.zeros(0), alpha=0.5, beta=0.1, Q=np.zeros((0, 0)),
+                                 r=np.zeros(0))),
 ])
 def test_an_input_of_another_shape_is_named(parameter, call):
     with pytest.raises(ParameterError) as info:
